@@ -1,21 +1,24 @@
 // Command ccarun is the Ccaffeine-style launcher: it executes a CCA
-// assembly script on P identically configured framework instances
-// (SCMD), the equivalent of "mpirun -np P ccaffeine --file script.rc".
+// assembly on P identically configured framework instances (SCMD), the
+// equivalent of "mpirun -np P ccaffeine --file script.rc". A .scn input
+// is a declarative scenario (internal/scenario: validated, then lowered
+// to the command script it describes); the paper's three applications
+// ship as scenarios/ignition0d.scn, flame2d.scn and shockinterface.scn.
+// Any other input is read as a command script.
 //
-//	ccarun -np 4 script.rc
-//	ccarun -list                  # show the component palette
-//	ccarun -arena script.rc      # print the assembly without running "go"
-//	ccarun -scenario scenarios/flame2d.scn   # run a declarative scenario file
-//	ccarun -np 4 -trace out.json script.rc   # Perfetto trace of the run
-//	ccarun -obs script.rc                    # port-call summary table
-//	ccarun -metrics :8080 script.rc          # /metrics, /debug/vars, /debug/pprof
-//	ccarun -np 4 -ckpt-every 5 -ckpt-dir ck script.rc   # checkpoint every 5 steps
-//	ccarun -np 4 -restore ck script.rc                  # resume from the latest checkpoint
-//	ccarun -np 4 -ckpt-every 2 -fault kill:1@3 script.rc # kill rank 1 at step 3; auto-recover
-//	ccarun -np 4 -serve :8080 script.rc      # live /metrics /healthz /series /trace
-//	ccarun -np 4 -events run.jsonl script.rc # structured JSONL event log
+//	ccarun -np 4 scenarios/flame2d.scn
+//	ccarun -list                                 # show the component palette
+//	ccarun -arena scenarios/ignition0d.scn       # print the assembly without running "go"
+//	ccarun -np 4 -trace out.json file.scn        # Perfetto trace of the run
+//	ccarun -obs file.scn                         # port-call summary table
+//	ccarun -metrics :8080 file.scn               # /metrics, /debug/vars, /debug/pprof
+//	ccarun -np 4 -ckpt-every 5 -ckpt-dir ck file.scn    # checkpoint every 5 steps
+//	ccarun -np 4 -restore ck file.scn                   # resume from the latest checkpoint
+//	ccarun -np 4 -ckpt-every 2 -fault kill:1@3 file.scn # kill rank 1 at step 3; auto-recover
+//	ccarun -np 4 -serve :8080 file.scn           # live /metrics /healthz /series /trace
+//	ccarun -np 4 -events run.jsonl file.scn      # structured JSONL event log
 //
-// Script grammar (one command per line, # comments):
+// Command script grammar (one command per line, # comments):
 //
 //	repository get-global <ClassName>
 //	instantiate <ClassName> <instance>
@@ -33,6 +36,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -54,7 +58,6 @@ func main() {
 	np := flag.Int("np", 1, "number of SCMD framework instances (ranks)")
 	list := flag.Bool("list", false, "list the component palette and exit")
 	arena := flag.Bool("arena", false, "execute everything except 'go' commands and print the assembly")
-	scenarioMode := flag.Bool("scenario", false, "treat the input file as a declarative scenario (validated, then lowered to the same assembly path)")
 	network := flag.String("network", "cplant", "virtual network model: cplant, fastethernet, zero")
 	tracePath := flag.String("trace", "", "write a merged Chrome/Perfetto trace of the run to this file")
 	obsTable := flag.Bool("obs", false, "print the port-call summary table after the run")
@@ -88,7 +91,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ccarun [-np P] script.rc  (or: ccarun -scenario file.scn)")
+		fmt.Fprintln(os.Stderr, "usage: ccarun [-np P] file.scn  (or a command script)")
 		os.Exit(2)
 	}
 	text, err := os.ReadFile(flag.Arg(0))
@@ -97,7 +100,7 @@ func main() {
 		os.Exit(1)
 	}
 	var script *cca.Script
-	if *scenarioMode {
+	if filepath.Ext(flag.Arg(0)) == ".scn" {
 		// Compile + validate first: every wiring or parameter mistake is
 		// reported with file:line:col positions before anything runs.
 		c, err := scenario.Compile(flag.Arg(0), text)

@@ -97,7 +97,7 @@ func main() {
 	// initial condition.
 	f2 := cca.NewFramework(core.Repo(), nil)
 	params2 := append(params, core.Param{Instance: "driver", Key: "tEnd", Value: "0.6"})
-	if err := core.AssembleShockInterface(f2, "GodunovFlux", params2...); err != nil {
+	if err := core.AssembleRequest(f2, core.RunRequest{Problem: "shock", Params: params2}); err != nil {
 		log.Fatal(err)
 	}
 	g2Comp, _ := f2.Lookup("grace")

@@ -41,7 +41,7 @@ func main() {
 
 	if *arena {
 		f := cca.NewFramework(core.Repo(), nil)
-		if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(cca.Arena(f))
@@ -61,7 +61,7 @@ func main() {
 	var rank0 *components.RDDriver
 	var rank0f *cca.Framework
 	res := cca.RunSCMD(*np, mpi.CPlantModel, core.Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		if err := f.Go("driver", "go"); err != nil {

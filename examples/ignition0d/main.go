@@ -24,7 +24,7 @@ func main() {
 
 	if *arena {
 		f := cca.NewFramework(core.Repo(), nil)
-		if err := core.AssembleIgnition0D(f); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "ignition"}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(cca.Arena(f))

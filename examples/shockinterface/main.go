@@ -50,7 +50,7 @@ func main() {
 
 	if *arena {
 		f := cca.NewFramework(core.Repo(), nil)
-		if err := core.AssembleShockInterface(f, fluxClass, params...); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "shock", Flux: fluxClass, Params: params}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(cca.Arena(f))

@@ -207,7 +207,7 @@ func runChemFlame(steps int, kernels, engine string) (ChemFlameRun, error) {
 	group := obs.NewGroup(1)
 	fr := cca.NewFramework(core.Repo(), nil)
 	fr.SetObservability(group.Rank(0))
-	if err := core.AssembleReactionDiffusion(fr, chemFlameParams(steps, kernels)...); err != nil {
+	if err := core.AssembleRequest(fr, core.RunRequest{Problem: "flame", Params: chemFlameParams(steps, kernels)}); err != nil {
 		return run, err
 	}
 	if err := fr.Go("driver", "go"); err != nil {

@@ -147,7 +147,7 @@ func inspectManifest(c *CkptCase, dir string, step int) error {
 // the final field bits.
 func runFlame(dir, restore string, every int, params []core.Param) ([]float64, error) {
 	f := cca.NewFramework(core.Repo(), nil)
-	if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+	if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 		return nil, err
 	}
 	if err := core.WireCheckpoint(f, dir, restore, every); err != nil {
@@ -165,7 +165,7 @@ func runFlameRanks(w *mpi.World, dir, restore string, every int, params []core.P
 	var mu sync.Mutex
 	ranks := make([][]float64, w.Size())
 	res := cca.RunSCMDOn(w, core.Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		if err := core.WireCheckpoint(f, dir, restore, every); err != nil {
@@ -366,7 +366,7 @@ func BuildCkptReport(out io.Writer, scratch string) (*CkptReport, error) {
 		}
 		runShock := func(dir, restore string, every int) ([]float64, *components.ShockDriver, error) {
 			f := cca.NewFramework(core.Repo(), nil)
-			if err := core.AssembleShockInterface(f, "GodunovFlux", sp...); err != nil {
+			if err := core.AssembleRequest(f, core.RunRequest{Problem: "shock", Params: sp}); err != nil {
 				return nil, nil, err
 			}
 			if err := core.WireCheckpoint(f, dir, restore, every); err != nil {
@@ -458,7 +458,9 @@ func BuildCkptReport(out io.Writer, scratch string) (*CkptReport, error) {
 			{Instance: "driver", Key: "dt", Value: "1e-7"},
 			{Instance: "driver", Key: "regridEvery", Value: "0"},
 		}
-		assemble := func(f *cca.Framework) error { return core.AssembleReactionDiffusion(f, p...) }
+		assemble := func(f *cca.Framework) error {
+			return core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: p})
+		}
 		c, err := incrementalCase(out, scratch, c, assemble, "phi", 5)
 		if err != nil {
 			return nil, err
@@ -484,7 +486,9 @@ func BuildCkptReport(out io.Writer, scratch string) (*CkptReport, error) {
 			{Instance: "driver", Key: "maxSteps", Value: "6"},
 			{Instance: "driver", Key: "regridEvery", Value: "0"},
 		}
-		assemble := func(f *cca.Framework) error { return core.AssembleShockInterface(f, "GodunovFlux", sp...) }
+		assemble := func(f *cca.Framework) error {
+			return core.AssembleRequest(f, core.RunRequest{Problem: "shock", Params: sp})
+		}
 		c, err := incrementalCase(out, scratch, c, assemble, "U", 5)
 		if err != nil {
 			return nil, err
@@ -497,7 +501,9 @@ func BuildCkptReport(out io.Writer, scratch string) (*CkptReport, error) {
 	{
 		c := CkptCase{Name: "flame-compress", Driver: "rd", Ranks: 1, Steps: steps, Every: 1,
 			RestoreStep: 3, Attempts: 1, Compressed: true}
-		assemble := func(f *cca.Framework) error { return core.AssembleReactionDiffusion(f, params...) }
+		assemble := func(f *cca.Framework) error {
+			return core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params})
+		}
 		world := func() *mpi.World { return mpi.NewWorld(1, mpi.CPlantModel) }
 		ref, err := runCkptRanks(world(), assemble, "phi",
 			core.CheckpointOptions{Dir: filepath.Join(scratch, c.Name+"-ref")})

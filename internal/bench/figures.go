@@ -52,7 +52,7 @@ func RunFig3(cfg Fig3Config) ([]Fig3Snapshot, *cca.Framework, error) {
 		{Instance: "driver", Key: "regridEvery", Value: "2"},
 		{Instance: "regrid", Key: "threshold", Value: "0.2"},
 	}
-	if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+	if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 		return nil, nil, err
 	}
 	var frames []Fig3Snapshot
@@ -187,7 +187,7 @@ func RunFig6(cfg Fig6Config) (Fig6Result, *cca.Framework, error) {
 		{Instance: "driver", Key: "regridEvery", Value: "5"},
 	}
 	f := cca.NewFramework(core.Repo(), nil)
-	if err := core.AssembleShockInterface(f, cfg.Flux, params...); err != nil {
+	if err := core.AssembleRequest(f, core.RunRequest{Problem: "shock", Flux: cfg.Flux, Params: params}); err != nil {
 		return Fig6Result{}, nil, err
 	}
 	if err := f.Go("driver", "go"); err != nil {

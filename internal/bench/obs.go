@@ -164,7 +164,7 @@ func RunObsTrace() (*ObsTraceReport, *obs.Group, error) {
 	group := obs.NewGroup(rep.Ranks)
 	res := cca.RunSCMD(rep.Ranks, mpi.CPlantModel, core.Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
 		f.SetObservability(group.Rank(comm.Rank()))
-		if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		if err := f.Instantiate("ExecutionComponent", "pool"); err != nil {
@@ -252,7 +252,7 @@ func telemetryFlameRun(ranks, steps int, hub *telemetry.Hub) (tmax, tmin, vmax f
 	}
 	var mu sync.Mutex
 	res := cca.RunSCMD(ranks, mpi.CPlantModel, core.Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := core.AssembleReactionDiffusion(f, params...); err != nil {
+		if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		core.AttachTelemetry(f, hub.Rank(comm.Rank()), comm)

@@ -106,6 +106,7 @@ func (cc *CvodeComponent) addStats(st cvode.Stats) {
 	cc.total.JacBuildsFD += st.JacBuildsFD
 	cc.total.JacReuses += st.JacReuses
 	cc.total.NewtonIters += st.NewtonIters
+	cc.total.ErrTestFails += st.ErrTestFails
 	cc.statsMu.Unlock()
 }
 
@@ -126,6 +127,7 @@ const (
 	counterCvodeJacFD       = "cvode.jac_fd"
 	counterCvodeJacReuses   = "cvode.jac_reuses"
 	counterCvodeNewton      = "cvode.newton_iters"
+	counterCvodeErrTestFail = "cvode.err_test_fails"
 )
 
 // Counters implements CounterSource: the cumulative solver statistics a
@@ -141,6 +143,7 @@ func (cc *CvodeComponent) Counters() map[string]float64 {
 		counterCvodeJacFD:       float64(st.JacBuildsFD),
 		counterCvodeJacReuses:   float64(st.JacReuses),
 		counterCvodeNewton:      float64(st.NewtonIters),
+		counterCvodeErrTestFail: float64(st.ErrTestFails),
 	}
 }
 
@@ -155,6 +158,7 @@ func (cc *CvodeComponent) RestoreCounters(m map[string]float64) {
 		JacBuildsFD:       int(m[counterCvodeJacFD]),
 		JacReuses:         int(m[counterCvodeJacReuses]),
 		NewtonIters:       int(m[counterCvodeNewton]),
+		ErrTestFails:      int(m[counterCvodeErrTestFail]),
 	}
 	cc.statsMu.Unlock()
 }

@@ -108,7 +108,7 @@ func TestFlameAsyncExchangeMatchesSerial(t *testing.T) {
 			return f, err
 		},
 		func(f *cca.Framework, comm *mpi.Comm) error {
-			if err := AssembleReactionDiffusion(f, params...); err != nil {
+			if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 				return err
 			}
 			return f.Go("driver", "go")
@@ -132,7 +132,7 @@ func TestShockAsyncExchangeMatchesSerial(t *testing.T) {
 			return f, err
 		},
 		func(f *cca.Framework, comm *mpi.Comm) error {
-			if err := AssembleShockInterface(f, "GodunovFlux", params...); err != nil {
+			if err := AssembleRequest(f, RunRequest{Problem: "shock", Params: params}); err != nil {
 				return err
 			}
 			return f.Go("driver", "go")

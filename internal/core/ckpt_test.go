@@ -9,6 +9,7 @@ import (
 	"ccahydro/internal/cca"
 	"ccahydro/internal/ckpt"
 	"ccahydro/internal/components"
+	"ccahydro/internal/cvode"
 	"ccahydro/internal/mpi"
 )
 
@@ -68,11 +69,12 @@ func assertSameField(t *testing.T, label string, ref, got []float64) {
 }
 
 // runFlameCkpt assembles the flame with a CheckpointComponent wired in
-// and runs it, returning the driver and the final field.
-func runFlameCkpt(t *testing.T, dir, restore string, every int, params []Param) (*components.RDDriver, []float64) {
+// and runs it, returning the driver, the final field and the CVODE
+// totals.
+func runFlameCkpt(t *testing.T, dir, restore string, every int, params []Param) (*components.RDDriver, []float64, cvode.Stats) {
 	t.Helper()
 	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleReactionDiffusion(f, params...); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 		t.Fatal(err)
 	}
 	if err := WireCheckpoint(f, dir, restore, every); err != nil {
@@ -86,7 +88,7 @@ func runFlameCkpt(t *testing.T, dir, restore string, every int, params []Param) 
 		t.Fatal(err)
 	}
 	comp, _ := f.Lookup("driver")
-	return comp.(*components.RDDriver), snap
+	return comp.(*components.RDDriver), snap, cvodeStats(t, f)
 }
 
 // TestFlameRestoreBitForBitEveryStep checkpoints the flame after every
@@ -94,9 +96,11 @@ func runFlameCkpt(t *testing.T, dir, restore string, every int, params []Param) 
 // run — each continuation must be bit-for-bit the uninterrupted run.
 // RKC diffusion, implicit chemistry, and a regrid all sit between
 // checkpoints, so this covers the full restored-state surface
-// (hierarchy layout, field bits including ghosts, step counters).
+// (hierarchy layout, field bits including ghosts, step counters). The
+// macro step is large enough that CVODE's error test rejects a few
+// steps, so the restored solver totals cover that counter too.
 func TestFlameRestoreBitForBitEveryStep(t *testing.T) {
-	params := flameCkptParams()
+	params := append(flameCkptParams(), Param{"driver", "dt", "1e-6"})
 	const steps = 4
 
 	// Reference: no checkpointing wired at all.
@@ -109,19 +113,27 @@ func TestFlameRestoreBitForBitEveryStep(t *testing.T) {
 	// Write run: checkpoint after every step. Wiring the component must
 	// not perturb the physics.
 	dir := t.TempDir()
-	drW, wrote := runFlameCkpt(t, dir, "", 1, params)
+	drW, wrote, stW := runFlameCkpt(t, dir, "", 1, params)
 	assertSameField(t, "ckpt-wired run vs reference", ref, wrote)
 	if drW.TMax != drRef.TMax || drW.TMin != drRef.TMin {
 		t.Fatalf("ckpt-wired extrema (%v,%v) != reference (%v,%v)", drW.TMax, drW.TMin, drRef.TMax, drRef.TMin)
 	}
+	// The CVODE totals ride in the checkpoint: every continuation must
+	// end on the uninterrupted run's counts, error-test failures included.
+	if stW.ErrTestFails == 0 {
+		t.Fatal("the flame recorded no CVODE error-test failures; the restore check below would be vacuous")
+	}
 
 	for k := 0; k < steps; k++ {
 		manifest := filepath.Join(dir, ckpt.ManifestFileName(k))
-		dr, got := runFlameCkpt(t, t.TempDir(), manifest, 0, params)
+		dr, got, st := runFlameCkpt(t, t.TempDir(), manifest, 0, params)
 		assertSameField(t, fmt.Sprintf("restore from step %d", k), ref, got)
 		if dr.TMax != drRef.TMax || dr.TMin != drRef.TMin {
 			t.Fatalf("restore from step %d: extrema (%v,%v) != reference (%v,%v)",
 				k, dr.TMax, dr.TMin, drRef.TMax, drRef.TMin)
+		}
+		if st != stW {
+			t.Fatalf("restore from step %d: CVODE totals %+v, uninterrupted %+v", k, st, stW)
 		}
 	}
 }
@@ -133,7 +145,7 @@ func runFlameSCMD(t *testing.T, world *mpi.World, dir, restore string, every int
 	var mu sync.Mutex
 	ranks := make([][]float64, world.Size())
 	res := cca.RunSCMDOn(world, Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := AssembleReactionDiffusion(f, params...); err != nil {
+		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		if err := WireCheckpoint(f, dir, restore, every); err != nil {
@@ -193,7 +205,7 @@ func TestShockRestoreBitForBit(t *testing.T) {
 
 	run := func(dir, restore string, every int) (*components.ShockDriver, []float64) {
 		f := cca.NewFramework(Repo(), nil)
-		if err := AssembleShockInterface(f, "GodunovFlux", params...); err != nil {
+		if err := AssembleRequest(f, RunRequest{Problem: "shock", Params: params}); err != nil {
 			t.Fatal(err)
 		}
 		if err := WireCheckpoint(f, dir, restore, every); err != nil {

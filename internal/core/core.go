@@ -1,15 +1,12 @@
 // Package core assembles the paper's three applications from the
 // component palette: the 0D ignition code (Table 1 / Fig 1), the 2D
 // reaction–diffusion flame (Table 2 / Fig 2), and the 2D
-// shock–interface interaction (Table 3 / Fig 5). Each assembly is a
-// plain sequence of Instantiate/Connect calls — the programmatic
-// equivalent of a Ccaffeine script — and the matching script text is
-// exposed so the ccarun tool can execute the same wiring from a file.
+// shock–interface interaction (Table 3 / Fig 5). Each application is a
+// scenario file embedded from the repository's scenarios directory and
+// built through scenario.Compiled.Build, like any other scenario.
 package core
 
 import (
-	"fmt"
-
 	"ccahydro/internal/cca"
 	"ccahydro/internal/components"
 	"ccahydro/internal/mpi"
@@ -23,280 +20,40 @@ type Param struct {
 	Instance, Key, Value string
 }
 
-// AssembleIgnition0D wires the Table 1 assembly into f. Extra
-// parameters are applied before instantiation.
-func AssembleIgnition0D(f *cca.Framework, params ...Param) error {
-	for _, p := range params {
-		if err := f.SetParameter(p.Instance, p.Key, p.Value); err != nil {
-			return err
-		}
-	}
-	steps := [][]string{
-		{"instantiate", "ThermoChemistry", "chem"},
-		{"instantiate", "DPDt", "dpdt"},
-		{"instantiate", "ProblemModeler", "model"},
-		{"instantiate", "Initializer", "init"},
-		{"instantiate", "CvodeComponent", "cvode"},
-		{"instantiate", "StatisticsComponent", "stats"},
-		{"instantiate", "IgnitionDriver", "driver"},
-		{"connect", "dpdt", "chemistry", "chem", "chemistry"},
-		{"connect", "model", "chemistry", "chem", "chemistry"},
-		{"connect", "model", "dpdt", "dpdt", "dpdt"},
-		{"connect", "init", "chemistry", "chem", "chemistry"},
-		{"connect", "cvode", "rhs", "model", "rhs"},
-		{"connect", "driver", "ic", "init", "ic"},
-		{"connect", "driver", "integrator", "cvode", "integrator"},
-		{"connect", "driver", "chemistry", "chem", "chemistry"},
-		{"connect", "driver", "stats", "stats", "stats"},
-	}
-	return apply(f, steps)
-}
-
-// Ignition0DScript is the equivalent Ccaffeine-style script.
-const Ignition0DScript = `#!ccaffeine bootstrap file: 0D ignition (paper Table 1, Fig 1)
-repository get-global ThermoChemistry
-repository get-global CvodeComponent
-instantiate ThermoChemistry chem
-instantiate DPDt dpdt
-instantiate ProblemModeler model
-instantiate Initializer init
-instantiate CvodeComponent cvode
-instantiate StatisticsComponent stats
-instantiate IgnitionDriver driver
-connect dpdt chemistry chem chemistry
-connect model chemistry chem chemistry
-connect model dpdt dpdt dpdt
-connect init chemistry chem chemistry
-connect cvode rhs model rhs
-connect driver ic init ic
-connect driver integrator cvode integrator
-connect driver chemistry chem chemistry
-connect driver stats stats stats
-go driver go
-quit
-`
-
-// AssembleReactionDiffusion wires the Table 2 assembly.
-func AssembleReactionDiffusion(f *cca.Framework, params ...Param) error {
-	for _, p := range params {
-		if err := f.SetParameter(p.Instance, p.Key, p.Value); err != nil {
-			return err
-		}
-	}
-	steps := [][]string{
-		{"instantiate", "GrACEComponent", "grace"},
-		{"instantiate", "ThermoChemistry", "chem"},
-		{"instantiate", "DRFMComponent", "drfm"},
-		{"instantiate", "InitialCondition", "ic"},
-		{"instantiate", "DiffusionPhysics", "diffusion"},
-		{"instantiate", "MaxDiffCoeffEvaluator", "maxdiff"},
-		{"instantiate", "ExplicitIntegrator", "rkc"},
-		{"instantiate", "CvodeComponent", "cvode"},
-		{"instantiate", "ImplicitIntegrator", "implicit"},
-		{"instantiate", "ErrorEstAndRegrid", "regrid"},
-		{"instantiate", "StatisticsComponent", "stats"},
-		{"instantiate", "RDDriver", "driver"},
-		{"connect", "ic", "chemistry", "chem", "chemistry"},
-		{"connect", "diffusion", "transport", "drfm", "transport"},
-		{"connect", "diffusion", "chemistry", "chem", "chemistry"},
-		{"connect", "maxdiff", "transport", "drfm", "transport"},
-		{"connect", "maxdiff", "chemistry", "chem", "chemistry"},
-		{"connect", "rkc", "patchRHS", "diffusion", "patchRHS"},
-		{"connect", "rkc", "maxEigen", "maxdiff", "maxEigen"},
-		{"connect", "cvode", "rhs", "implicit", "cellRHS"},
-		{"connect", "implicit", "integrator", "cvode", "integrator"},
-		{"connect", "implicit", "chemistry", "chem", "chemistry"},
-		{"connect", "driver", "mesh", "grace", "mesh"},
-		{"connect", "driver", "ic", "ic", "ic"},
-		{"connect", "driver", "explicit", "rkc", "integrator"},
-		{"connect", "driver", "cellChemistry", "implicit", "cellChemistry"},
-		{"connect", "driver", "regrid", "regrid", "regrid"},
-		{"connect", "driver", "stats", "stats", "stats"},
-		{"connect", "driver", "chemistry", "chem", "chemistry"},
-	}
-	return apply(f, steps)
-}
-
-// ReactionDiffusionScript is the equivalent script.
-const ReactionDiffusionScript = `#!ccaffeine bootstrap file: 2D reaction-diffusion flame (paper Table 2, Fig 2)
-instantiate GrACEComponent grace
-instantiate ThermoChemistry chem
-instantiate DRFMComponent drfm
-instantiate InitialCondition ic
-instantiate DiffusionPhysics diffusion
-instantiate MaxDiffCoeffEvaluator maxdiff
-instantiate ExplicitIntegrator rkc
-instantiate CvodeComponent cvode
-instantiate ImplicitIntegrator implicit
-instantiate ErrorEstAndRegrid regrid
-instantiate StatisticsComponent stats
-instantiate RDDriver driver
-connect ic chemistry chem chemistry
-connect diffusion transport drfm transport
-connect diffusion chemistry chem chemistry
-connect maxdiff transport drfm transport
-connect maxdiff chemistry chem chemistry
-connect rkc patchRHS diffusion patchRHS
-connect rkc maxEigen maxdiff maxEigen
-connect cvode rhs implicit cellRHS
-connect implicit integrator cvode integrator
-connect implicit chemistry chem chemistry
-connect driver mesh grace mesh
-connect driver ic ic ic
-connect driver explicit rkc integrator
-connect driver cellChemistry implicit cellChemistry
-connect driver regrid regrid regrid
-connect driver stats stats stats
-connect driver chemistry chem chemistry
-go driver go
-quit
-`
-
-// AssembleShockInterface wires the Table 3 assembly. fluxClass selects
-// "GodunovFlux" or "EFMFlux" — the paper's component swap for strong
-// shocks, no recompilation required.
-func AssembleShockInterface(f *cca.Framework, fluxClass string, params ...Param) error {
-	if fluxClass == "" {
-		fluxClass = "GodunovFlux"
-	}
-	for _, p := range params {
-		if err := f.SetParameter(p.Instance, p.Key, p.Value); err != nil {
-			return err
-		}
-	}
-	steps := [][]string{
-		{"instantiate", "GrACEComponent", "grace"},
-		{"instantiate", "GasProperties", "gas"},
-		{"instantiate", "ConicalInterfaceIC", "ic"},
-		{"instantiate", "States", "states"},
-		{"instantiate", fluxClass, "flux"},
-		{"instantiate", "InviscidFlux", "inviscid"},
-		{"instantiate", "CharacteristicQuantities", "chars"},
-		{"instantiate", "BoundaryConditions", "bc"},
-		{"instantiate", "ExplicitIntegratorRK2", "rk2"},
-		{"instantiate", "ErrorEstAndRegrid", "regrid"},
-		{"instantiate", "StatisticsComponent", "stats"},
-		{"instantiate", "ProlongRestrict", "prolong"},
-		{"instantiate", "ShockDriver", "driver"},
-		{"connect", "ic", "gasProperties", "gas", "properties"},
-		{"connect", "inviscid", "states", "states", "states"},
-		{"connect", "inviscid", "flux", "flux", "flux"},
-		{"connect", "inviscid", "gasProperties", "gas", "properties"},
-		{"connect", "chars", "gasProperties", "gas", "properties"},
-		{"connect", "bc", "mesh", "grace", "mesh"},
-		{"connect", "rk2", "patchRHS", "inviscid", "patchRHS"},
-		{"connect", "rk2", "bc", "bc", "bc"},
-		{"connect", "driver", "mesh", "grace", "mesh"},
-		{"connect", "driver", "ic", "ic", "ic"},
-		{"connect", "driver", "integrator", "rk2", "integrator"},
-		{"connect", "driver", "characteristics", "chars", "characteristics"},
-		{"connect", "driver", "regrid", "regrid", "regrid"},
-		{"connect", "driver", "stats", "stats", "stats"},
-		{"connect", "driver", "gasProperties", "gas", "properties"},
-		{"connect", "driver", "bc", "bc", "bc"},
-	}
-	return apply(f, steps)
-}
-
-// ShockInterfaceScript is the equivalent script (Godunov flux).
-const ShockInterfaceScript = `#!ccaffeine bootstrap file: 2D shock-interface interaction (paper Table 3, Fig 5)
-instantiate GrACEComponent grace
-instantiate GasProperties gas
-instantiate ConicalInterfaceIC ic
-instantiate States states
-instantiate GodunovFlux flux
-instantiate InviscidFlux inviscid
-instantiate CharacteristicQuantities chars
-instantiate BoundaryConditions bc
-instantiate ExplicitIntegratorRK2 rk2
-instantiate ErrorEstAndRegrid regrid
-instantiate StatisticsComponent stats
-instantiate ProlongRestrict prolong
-instantiate ShockDriver driver
-connect ic gasProperties gas properties
-connect inviscid states states states
-connect inviscid flux flux flux
-connect inviscid gasProperties gas properties
-connect chars gasProperties gas properties
-connect bc mesh grace mesh
-connect rk2 patchRHS inviscid patchRHS
-connect rk2 bc bc bc
-connect driver mesh grace mesh
-connect driver ic ic ic
-connect driver integrator rk2 integrator
-connect driver characteristics chars characteristics
-connect driver regrid regrid regrid
-connect driver stats stats stats
-connect driver gasProperties gas properties
-connect driver bc bc bc
-go driver go
-quit
-`
-
-func apply(f *cca.Framework, steps [][]string) error {
-	for _, s := range steps {
-		var err error
-		switch s[0] {
-		case "instantiate":
-			err = f.Instantiate(s[1], s[2])
-		case "connect":
-			err = f.Connect(s[1], s[2], s[3], s[4])
-		default:
-			err = fmt.Errorf("core: unknown step %q", s[0])
-		}
-		if err != nil {
-			return fmt.Errorf("core: step %v: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// RunIgnition0D assembles and runs the 0D ignition code serially,
-// returning the driver for result inspection.
+// RunIgnition0D runs the ignition built-in serially and returns its
+// driver for result inspection.
 func RunIgnition0D(params ...Param) (*components.IgnitionDriver, error) {
-	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleIgnition0D(f, params...); err != nil {
-		return nil, err
-	}
-	if err := f.Go("driver", "go"); err != nil {
-		return nil, err
-	}
-	comp, err := f.Lookup("driver")
-	if err != nil {
-		return nil, err
-	}
-	return comp.(*components.IgnitionDriver), nil
+	dr, _, err := run[*components.IgnitionDriver](nil, RunRequest{Problem: "ignition", Params: params})
+	return dr, err
 }
 
-// RunReactionDiffusion assembles and runs the flame serially (comm may
-// be nil) and returns the driver and framework.
+// RunReactionDiffusion runs the flame built-in (comm may be nil) and
+// returns the driver and framework.
 func RunReactionDiffusion(comm *mpi.Comm, params ...Param) (*components.RDDriver, *cca.Framework, error) {
-	f := cca.NewFramework(Repo(), comm)
-	if err := AssembleReactionDiffusion(f, params...); err != nil {
-		return nil, nil, err
-	}
-	if err := f.Go("driver", "go"); err != nil {
-		return nil, nil, err
-	}
-	comp, err := f.Lookup("driver")
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp.(*components.RDDriver), f, nil
+	return run[*components.RDDriver](comm, RunRequest{Problem: "flame", Params: params})
 }
 
-// RunShockInterface assembles and runs the shock problem.
+// RunShockInterface runs the shock built-in with fluxClass in its flux
+// slot ("" keeps GodunovFlux) — the paper's component swap for strong
+// shocks, no recompilation required.
 func RunShockInterface(comm *mpi.Comm, fluxClass string, params ...Param) (*components.ShockDriver, *cca.Framework, error) {
+	return run[*components.ShockDriver](comm, RunRequest{Problem: "shock", Flux: fluxClass, Params: params})
+}
+
+// run assembles req on a fresh framework, fires the driver's go port,
+// and returns the driver.
+func run[D cca.Component](comm *mpi.Comm, req RunRequest) (D, *cca.Framework, error) {
+	var dr D
 	f := cca.NewFramework(Repo(), comm)
-	if err := AssembleShockInterface(f, fluxClass, params...); err != nil {
-		return nil, nil, err
+	if err := AssembleRequest(f, req); err != nil {
+		return dr, nil, err
 	}
 	if err := f.Go("driver", "go"); err != nil {
-		return nil, nil, err
+		return dr, nil, err
 	}
 	comp, err := f.Lookup("driver")
 	if err != nil {
-		return nil, nil, err
+		return dr, nil, err
 	}
-	return comp.(*components.ShockDriver), f, nil
+	return comp.(D), f, nil
 }

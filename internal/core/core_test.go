@@ -58,54 +58,9 @@ func TestIgnition0DColdNoIgnition(t *testing.T) {
 	}
 }
 
-func TestIgnition0DScriptEquivalence(t *testing.T) {
-	// The script file and the programmatic assembly must produce the
-	// same wiring and the same answer.
-	repo := Repo()
-	f1 := cca.NewFramework(repo, nil)
-	if err := AssembleIgnition0D(f1, Param{"driver", "tEnd", "2e-4"}, Param{"driver", "nOut", "8"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f1.Go("driver", "go"); err != nil {
-		t.Fatal(err)
-	}
-
-	f2 := cca.NewFramework(repo, nil)
-	if err := f2.SetParameter("driver", "tEnd", "2e-4"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.SetParameter("driver", "nOut", "8"); err != nil {
-		t.Fatal(err)
-	}
-	script, err := cca.ParseScriptString(Ignition0DScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := script.Execute(f2); err != nil {
-		t.Fatal(err)
-	}
-
-	d1, _ := f1.Lookup("driver")
-	d2, _ := f2.Lookup("driver")
-	t1 := d1.(*components.IgnitionDriver).Temps
-	t2 := d2.(*components.IgnitionDriver).Temps
-	if len(t1) != len(t2) {
-		t.Fatalf("trajectory lengths differ: %d vs %d", len(t1), len(t2))
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			t.Errorf("sample %d: %v != %v", i, t1[i], t2[i])
-		}
-	}
-	// Same wiring.
-	if len(f1.Connections()) != len(f2.Connections()) {
-		t.Errorf("connection counts differ: %d vs %d", len(f1.Connections()), len(f2.Connections()))
-	}
-}
-
 func TestArenaShowsAssembly(t *testing.T) {
 	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleIgnition0D(f); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "ignition"}); err != nil {
 		t.Fatal(err)
 	}
 	arena := cca.Arena(f)
@@ -195,7 +150,7 @@ func TestReactionDiffusionParallelMatchesSerial(t *testing.T) {
 	var mu sync.Mutex
 	tmax := -1e300
 	res := cca.RunSCMD(4, mpi.CPlantModel, Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := AssembleReactionDiffusion(f, params...); err != nil {
+		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		if err := f.Go("driver", "go"); err != nil {
@@ -313,30 +268,13 @@ func TestEFMFluxSwap(t *testing.T) {
 	}
 }
 
-func TestShockScriptAssemblyRuns(t *testing.T) {
-	repo := Repo()
-	f := cca.NewFramework(repo, nil)
-	for _, p := range shockParams(Param{"driver", "maxSteps", "5"}) {
-		if err := f.SetParameter(p.Instance, p.Key, p.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	script, err := cca.ParseScriptString(ShockInterfaceScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := script.Execute(f); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ---- assembly structure (Tables 1-3) ---------------------------------------
 
 func TestAssembliesMatchPaperTables(t *testing.T) {
 	repo := Repo()
 	// Table 1: 0D ignition instances.
 	f := cca.NewFramework(repo, nil)
-	if err := AssembleIgnition0D(f); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "ignition"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, inst := range []string{"chem", "cvode", "model", "dpdt", "init", "driver"} {
@@ -346,7 +284,7 @@ func TestAssembliesMatchPaperTables(t *testing.T) {
 	}
 	// Table 2: reaction-diffusion instances.
 	f2 := cca.NewFramework(repo, nil)
-	if err := AssembleReactionDiffusion(f2); err != nil {
+	if err := AssembleRequest(f2, RunRequest{Problem: "flame"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, inst := range []string{"grace", "chem", "drfm", "ic", "diffusion", "maxdiff", "rkc", "cvode", "implicit", "regrid", "driver"} {
@@ -354,10 +292,14 @@ func TestAssembliesMatchPaperTables(t *testing.T) {
 			t.Errorf("table 2 instance %q missing", inst)
 		}
 	}
-	// Table 3: shock instances, with both flux choices constructible.
-	for _, flux := range []string{"GodunovFlux", "EFMFlux"} {
+	// Table 3: shock instances, with every flux choice constructible and
+	// a class without the flux port refused.
+	if err := AssembleRequest(cca.NewFramework(repo, nil), RunRequest{Problem: "shock", Flux: "States"}); err == nil {
+		t.Error("States accepted in the flux slot")
+	}
+	for _, flux := range []string{"GodunovFlux", "EFMFlux", "HLLCFlux"} {
 		f3 := cca.NewFramework(repo, nil)
-		if err := AssembleShockInterface(f3, flux); err != nil {
+		if err := AssembleRequest(f3, RunRequest{Problem: "shock", Flux: flux}); err != nil {
 			t.Fatalf("%s: %v", flux, err)
 		}
 		class, _ := f3.ClassOf("flux")

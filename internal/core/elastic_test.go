@@ -120,11 +120,11 @@ func assertSameCellMap(t *testing.T, label string, ref, got map[cellKey]float64)
 }
 
 func assembleFlame(params []Param) func(*cca.Framework) error {
-	return func(f *cca.Framework) error { return AssembleReactionDiffusion(f, params...) }
+	return func(f *cca.Framework) error { return AssembleRequest(f, RunRequest{Problem: "flame", Params: params}) }
 }
 
 func assembleShock(params []Param) func(*cca.Framework) error {
-	return func(f *cca.Framework) error { return AssembleShockInterface(f, "GodunovFlux", params...) }
+	return func(f *cca.Framework) error { return AssembleRequest(f, RunRequest{Problem: "shock", Params: params}) }
 }
 
 // elasticMatrix runs the full cross-P restore matrix for one problem:
@@ -209,7 +209,7 @@ func TestV1GoldenCheckpointRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := snapshotField(t, fRef, "phi")
-	_, got := runFlameCkpt(t, t.TempDir(), golden, 0, params)
+	_, got, _ := runFlameCkpt(t, t.TempDir(), golden, 0, params)
 	assertSameField(t, "v1 golden restore", ref, got)
 }
 

@@ -42,7 +42,7 @@ func requireAnalyticOnly(t *testing.T, label string, st cvode.Stats) {
 func runIgnitionWithFramework(t *testing.T, params ...Param) (*components.IgnitionDriver, *cca.Framework) {
 	t.Helper()
 	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleIgnition0D(f, params...); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "ignition", Params: params}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Go("driver", "go"); err != nil {
@@ -142,7 +142,7 @@ func TestFlameGoldenKernels4Ranks(t *testing.T) {
 	tmax := math.Inf(-1)
 	var ranks []cvode.Stats
 	res := cca.RunSCMD(4, mpi.CPlantModel, Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := AssembleReactionDiffusion(f, rdParams()...); err != nil {
+		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: rdParams()}); err != nil {
 			return err
 		}
 		if err := f.Go("driver", "go"); err != nil {

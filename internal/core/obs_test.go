@@ -39,7 +39,7 @@ func TestObservabilityPreservesResults(t *testing.T) {
 	group := obs.NewGroup(1)
 	f := cca.NewFramework(Repo(), nil)
 	f.SetObservability(group.Rank(0))
-	if err := AssembleReactionDiffusion(f, obsParams()...); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: obsParams()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Go("driver", "go"); err != nil {
@@ -90,7 +90,7 @@ func TestObservabilityTraceFile(t *testing.T) {
 	var mu sync.Mutex
 	res := cca.RunSCMD(nRanks, mpi.CPlantModel, Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
 		f.SetObservability(group.Rank(comm.Rank()))
-		if err := AssembleReactionDiffusion(f, obsParams()...); err != nil {
+		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: obsParams()}); err != nil {
 			return err
 		}
 		mu.Lock()

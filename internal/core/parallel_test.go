@@ -150,7 +150,7 @@ func TestExecutionComponentWiring(t *testing.T) {
 	ref := snapshotField(t, fS, "phi")
 
 	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleReactionDiffusion(f, params...); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SetParameter("pool", "workers", "3"); err != nil {
@@ -191,7 +191,7 @@ func TestExecutionComponentWiring(t *testing.T) {
 // arena view like any other CCA wiring.
 func TestExecutionPortInArena(t *testing.T) {
 	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleReactionDiffusion(f); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "flame"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Instantiate("ExecutionComponent", "pool"); err != nil {

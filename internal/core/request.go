@@ -2,154 +2,75 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"ccahydro/internal/cca"
 	"ccahydro/internal/scenario"
+	"ccahydro/scenarios"
 )
 
 // RunRequest is the declarative form of "which assembly, with which
-// knobs" that a run server receives over the wire: the problem name
-// selects one of the paper's three assemblies, Flux the shock problem's
-// flux component swap, and Params the instance parameters applied
-// before instantiation. A request may instead carry a compiled scenario
-// (Problem "scenario"), in which case the assembly is whatever the
-// scenario file declared — same construction point, same dedup keying.
-// The HTTP layer never touches Instantiate/Connect itself.
+// knobs": Problem names one of the paper's three applications, Flux
+// swaps the class of its "flux" instance (the shock problem's Riemann
+// solver), and Params are instance parameters applied over the
+// scenario's own before instantiation.
 type RunRequest struct {
-	Problem  string // "ignition", "flame", "shock", or "scenario"
-	Flux     string // shock only: "GodunovFlux" (default) or "EFMFlux"
-	Params   []Param
-	Scenario *scenario.Compiled // set iff Problem == "scenario"
+	Problem string // "ignition", "flame", or "shock"
+	Flux    string // class for the "flux" instance; "" keeps the scenario's
+	Params  []Param
 }
 
-// ScenarioProblem is the Problem value of scenario-built requests.
-const ScenarioProblem = "scenario"
-
-// Problems lists the built-in assemblies AssembleRequest can build
-// (scenario-built requests are open-ended and not enumerated here).
-func Problems() []string { return []string{"flame", "ignition", "shock"} }
-
-// driverNames maps problem to the driver tag its checkpoints carry.
-var requestDrivers = map[string]string{
-	"ignition": "ign",
-	"flame":    "rd",
-	"shock":    "shock",
+// builtins maps each problem to its embedded scenario file, compiled on
+// first use and shared from then on.
+var builtins = map[string]func() (*scenario.Compiled, error){
+	"ignition": embedded("ignition0d.scn"),
+	"flame":    embedded("flame2d.scn"),
+	"shock":    embedded("shockinterface.scn"),
 }
 
-// ValidRequest reports whether the request names a known problem (and,
-// for shock, a known flux class) without building anything. Scenario
-// requests are valid by construction — a *scenario.Compiled only exists
-// after full static validation — but must not mix with built-in knobs.
-func ValidRequest(req RunRequest) error {
-	if req.Scenario != nil {
-		if req.Problem != "" && req.Problem != ScenarioProblem {
-			return fmt.Errorf("core: scenario request must not also name problem %q", req.Problem)
+func embedded(name string) func() (*scenario.Compiled, error) {
+	return sync.OnceValues(func() (*scenario.Compiled, error) {
+		src, err := scenarios.Files.ReadFile(name)
+		if err != nil {
+			return nil, err
 		}
-		if req.Flux != "" {
-			return fmt.Errorf("core: flux class is a shock-only knob, got %q for a scenario request", req.Flux)
-		}
-		return nil
-	}
-	if _, ok := requestDrivers[req.Problem]; !ok {
-		return fmt.Errorf("core: unknown problem %q (want one of %v)", req.Problem, Problems())
-	}
-	if req.Problem == "shock" {
-		switch req.Flux {
-		case "", "GodunovFlux", "EFMFlux":
-		default:
-			return fmt.Errorf("core: unknown shock flux class %q (want GodunovFlux or EFMFlux)", req.Flux)
-		}
-	} else if req.Flux != "" {
-		return fmt.Errorf("core: flux class is a shock-only knob, got %q for %q", req.Flux, req.Problem)
-	}
-	return nil
+		return scenario.Compile(name, src)
+	})
 }
 
-// Checkpointable reports whether the problem's assembly supports the
-// checkpoint subsystem (and therefore preemption and elastic resume).
-// The 0D ignition assembly has no mesh to snapshot; it runs to
-// completion once admitted. Scenario-built requests answer through
-// RequestCheckpointable, which consults the run target's driver class.
-func Checkpointable(problem string) bool { return problem == "flame" || problem == "shock" }
-
-// RequestCheckpointable is Checkpointable over a whole request,
-// including scenario-built ones.
-func RequestCheckpointable(req RunRequest) bool {
-	if req.Scenario != nil {
-		return req.Scenario.Checkpointable()
+// Builtin returns the compiled scenario of a built-in problem with
+// fluxClass in its "flux" slot ("" keeps the file's class). The swap is
+// checked against the class schema, so a class that does not fit the
+// slot is an error. Without a swap all callers share one value: clone
+// it before changing it.
+func Builtin(problem, fluxClass string) (*scenario.Compiled, error) {
+	load, ok := builtins[problem]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown problem %q (want flame, ignition, or shock)", problem)
 	}
-	return Checkpointable(req.Problem)
+	c, err := load()
+	if err != nil {
+		return nil, err
+	}
+	if fluxClass == "" || fluxClass == c.ClassOf("flux") {
+		return c, nil
+	}
+	return c.SwapClass("flux", fluxClass)
 }
 
-// RunInstance names the instance whose go port drives the request:
-// the fixed "driver" for built-ins, the scenario's run target
-// otherwise.
-func RunInstance(req RunRequest) string {
-	if req.Scenario != nil {
-		return req.Scenario.RunInstance()
-	}
-	return "driver"
-}
-
-// AssembleRequest builds the requested assembly on f. For built-ins the
-// instance names are the fixed ones the Assemble* functions use
+// AssembleRequest builds the requested built-in on f. It does not fire
+// the go port, so callers can wire checkpointing or telemetry onto the
+// finished assembly first; instance names are the scenario file's
 // ("driver", "stats", "grace", ...), so callers can Lookup results
-// afterwards; for scenarios they are whatever the file declared.
+// afterwards.
 func AssembleRequest(f *cca.Framework, req RunRequest) error {
-	if err := ValidRequest(req); err != nil {
+	c, err := Builtin(req.Problem, req.Flux)
+	if err != nil {
 		return err
 	}
-	if req.Scenario != nil {
-		overrides := make([]scenario.Param, len(req.Params))
-		for i, p := range req.Params {
-			overrides[i] = scenario.Param{Instance: p.Instance, Key: p.Key, Value: p.Value}
-		}
-		return req.Scenario.Build(f, overrides...)
+	overrides := make([]scenario.Param, len(req.Params))
+	for i, p := range req.Params {
+		overrides[i] = scenario.Param(p)
 	}
-	switch req.Problem {
-	case "ignition":
-		return AssembleIgnition0D(f, req.Params...)
-	case "flame":
-		return AssembleReactionDiffusion(f, req.Params...)
-	default:
-		return AssembleShockInterface(f, req.Flux, req.Params...)
-	}
-}
-
-// CanonicalRequestLines renders the request as a deterministic line
-// set — problem, flux, and "instance/key=value" parameters sorted, with
-// later duplicates winning as SetParameter semantics dictate. Scenario
-// requests contribute the scenario's own canonical lines (components,
-// params, connections — name excluded) plus any override parameters.
-// It is the hashing surface for content-addressed run dedup: two
-// requests with equal lines build bit-identical assemblies.
-func CanonicalRequestLines(req RunRequest) []string {
-	if req.Scenario != nil {
-		lines := append([]string{"problem=" + ScenarioProblem}, req.Scenario.CanonicalLines()...)
-		return append(lines, sortedParamLines(req.Params, "override/")...)
-	}
-	flux := req.Flux
-	if req.Problem == "shock" && flux == "" {
-		flux = "GodunovFlux"
-	}
-	lines := []string{"problem=" + req.Problem, "flux=" + flux}
-	return append(lines, sortedParamLines(req.Params, "")...)
-}
-
-func sortedParamLines(params []Param, prefix string) []string {
-	last := map[string]string{}
-	for _, p := range params {
-		last[prefix+p.Instance+"/"+p.Key] = p.Value
-	}
-	keys := make([]string, 0, len(last))
-	for k := range last {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	lines := make([]string, 0, len(keys))
-	for _, k := range keys {
-		lines = append(lines, k+"="+last[k])
-	}
-	return lines
+	return c.Build(f, overrides...)
 }

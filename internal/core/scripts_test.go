@@ -1,62 +1,6 @@
 package core
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-
-	"ccahydro/internal/cca"
-)
-
-// TestShippedScriptsAssemble parses every script in scripts/ and
-// executes it against the real palette with "go" commands stripped, so
-// a wiring or class-name drift in the shipped files fails CI.
-func TestShippedScriptsAssemble(t *testing.T) {
-	dir := filepath.Join("..", "..", "scripts")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Skipf("scripts dir unavailable: %v", err)
-	}
-	found := 0
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".rc" {
-			continue
-		}
-		found++
-		t.Run(e.Name(), func(t *testing.T) {
-			text, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			script, err := cca.ParseScriptString(string(text))
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			var wiringOnly cca.Script
-			nGo := 0
-			for _, c := range script.Commands {
-				if c.Verb == "go" {
-					nGo++
-					continue
-				}
-				wiringOnly.Commands = append(wiringOnly.Commands, c)
-			}
-			if nGo == 0 {
-				t.Error("script has no go command")
-			}
-			f := cca.NewFramework(Repo(), nil)
-			if err := wiringOnly.Execute(f); err != nil {
-				t.Fatalf("execute: %v", err)
-			}
-			if len(f.Connections()) == 0 {
-				t.Error("script produced no connections")
-			}
-		})
-	}
-	if found < 3 {
-		t.Errorf("expected >= 3 shipped scripts, found %d", found)
-	}
-}
+import "testing"
 
 // TestStrangSplitting runs the flame with Strang splitting and checks
 // it stays physical and close to the Lie-split result over a short

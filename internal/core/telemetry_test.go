@@ -52,7 +52,7 @@ func runFlameSCMDTel(world *mpi.World, hub *telemetry.Hub, group *obs.Group, dir
 		if group != nil {
 			f.SetObservability(group.Rank(r))
 		}
-		if err := AssembleReactionDiffusion(f, params...); err != nil {
+		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
 		if err := WireCheckpoint(f, dir, restore, every); err != nil {
@@ -338,7 +338,7 @@ func TestTelemetrySeriesMatchesStats(t *testing.T) {
 	params := flameCkptParams()
 	hub := telemetry.NewHub(1, nil)
 	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleReactionDiffusion(f, params...); err != nil {
+	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 		t.Fatal(err)
 	}
 	AttachTelemetry(f, hub.Rank(0), nil)

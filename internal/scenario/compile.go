@@ -9,9 +9,9 @@ import (
 )
 
 // Param is one programmatic (instance, key, value) override applied on
-// top of a scenario's own parameters at Build time — the same escape
-// hatch the hard-coded assemblies expose, used by tests and the run
-// server to shrink problems without editing scenario files.
+// top of a scenario's own parameters at Build time — how core's
+// built-in loaders, tests and benchmarks shrink problems without
+// editing scenario files.
 type Param struct {
 	Instance, Key, Value string
 }
@@ -51,12 +51,11 @@ type Compiled struct {
 	Sweep    []CompiledAxis
 }
 
-// Build assembles the scenario onto f through the exact path the
-// hard-coded assemblies use: parameters staged first (scenario file
-// values, then overrides, later settings winning), then every component
-// instantiated in declaration order, then every connection. It does not
-// fire the go port — callers wire checkpointing/telemetry onto the
-// finished assembly first, exactly as they do for built-ins.
+// Build assembles the scenario onto f: parameters staged first
+// (scenario file values, then overrides, later settings winning), then
+// every component instantiated in declaration order, then every
+// connection. It does not fire the go port — callers wire
+// checkpointing/telemetry onto the finished assembly first.
 func (c *Compiled) Build(f *cca.Framework, overrides ...Param) error {
 	for _, comp := range c.Comps {
 		keys := make([]string, 0, len(comp.Params))
@@ -210,12 +209,12 @@ func (c *Compiled) Expand() []*Compiled {
 	if !c.HasSweep() {
 		return []*Compiled{c}
 	}
-	points := []*Compiled{c.clone()}
+	points := []*Compiled{c.Clone()}
 	for _, ax := range c.Sweep {
 		next := make([]*Compiled, 0, len(points)*len(ax.Values))
 		for _, p := range points {
 			for _, val := range ax.Values {
-				q := p.clone()
+				q := p.Clone()
 				if ax.Kind == "class" {
 					for i := range q.Comps {
 						if q.Comps[i].Instance == ax.Instance {
@@ -236,8 +235,32 @@ func (c *Compiled) Expand() []*Compiled {
 	return points
 }
 
-// clone deep-copies the scenario without its sweep block.
-func (c *Compiled) clone() *Compiled {
+// SwapClass returns a copy of the scenario with an instance's class
+// replaced — the paper's recompilation-free component swap. The copy is
+// rendered and compiled again, so the substitute passes every check a
+// hand-edited file would: a known class that serves each of the
+// instance's wires with the same port types, has its required uses
+// ports connected, and accepts the instance's parameters.
+func (c *Compiled) SwapClass(instance, class string) (*Compiled, error) {
+	q := c.Clone()
+	found := false
+	for i := range q.Comps {
+		if q.Comps[i].Instance == instance {
+			q.Comps[i].Class, found = class, true
+		}
+	}
+	if !found {
+		return nil, fmt.Errorf("scenario %s: no component instance %q", c.Name, instance)
+	}
+	out, err := Compile(c.Path, []byte(q.Render()))
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: class %s for %q:\n%w", c.Name, class, instance, err)
+	}
+	return out, nil
+}
+
+// Clone deep-copies the scenario without its sweep block.
+func (c *Compiled) Clone() *Compiled {
 	q := &Compiled{Name: c.Name, Path: c.Path, Run: c.Run, RunClass: c.RunClass}
 	q.Comps = make([]CompiledComponent, len(c.Comps))
 	for i, comp := range c.Comps {

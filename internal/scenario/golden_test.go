@@ -1,6 +1,10 @@
 package scenario_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -81,48 +85,58 @@ func statsSeries(t *testing.T, f *cca.Framework, key string) []float64 {
 	return comp.(*components.StatisticsComponent).Get(key)
 }
 
-// sameF64 demands bit-for-bit equality — the equivalence claim is that a
-// scenario file IS the hard-coded assembly, not an approximation of it.
-func sameF64(t *testing.T, label string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: lengths differ: %d vs %d", label, len(got), len(want))
+// fingerprint hashes float64 arrays bit for bit: each array's length,
+// then the IEEE-754 bits of every element, through FNV-1a 64.
+func fingerprint(arrays ...[]float64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s[%d]: %v != %v", label, i, got[i], want[i])
+	for _, a := range arrays {
+		word(uint64(len(a)))
+		for _, x := range a {
+			word(math.Float64bits(x))
 		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// checkGolden demands every fingerprint match its frozen value: the
+// built-ins must compute, bit for bit, what the Go-coded assemblies
+// they replaced computed when the values were recorded.
+func checkGolden(t *testing.T, got, want map[string]string) {
+	t.Helper()
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: fingerprint %s, frozen %s", k, got[k], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d fingerprints, %d frozen", len(got), len(want))
+	}
+	if t.Failed() {
+		t.Logf("got %#v", got)
 	}
 }
 
-// TestGoldenIgnitionScenario: the ignition0d scenario reproduces the
-// hard-coded Table 1 assembly bit for bit.
+// TestGoldenIgnitionScenario: the ignition built-in reproduces the
+// frozen Table 1 trajectory.
 func TestGoldenIgnitionScenario(t *testing.T) {
-	overrides := []scenario.Param{
-		{Instance: "driver", Key: "tEnd", Value: "2e-5"},
-		{Instance: "driver", Key: "nOut", Value: "4"},
-	}
-	ref, err := core.RunIgnition0D(
+	dr, err := core.RunIgnition0D(
 		core.Param{Instance: "driver", Key: "tEnd", Value: "2e-5"},
 		core.Param{Instance: "driver", Key: "nOut", Value: "4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	f := buildAndGo(t, loadScenario(t, "ignition0d"), nil, overrides...)
-	comp, err := f.Lookup("driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr := comp.(*components.IgnitionDriver)
-
-	sameF64(t, "Times", dr.Times, ref.Times)
-	sameF64(t, "Temps", dr.Temps, ref.Temps)
-	sameF64(t, "Pressures", dr.Pressures, ref.Pressures)
-	sameF64(t, "FinalY", dr.FinalY, ref.FinalY)
-	if dr.IgnitionDelay != ref.IgnitionDelay {
-		t.Fatalf("IgnitionDelay: %v != %v", dr.IgnitionDelay, ref.IgnitionDelay)
-	}
+	checkGolden(t, map[string]string{
+		"Times":         fingerprint(dr.Times),
+		"Temps":         fingerprint(dr.Temps),
+		"Pressures":     fingerprint(dr.Pressures),
+		"FinalY":        fingerprint(dr.FinalY),
+		"IgnitionDelay": fingerprint([]float64{dr.IgnitionDelay}),
+	}, goldenIgnition)
 }
 
 var flameGoldenParams = []core.Param{
@@ -132,33 +146,22 @@ var flameGoldenParams = []core.Param{
 	{Instance: "driver", Key: "regridEvery", Value: "1"},
 }
 
-func asOverrides(ps []core.Param) []scenario.Param {
-	out := make([]scenario.Param, len(ps))
-	for i, p := range ps {
-		out[i] = scenario.Param(p)
-	}
-	return out
-}
-
-// TestGoldenFlameScenario: the flame2d scenario reproduces the
-// hard-coded Table 2 assembly bit for bit — final field, extrema, and
-// the deterministic statistics series.
+// TestGoldenFlameScenario: the flame built-in reproduces the frozen
+// Table 2 run — final field, extrema, and the deterministic statistics
+// series.
 func TestGoldenFlameScenario(t *testing.T) {
-	refDr, refF, err := core.RunReactionDiffusion(nil, flameGoldenParams...)
+	dr, f, err := core.RunReactionDiffusion(nil, flameGoldenParams...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := buildAndGo(t, loadScenario(t, "flame2d"), nil, asOverrides(flameGoldenParams)...)
-
-	sameF64(t, "phi", snapshotField(t, f, "phi"), snapshotField(t, refF, "phi"))
+	got := map[string]string{
+		"phi":     fingerprint(snapshotField(t, f, "phi")),
+		"extrema": fingerprint([]float64{dr.TMax, dr.TMin}),
+	}
 	for _, key := range []string{"cells", "Tmax", "Tmin"} {
-		sameF64(t, "series "+key, statsSeries(t, f, key), statsSeries(t, refF, key))
+		got[key] = fingerprint(statsSeries(t, f, key))
 	}
-	comp, _ := f.Lookup("driver")
-	dr := comp.(*components.RDDriver)
-	if dr.TMax != refDr.TMax || dr.TMin != refDr.TMin {
-		t.Fatalf("extrema differ: (%v, %v) vs (%v, %v)", dr.TMax, dr.TMin, refDr.TMax, refDr.TMin)
-	}
+	checkGolden(t, got, goldenFlame)
 }
 
 var shockGoldenParams = []core.Param{
@@ -168,39 +171,32 @@ var shockGoldenParams = []core.Param{
 	{Instance: "driver", Key: "regridEvery", Value: "4"},
 }
 
-// TestGoldenShockScenario: the shockinterface scenario reproduces the
-// hard-coded Table 3 assembly bit for bit, t/dt series included.
+// TestGoldenShockScenario: the shock built-in reproduces the frozen
+// Table 3 run, t/dt series included.
 func TestGoldenShockScenario(t *testing.T) {
-	refDr, refF, err := core.RunShockInterface(nil, "GodunovFlux", shockGoldenParams...)
+	dr, f, err := core.RunShockInterface(nil, "", shockGoldenParams...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := buildAndGo(t, loadScenario(t, "shockinterface"), nil, asOverrides(shockGoldenParams)...)
-
-	sameF64(t, "U", snapshotField(t, f, "U"), snapshotField(t, refF, "U"))
-	for _, key := range []string{"t", "dt", "circulation"} {
-		sameF64(t, "series "+key, statsSeries(t, f, key), statsSeries(t, refF, key))
+	got := map[string]string{
+		"U":            fingerprint(snapshotField(t, f, "U")),
+		"Circulations": fingerprint(dr.Circulations),
 	}
-	comp, _ := f.Lookup("driver")
-	dr := comp.(*components.ShockDriver)
-	sameF64(t, "Circulations", dr.Circulations, refDr.Circulations)
+	for _, key := range []string{"t", "dt", "circulation"} {
+		got[key] = fingerprint(statsSeries(t, f, key))
+	}
+	checkGolden(t, got, goldenShock)
 }
 
-// runSCMDGolden executes assemble on 4 ranks and returns each rank's
-// field snapshot and t/dt-style series.
-func runSCMDGolden(t *testing.T, field string, keys []string,
-	assemble func(f *cca.Framework) error) ([][]float64, map[string][][]float64) {
+// goldenSCMD runs a built-in on 4 SCMD ranks and fingerprints every
+// rank's local field partition and statistics series.
+func goldenSCMD(t *testing.T, req core.RunRequest, field string, keys ...string) map[string]string {
 	t.Helper()
-	const ranks = 4
-	fields := make([][]float64, ranks)
-	series := make(map[string][][]float64, len(keys))
-	for _, k := range keys {
-		series[k] = make([][]float64, ranks)
-	}
+	got := map[string]string{}
 	var mu sync.Mutex
-	res := cca.RunSCMDOn(mpi.NewWorld(ranks, mpi.CPlantModel), core.Repo(),
+	res := cca.RunSCMDOn(mpi.NewWorld(4, mpi.CPlantModel), core.Repo(),
 		func(f *cca.Framework, comm *mpi.Comm) error {
-			if err := assemble(f); err != nil {
+			if err := core.AssembleRequest(f, req); err != nil {
 				return err
 			}
 			if err := f.Go("driver", "go"); err != nil {
@@ -208,55 +204,60 @@ func runSCMDGolden(t *testing.T, field string, keys []string,
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			fields[comm.Rank()] = snapshotField(t, f, field)
+			rank := fmt.Sprintf("rank%d/", comm.Rank())
+			got[rank+field] = fingerprint(snapshotField(t, f, field))
 			for _, k := range keys {
-				series[k][comm.Rank()] = statsSeries(t, f, k)
+				got[rank+k] = fingerprint(statsSeries(t, f, k))
 			}
 			return nil
 		})
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return fields, series
+	return got
 }
 
-// TestGoldenFlameScenario4Rank repeats the flame equivalence on 4 SCMD
-// ranks: every rank's local field partition and statistics series must
-// match the hard-coded assembly's, bit for bit.
+// TestGoldenFlameScenario4Rank repeats the flame check on 4 SCMD ranks:
+// every rank's field partition and statistics series.
 func TestGoldenFlameScenario4Rank(t *testing.T) {
-	keys := []string{"cells", "Tmax", "Tmin"}
-	refFields, refSeries := runSCMDGolden(t, "phi", keys, func(f *cca.Framework) error {
-		return core.AssembleReactionDiffusion(f, flameGoldenParams...)
-	})
-	c := loadScenario(t, "flame2d")
-	gotFields, gotSeries := runSCMDGolden(t, "phi", keys, func(f *cca.Framework) error {
-		return c.Build(f, asOverrides(flameGoldenParams)...)
-	})
-	for r := range refFields {
-		sameF64(t, "rank phi", gotFields[r], refFields[r])
-		for _, k := range keys {
-			sameF64(t, "rank series "+k, gotSeries[k][r], refSeries[k][r])
-		}
-	}
+	req := core.RunRequest{Problem: "flame", Params: flameGoldenParams}
+	checkGolden(t, goldenSCMD(t, req, "phi", "cells", "Tmax", "Tmin"), goldenFlame4Rank)
 }
 
-// TestGoldenShockScenario4Rank repeats the shock equivalence on 4 ranks.
+// TestGoldenShockScenario4Rank repeats the shock check on 4 ranks.
 func TestGoldenShockScenario4Rank(t *testing.T) {
-	keys := []string{"t", "dt"}
-	refFields, refSeries := runSCMDGolden(t, "U", keys, func(f *cca.Framework) error {
-		return core.AssembleShockInterface(f, "GodunovFlux", shockGoldenParams...)
-	})
-	c := loadScenario(t, "shockinterface")
-	gotFields, gotSeries := runSCMDGolden(t, "U", keys, func(f *cca.Framework) error {
-		return c.Build(f, asOverrides(shockGoldenParams)...)
-	})
-	for r := range refFields {
-		sameF64(t, "rank U", gotFields[r], refFields[r])
-		for _, k := range keys {
-			sameF64(t, "rank series "+k, gotSeries[k][r], refSeries[k][r])
-		}
-	}
+	req := core.RunRequest{Problem: "shock", Params: shockGoldenParams}
+	checkGolden(t, goldenSCMD(t, req, "U", "t", "dt"), goldenShock4Rank)
 }
+
+// Frozen fingerprints of the built-ins under the golden parameters,
+// recorded from the Go-coded assemblies the embedded scenarios replaced.
+var (
+	goldenIgnition = map[string]string{
+		"FinalY": "90a7b394fa450649", "IgnitionDelay": "0e82d61c80d991f4", "Pressures": "d8f3a72eb9e55cd6",
+		"Temps": "0234a47cec718d8c", "Times": "4f0813f4c6d4ac08",
+	}
+	goldenFlame = map[string]string{
+		"Tmax": "1575e320377ecb4a", "Tmin": "6350f5f287c11de6", "cells": "cdd22dbd98c0a147",
+		"extrema": "f41f3aa341667ceb", "phi": "fea9ad361e102d24",
+	}
+	goldenShock = map[string]string{
+		"Circulations": "579760a9337517cd", "U": "d244ba013700c276", "circulation": "579760a9337517cd",
+		"dt": "98fd171e79f04728", "t": "5a71ba1028428be8",
+	}
+	goldenFlame4Rank = map[string]string{
+		"rank0/Tmax": "1575e320377ecb4a", "rank0/Tmin": "6350f5f287c11de6", "rank0/cells": "cdd22dbd98c0a147", "rank0/phi": "bf4cbc3d69f3b92c",
+		"rank1/Tmax": "fe55eb257297956f", "rank1/Tmin": "6abb17571ecac57b", "rank1/cells": "cdd22dbd98c0a147", "rank1/phi": "0c38757ff9826d92",
+		"rank2/Tmax": "4c8ceea4f3c7311d", "rank2/Tmin": "d9f7ca34a32a856d", "rank2/cells": "cdd22dbd98c0a147", "rank2/phi": "e1bf822236ebed3f",
+		"rank3/Tmax": "4bba59ebc624f995", "rank3/Tmin": "6350f5f287c11de6", "rank3/cells": "cdd22dbd98c0a147", "rank3/phi": "1b151e69b6767926",
+	}
+	goldenShock4Rank = map[string]string{
+		"rank0/U": "65814e0614aabd94", "rank0/dt": "98fd171e79f04728", "rank0/t": "5a71ba1028428be8",
+		"rank1/U": "016941685c19e17e", "rank1/dt": "98fd171e79f04728", "rank1/t": "5a71ba1028428be8",
+		"rank2/U": "75e0f60ed0e53bcf", "rank2/dt": "98fd171e79f04728", "rank2/t": "5a71ba1028428be8",
+		"rank3/U": "d138e31bb40e8880", "rank3/dt": "98fd171e79f04728", "rank3/t": "5a71ba1028428be8",
+	}
+)
 
 // small overrides that shrink the new scenarios to smoke-test size
 // without touching their physics parameters.

@@ -30,9 +30,10 @@
 // double-quoted strings. Port wiring may be cyclic — the flame's
 // CVODE/implicit-integrator pair is mutually connected by design — so
 // cycles are legal, not an error. A validated scenario compiles to a
-// Compiled assembly that builds onto a cca.Framework through exactly
-// the Instantiate/SetParameter/Connect path the hard-coded assemblies
-// use, which is why the scenario library reproduces them bit for bit.
+// Compiled assembly that builds onto a cca.Framework through
+// SetParameter/Instantiate/Connect. The paper's three applications are
+// scenarios too (embedded by package scenarios and loaded by core), so
+// there is no other assembly path.
 package scenario
 
 import (

@@ -236,6 +236,25 @@ func (v *validator) checkParam(pos Pos, inst string, cls *ClassSchema, clsName, 
 	}
 }
 
+// Override sets one instance parameter after checking it against the
+// instance's class schema, as Compile checks a file's own settings: an
+// unknown instance, an unknown key, or an out-of-range value is an
+// error and leaves the scenario unchanged.
+func (c *Compiled) Override(instance, key, value string) error {
+	class := c.ClassOf(instance)
+	cls, ok := classes[class]
+	if !ok {
+		return fmt.Errorf("scenario %s: no component instance %q", c.Name, instance)
+	}
+	v := &validator{}
+	v.checkParam(Pos{}, instance, cls, class, key, value)
+	if len(v.diags) > 0 {
+		return fmt.Errorf("scenario %s: %s", c.Name, v.diags[0].Msg)
+	}
+	c.SetParam(instance, key, value)
+	return nil
+}
+
 // formatBound renders a range bound without trailing zeros.
 func formatBound(x float64) string {
 	return strconv.FormatFloat(x, 'g', -1, 64)

@@ -23,6 +23,7 @@ func (s *Scheduler) run(j *Job) {
 	// admission hub so /series followers see this attempt's stream.
 	s.mu.Lock()
 	spec := j.Spec
+	key := j.fullKey
 	ranks := j.ranks
 	restore := j.restore
 	gate := j.gate
@@ -45,7 +46,7 @@ func (s *Scheduler) run(j *Job) {
 				// after preemption) takes its place.
 				r = restore
 			}
-			res, err := s.attempt(spec, ranks, hub, dir, r, gate)
+			res, err := s.attempt(spec, key, ranks, hub, dir, r, gate)
 			if err == nil {
 				result = res
 			}
@@ -53,7 +54,7 @@ func (s *Scheduler) run(j *Job) {
 		})
 	} else {
 		hub.StartAttempt(1)
-		res, err := s.attempt(spec, ranks, hub, "", "", nil)
+		res, err := s.attempt(spec, key, ranks, hub, "", "", nil)
 		if err == nil {
 			result = res
 		}
@@ -73,16 +74,15 @@ func (s *Scheduler) run(j *Job) {
 }
 
 // attempt runs the assembly once on a fresh world of the given size.
-// The returned result carries rank 0's statistics series and the
-// rank-summed CVODE counters.
-func (s *Scheduler) attempt(spec Spec, ranks int, hub *telemetry.Hub, dir, restore string, gate *ckpt.Gate) (*Result, error) {
+// The returned result carries the job's full key, rank 0's statistics
+// series and the rank-summed CVODE counters.
+func (s *Scheduler) attempt(spec Spec, key string, ranks int, hub *telemetry.Hub, dir, restore string, gate *ckpt.Gate) (*Result, error) {
 	var mu sync.Mutex
 	var series map[string][]float64
 	counters := map[string]float64{}
-	req := spec.Request()
 	w := mpi.NewWorld(ranks, s.opts.Model)
 	res := cca.RunSCMDOn(w, s.repo, func(f *cca.Framework, comm *mpi.Comm) error {
-		if err := core.AssembleRequest(f, req); err != nil {
+		if err := spec.compiled.Build(f); err != nil {
 			return err
 		}
 		if dir != "" {
@@ -96,7 +96,7 @@ func (s *Scheduler) attempt(spec Spec, ranks int, hub *telemetry.Hub, dir, resto
 			}
 		}
 		core.AttachTelemetry(f, hub.Rank(comm.Rank()), comm)
-		if err := f.Go(core.RunInstance(req), "go"); err != nil {
+		if err := f.Go(spec.compiled.RunInstance(), "go"); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -145,8 +145,8 @@ func (s *Scheduler) attempt(spec Spec, ranks int, hub *telemetry.Hub, dir, resto
 	if err := res.Err(); err != nil {
 		return nil, err
 	}
-	r := &Result{Problem: spec.ProblemLabel(), Key: spec.FullKey(), Series: series, Counters: counters}
-	r.Steps = len(series[spec.ProgressKey()])
+	r := &Result{Problem: spec.ProblemLabel(), Key: key, Series: series, Counters: counters}
+	r.Steps = len(series[spec.compiled.ProgressKey()])
 	return r, nil
 }
 

@@ -131,8 +131,8 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	if spec.HasSweep() {
-		return nil, fmt.Errorf("serve: scenario declares a sweep (%d points); submit it as a job array", spec.SweepPoints())
+	if spec.compiled.HasSweep() {
+		return nil, fmt.Errorf("serve: scenario declares a sweep (%d points); submit it as a job array", spec.compiled.SweepPoints())
 	}
 	if spec.Ranks > s.opts.Slots {
 		return nil, fmt.Errorf("serve: job wants %d ranks but the server has %d slots", spec.Ranks, s.opts.Slots)
@@ -147,23 +147,16 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	return j, nil
 }
 
-// SweepPoints exposes the expansion size (1 without a sweep).
-func (sp *Spec) SweepPoints() int {
-	if sp.compiled == nil {
-		return 1
-	}
-	return sp.compiled.SweepPoints()
-}
-
 // submitLocked registers and dedups one normalized spec. Caller holds
 // the lock and reschedules afterwards.
 func (s *Scheduler) submitLocked(spec Spec) *Job {
 	s.nextID++
+	full, prefix := spec.keys()
 	j := &Job{
 		ID:          fmt.Sprintf("job-%04d", s.nextID),
 		Spec:        spec,
-		fullKey:     spec.FullKey(),
-		prefixKey:   spec.PrefixKey(),
+		fullKey:     full,
+		prefixKey:   prefix,
 		class:       spec.Class(),
 		submitted:   time.Now(),
 		restoreStep: -1,
@@ -227,9 +220,6 @@ type ArrayStatus struct {
 func (s *Scheduler) SubmitArray(spec Spec) (*Array, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
-	}
-	if spec.compiled == nil {
-		return nil, fmt.Errorf("serve: job arrays take a scenario spec")
 	}
 	if !spec.compiled.HasSweep() {
 		return nil, fmt.Errorf("serve: scenario declares no sweep; submit it as a single job")

@@ -165,6 +165,50 @@ func TestSpecKeys(t *testing.T) {
 	}
 }
 
+// TestBuiltinSpecValidation: a built-in spec's knobs are checked
+// against the class schema at submission. The flux swap takes any class
+// that fits the slot (HLLCFlux included) and refuses one without the
+// flux port; unknown instances, unknown keys and out-of-range values
+// are refused before anything runs.
+func TestBuiltinSpecValidation(t *testing.T) {
+	s := newTestSched(t, 1)
+	hllc := shockSpec(2, 1, "normal")
+	hllc.Flux = "HLLCFlux"
+	j, err := s.Submit(hllc)
+	if err != nil {
+		t.Fatalf("HLLCFlux swap rejected: %v", err)
+	}
+	if st := waitTerminal(t, s, j.ID); st.State != StateDone {
+		t.Fatalf("HLLC shock job: %+v", st)
+	}
+
+	for name, mutate := range map[string]func(*Spec){
+		"class without a flux port": func(sp *Spec) { sp.Flux = "States" },
+		"unknown instance":          func(sp *Spec) { sp.Params["ghost"] = map[string]string{"nx": "8"} },
+		"unknown key":               func(sp *Spec) { sp.Params["grace"]["color"] = "red" },
+		"out-of-range value":        func(sp *Spec) { sp.Params["grace"]["nx"] = "2" },
+	} {
+		sp := shockSpec(2, 1, "normal")
+		mutate(&sp)
+		if _, err := s.Submit(sp); err == nil {
+			t.Errorf("%s: admitted", name)
+		}
+	}
+}
+
+// TestDefaultIgnitionJob: a parameterless ignition job runs the
+// embedded scenario's own settings to completion.
+func TestDefaultIgnitionJob(t *testing.T) {
+	s := newTestSched(t, 1)
+	j, err := s.Submit(Spec{Problem: "ignition"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, j.ID); st.State != StateDone {
+		t.Fatalf("default ignition job ended %s: %s", st.State, st.Error)
+	}
+}
+
 // TestDedupCacheHit: an identical resubmission is served from the
 // result store — zero live steps, bit-identical series, and the CVODE
 // counters of the original run.

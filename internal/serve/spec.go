@@ -7,11 +7,12 @@
 // patch-parallel loops over the one shared internal/exec epoch pool;
 // rank parallelism stays per-job in each job's private mpi.World.
 //
-// Jobs are either built-ins (Problem "ignition"/"flame"/"shock") or
-// declarative scenarios: a Spec may carry scenario source text, which
-// is compiled and statically validated at submission. A scenario with
-// a sweep block is a job array (POST /arrays): one spec expanding into
-// the cartesian product of its axes, every point a full job of its own.
+// Every job runs a compiled scenario, validated at submission: a
+// built-in (Problem "ignition"/"flame"/"shock") is that problem's
+// embedded scenario file with the spec's Flux and Params folded in; a
+// scenario spec carries its own source text. A scenario with a sweep
+// block is a job array (POST /arrays): one spec expanding into the
+// cartesian product of its axes, every point a full job of its own.
 //
 // Content-addressed run dedup extends the FNV-1a fingerprint chain
 // (per-patch field fingerprints, checkpoint content IDs) up to whole
@@ -25,8 +26,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -53,11 +52,13 @@ type Spec struct {
 	// Problem selects a built-in assembly: "ignition", "flame", or
 	// "shock". Empty when Scenario is set.
 	Problem string `json:"problem,omitempty"`
-	// Flux is the shock problem's flux component swap ("GodunovFlux",
-	// the default, or "EFMFlux").
+	// Flux swaps the class of the built-in's "flux" instance — the shock
+	// problem's Riemann solver: GodunovFlux (the default), EFMFlux, or
+	// HLLCFlux. The class schema decides which classes fit the slot.
 	Flux string `json:"flux,omitempty"`
-	// Params are instance parameters, instance -> key -> value,
-	// applied before instantiation (the Ccaffeine "parameter" verb).
+	// Params are instance parameters, instance -> key -> value, set over
+	// the built-in scenario's own before instantiation (the Ccaffeine
+	// "parameter" verb) and checked against the class schema.
 	Params map[string]map[string]string `json:"params,omitempty"`
 	// Scenario is declarative scenario source text (see
 	// internal/scenario), mutually exclusive with Problem/Flux/Params.
@@ -75,46 +76,21 @@ type Spec struct {
 	// boundary, and only checkpointable problems can stop early at all.
 	CkptEvery int `json:"ckptEvery,omitempty"`
 
-	// compiled is the validated scenario (set by Normalize, or directly
-	// for expanded sweep points).
+	// compiled is the validated scenario the job runs (set by
+	// Normalize, or directly for expanded sweep points).
 	compiled *scenario.Compiled
 }
-
-// durationParam names the per-problem run-length knob — the one knob
-// excluded from the prefix key, so runs differing only in length share
-// a checkpoint lineage. For the shock problem that is maxSteps, not
-// tEnd: the driver clamps the final dt against tEnd, so state at a
-// given step is tEnd-dependent and tEnd must stay in the prefix key.
-// Scenario specs take the same knob from the run target's driver-class
-// schema instead.
-var durationParam = map[string]string{"flame": "steps", "shock": "maxSteps"}
-
-// durationDefault mirrors the drivers' defaults so an explicit
-// "steps=5" and an omitted one hash identically.
-var durationDefault = map[string]string{"flame": "5", "shock": "10000"}
-
-// progressKey is the per-step statistics series whose length counts
-// completed steps in a stored result.
-var progressKey = map[string]string{"flame": "cells", "shock": "t", "ignition": "T"}
 
 // Normalize validates the spec and fills defaults in place (rank count,
 // priority, cadence, and the duration parameter, which must be explicit
 // so content hashing and prefix probing agree on the run length).
 func (sp *Spec) Normalize() error {
-	if sp.compiled == nil && sp.Scenario != "" {
-		if sp.Problem != "" || sp.Flux != "" || sp.Params != nil {
-			return fmt.Errorf("serve: scenario spec must not also set problem/flux/params")
-		}
-		c, err := scenario.Compile("scenario", []byte(sp.Scenario))
-		if err != nil {
-			return fmt.Errorf("serve: bad scenario:\n%w", err)
-		}
-		sp.compiled = c
-	}
 	if sp.compiled == nil {
-		if err := core.ValidRequest(core.RunRequest{Problem: sp.Problem, Flux: sp.Flux}); err != nil {
+		c, err := sp.compile()
+		if err != nil {
 			return err
 		}
+		sp.compiled = c
 	}
 	if sp.Ranks == 0 {
 		sp.Ranks = 1
@@ -134,74 +110,60 @@ func (sp *Spec) Normalize() error {
 	if sp.CkptEvery < 0 {
 		return fmt.Errorf("serve: bad checkpoint cadence %d", sp.CkptEvery)
 	}
-	if inst, dk, dflt := sp.durationKnob(); dk != "" {
-		v := sp.param(inst, dk, dflt)
+	if dk := sp.compiled.DurationParam(); dk != "" {
+		inst := sp.compiled.RunInstance()
+		v, ok := sp.compiled.Param(inst, dk)
+		if !ok {
+			v, _ = scenario.DefaultParam(sp.compiled.RunClass, dk)
+		}
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			return fmt.Errorf("serve: bad %s %s %q", inst, dk, v)
 		}
-		if sp.compiled != nil {
-			sp.compiled.SetParam(inst, dk, strconv.Itoa(n))
-		} else {
-			if sp.Params == nil {
-				sp.Params = map[string]map[string]string{}
-			}
-			if sp.Params[inst] == nil {
-				sp.Params[inst] = map[string]string{}
-			}
-			sp.Params[inst][dk] = strconv.Itoa(n)
-		}
+		sp.compiled.SetParam(inst, dk, strconv.Itoa(n))
 	}
 	return nil
 }
 
-// durationKnob locates the run-length knob: the instance carrying it,
-// its key, and its default ("" key when the problem has none).
-func (sp *Spec) durationKnob() (inst, key, dflt string) {
-	if sp.compiled != nil {
-		dk := sp.compiled.DurationParam()
-		if dk == "" {
-			return "", "", ""
+// compile builds the scenario the spec runs: the submitted source text,
+// or a private copy of the embedded built-in with Flux swapped in and
+// Params set over it, every value checked against the class schema.
+func (sp *Spec) compile() (*scenario.Compiled, error) {
+	if sp.Scenario != "" {
+		if sp.Problem != "" || sp.Flux != "" || sp.Params != nil {
+			return nil, fmt.Errorf("serve: scenario spec must not also set problem/flux/params")
 		}
-		dflt, _ := scenario.DefaultParam(sp.compiled.ClassOf(sp.compiled.RunInstance()), dk)
-		return sp.compiled.RunInstance(), dk, dflt
-	}
-	dk, ok := durationParam[sp.Problem]
-	if !ok {
-		return "", "", ""
-	}
-	return "driver", dk, durationDefault[sp.Problem]
-}
-
-func (sp *Spec) param(instance, key, dflt string) string {
-	if sp.compiled != nil {
-		if v, ok := sp.compiled.Param(instance, key); ok {
-			return v
+		c, err := scenario.Compile("scenario", []byte(sp.Scenario))
+		if err != nil {
+			return nil, fmt.Errorf("serve: bad scenario:\n%w", err)
 		}
-		return dflt
+		return c, nil
 	}
-	if m := sp.Params[instance]; m != nil {
-		if v, ok := m[key]; ok {
-			return v
+	c, err := core.Builtin(sp.Problem, sp.Flux)
+	if err != nil {
+		return nil, err
+	}
+	c = c.Clone()
+	for inst, kv := range sp.Params {
+		for k, v := range kv {
+			if err := c.Override(inst, k, v); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return dflt
+	return c, nil
 }
 
 // Class returns the numeric priority class.
 func (sp *Spec) Class() int { return classNames[sp.Priority] }
 
-// HasSweep reports whether the spec is a job array (a scenario with a
-// sweep block).
-func (sp *Spec) HasSweep() bool { return sp.compiled != nil && sp.compiled.HasSweep() }
-
 // ProblemLabel is the display name of the assembly: the built-in
 // problem, or "scenario:<name>".
 func (sp *Spec) ProblemLabel() string {
-	if sp.compiled != nil {
-		return "scenario:" + sp.compiled.Name
+	if sp.Problem != "" {
+		return sp.Problem
 	}
-	return sp.Problem
+	return "scenario:" + sp.compiled.Name
 }
 
 // TargetStep is the last 0-based driver step the run executes, or -1
@@ -209,63 +171,22 @@ func (sp *Spec) ProblemLabel() string {
 // must restore at or before this step — a later checkpoint describes
 // state this (shorter) run never reaches.
 func (sp *Spec) TargetStep() int {
-	inst, dk, dflt := sp.durationKnob()
+	dk := sp.compiled.DurationParam()
 	if dk == "" {
 		return -1
 	}
-	n, _ := strconv.Atoi(sp.param(inst, dk, dflt))
+	v, _ := sp.compiled.Param(sp.compiled.RunInstance(), dk)
+	n, _ := strconv.Atoi(v)
 	return n - 1
 }
 
 // Checkpointable reports whether this job can be preempted and resumed.
-func (sp *Spec) Checkpointable() bool {
-	if sp.compiled != nil {
-		return sp.compiled.Checkpointable()
-	}
-	return core.Checkpointable(sp.Problem)
-}
+func (sp *Spec) Checkpointable() bool { return sp.compiled.Checkpointable() }
 
-// ProgressKey returns the per-step series counting completed steps.
-func (sp *Spec) ProgressKey() string {
-	if sp.compiled != nil {
-		return sp.compiled.ProgressKey()
-	}
-	return progressKey[sp.Problem]
-}
-
-// Request lowers the spec to the core assembly request. Parameters are
-// emitted in sorted (instance, key) order so assembly is deterministic.
-func (sp *Spec) Request() core.RunRequest {
-	if sp.compiled != nil {
-		return core.RunRequest{Problem: core.ScenarioProblem, Scenario: sp.compiled}
-	}
-	req := core.RunRequest{Problem: sp.Problem, Flux: sp.Flux}
-	var insts []string
-	for inst := range sp.Params {
-		insts = append(insts, inst)
-	}
-	sort.Strings(insts)
-	for _, inst := range insts {
-		var keys []string
-		for k := range sp.Params[inst] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			req.Params = append(req.Params, core.Param{Instance: inst, Key: k, Value: sp.Params[inst][k]})
-		}
-	}
-	return req
-}
-
-// Expand materializes a job array's points as independent specs (a
-// spec without a sweep expands to itself). Each point inherits the
-// base spec's scheduling knobs; its Scenario text is re-rendered so
-// statuses show the concrete point.
+// Expand materializes a job array's points as independent specs. Each
+// point inherits the base spec's scheduling knobs; its Scenario text is
+// re-rendered so statuses show the concrete point.
 func (sp *Spec) Expand() []Spec {
-	if sp.compiled == nil {
-		return []Spec{*sp}
-	}
 	points := sp.compiled.Expand()
 	out := make([]Spec, len(points))
 	for i, p := range points {
@@ -280,47 +201,55 @@ func (sp *Spec) Expand() []Spec {
 	return out
 }
 
-// hashLines folds canonical lines through FNV-1a 64 — the same hash
-// family as the per-patch field fingerprints and checkpoint content
-// IDs, extended to the whole (scenario, mechanism, solver params)
-// tuple.
-func hashLines(lines []string) string {
-	h := fnv.New64a()
-	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// FullKey is the content address of the complete run: every knob that
+// keys hashes the spec's canonical lines — the compiled scenario's, so
+// a built-in and the same assembly submitted as text share them — in
+// one pass into both dedup keys. The full key covers every knob that
 // can change the computed result, including the run length. Rank
 // count, priority, and checkpoint cadence are deliberately excluded —
 // results are rank-count-invariant (the elastic-restore matrix proves
-// it) and scheduling knobs don't change the physics.
-func (sp *Spec) FullKey() string {
-	return hashLines(core.CanonicalRequestLines(sp.Request()))
+// it) and scheduling knobs don't change the physics. The prefix key
+// leaves out the run-length knob: jobs sharing it walk the same
+// trajectory for as long as both run, so they share one checkpoint
+// lineage and a shorter/longer resubmission restarts from the longest
+// shared checkpoint prefix. The hash is FNV-1a 64, the family of the
+// per-patch field fingerprints and checkpoint content IDs.
+func (sp *Spec) keys() (full, prefix string) {
+	var drop string
+	if dk := sp.compiled.DurationParam(); dk != "" {
+		drop = "param/" + sp.compiled.RunInstance() + "/" + dk + "="
+	}
+	f, p := uint64(fnvOffset64), uint64(fnvOffset64)
+	for _, l := range sp.compiled.CanonicalLines() {
+		f = fnvLine(f, l)
+		if drop == "" || !strings.HasPrefix(l, drop) {
+			p = fnvLine(p, l)
+		}
+	}
+	return fmt.Sprintf("%016x", f), fmt.Sprintf("%016x", p)
 }
 
-// PrefixKey is FullKey minus the run-length knob: jobs sharing it walk
-// the same trajectory for as long as both run, so they share one
-// checkpoint lineage and a shorter/longer resubmission restarts from
-// the longest shared checkpoint prefix.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvLine folds one line and its newline terminator into an FNV-1a 64
+// state.
+func fnvLine(h uint64, line string) uint64 {
+	for i := 0; i < len(line); i++ {
+		h = (h ^ uint64(line[i])) * fnvPrime64
+	}
+	return (h ^ '\n') * fnvPrime64
+}
+
+// FullKey is the content address of the complete run (see keys).
+func (sp *Spec) FullKey() string {
+	full, _ := sp.keys()
+	return full
+}
+
+// PrefixKey is FullKey minus the run-length knob (see keys).
 func (sp *Spec) PrefixKey() string {
-	inst, dk, _ := sp.durationKnob()
-	if dk == "" {
-		return sp.FullKey()
-	}
-	drop := inst + "/" + dk + "="
-	if sp.compiled != nil {
-		drop = "param/" + drop
-	}
-	var lines []string
-	for _, l := range core.CanonicalRequestLines(sp.Request()) {
-		if strings.HasPrefix(l, drop) {
-			continue
-		}
-		lines = append(lines, l)
-	}
-	return hashLines(lines)
+	_, prefix := sp.keys()
+	return prefix
 }

@@ -20,9 +20,10 @@
 # preempt/elastic-resume scenario end to end). The scenario gate
 # parse-validates every file in scenarios/ against the component
 # schema, replays the hand-built fuzz corpus through the parser (the
-# seeds run even without a fuzzing budget), and holds the golden
-# equivalence claim: each built-in problem's scenario file reproduces
-# the hard-coded assembly bit for bit, serially and on 4 SCMD ranks.
+# seeds run even without a fuzzing budget), and holds the golden claim:
+# the built-in problems — the embedded scenario files — reproduce the
+# frozen fingerprints of their fields and series, serially and on 4
+# SCMD ranks.
 # Run from the repo root:
 #
 #   sh scripts/check.sh
@@ -60,7 +61,7 @@ go test -race ./internal/exec/... ./internal/components/... ./internal/core/... 
 	./internal/ckpt/... ./internal/chem/... ./internal/rkc/... ./internal/telemetry/... \
 	./internal/serve/... ./internal/scenario/...
 
-echo "== scenario gate (library parse-validates, fuzz corpus replays, golden bit-for-bit equivalence)"
+echo "== scenario gate (library parse-validates, fuzz corpus replays, built-ins reproduce frozen fingerprints)"
 go test -run 'TestScenarioLibraryCompiles|FuzzParseScenario|TestGolden' -count=1 ./internal/scenario/
 
 echo "== telemetry endpoint smoke (live /metrics /healthz /series /trace on a 4-rank run)"
