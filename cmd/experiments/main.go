@@ -12,7 +12,7 @@
 //	experiments -exp comm           # halo-exchange study (blocking vs async)
 //	experiments -exp obs            # observability: interceptor overhead + trace shape
 //	experiments -exp ckpt           # checkpoint/restart + fault-recovery study
-//	experiments -exp chem           # generated-kernel vs interpreted chemistry study
+//	experiments -exp chem           # generated-kernel vs interpreted chemistry microbenchmarks
 //	experiments -exp pool           # epoch-engine dispatch + strip-interleave study
 //	experiments -exp serve          # run-server throughput + content-addressed dedup study
 //	experiments -exp all            # everything

@@ -1,8 +1,9 @@
-// Checkpoint demonstrates save/restart of a running SAMR simulation:
-// the shock-interface problem is advanced halfway, each rank's shard
-// (hierarchy geometry + owned patch data) is serialized, a fresh
-// process-state restores it, and the restarted field is verified to be
-// bit-identical before continuing the run.
+// Checkpoint demonstrates save/restart of a running SAMR simulation
+// through the checkpoint component: the shock-interface problem runs
+// its first half with a CheckpointComponent wired in (a versioned,
+// CRC-checked shard per rank plus a manifest), a fresh framework
+// restores the newest durable checkpoint and finishes the run, and the
+// restarted result is verified bit-identical to a straight-through run.
 //
 //	go run ./examples/checkpoint [-dir /tmp/ckpt]
 package main
@@ -13,14 +14,49 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
+	"strconv"
 
 	"ccahydro/internal/cca"
+	"ccahydro/internal/ckpt"
 	"ccahydro/internal/components"
 	"ccahydro/internal/core"
 	"ccahydro/internal/euler"
-	"ccahydro/internal/field"
 )
+
+const half = 100 // steps before the checkpoint; the full run is 2*half
+
+// run assembles the shock for the given step count, wires checkpointing
+// when o names a directory, and returns the driver and the density CSV.
+func run(steps int, o core.CheckpointOptions) (*components.ShockDriver, []byte) {
+	f := cca.NewFramework(core.Repo(), nil)
+	params := []core.Param{
+		{Instance: "grace", Key: "nx", Value: "64"},
+		{Instance: "grace", Key: "ny", Value: "32"},
+		{Instance: "grace", Key: "lx", Value: "2.0"},
+		{Instance: "grace", Key: "ly", Value: "1.0"},
+		{Instance: "grace", Key: "maxLevels", Value: "2"},
+		{Instance: "driver", Key: "maxSteps", Value: strconv.Itoa(steps)},
+		{Instance: "driver", Key: "regridEvery", Value: "5"},
+	}
+	if err := core.AssembleRequest(f, core.RunRequest{Problem: "shock", Params: params}); err != nil {
+		log.Fatal(err)
+	}
+	if o.Dir != "" {
+		if err := core.WireCheckpointOpts(f, o); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := f.Go("driver", "go"); err != nil {
+		log.Fatal(err)
+	}
+	dr, _ := f.Lookup("driver")
+	gc, _ := f.Lookup("grace")
+	var csv bytes.Buffer
+	if err := gc.(*components.GrACEComponent).Field("U").WriteCSV(&csv, euler.IRho, "rho"); err != nil {
+		log.Fatal(err)
+	}
+	return dr.(*components.ShockDriver), csv.Bytes()
+}
 
 func main() {
 	dir := flag.String("dir", "", "checkpoint directory (default: temp dir)")
@@ -34,79 +70,27 @@ func main() {
 		*dir = d
 	}
 
-	params := []core.Param{
-		{Instance: "grace", Key: "nx", Value: "64"},
-		{Instance: "grace", Key: "ny", Value: "32"},
-		{Instance: "grace", Key: "lx", Value: "2.0"},
-		{Instance: "grace", Key: "ly", Value: "1.0"},
-		{Instance: "grace", Key: "maxLevels", Value: "2"},
-		{Instance: "driver", Key: "tEnd", Value: "0.3"},
-		{Instance: "driver", Key: "maxSteps", Value: "200"},
-		{Instance: "driver", Key: "regridEvery", Value: "5"},
+	// Phase 1: run the first half, saving after its last step.
+	dr1, _ := run(half, core.CheckpointOptions{Every: half, Dir: *dir})
+	manifest, step, ok := ckpt.LatestValid(*dir)
+	if !ok {
+		log.Fatal("no durable checkpoint written")
 	}
+	fmt.Printf("phase 1: %d steps to t=%.4f, checkpoint %s (step %d)\n", dr1.Steps, dr1.FinalTime, manifest, step)
 
-	// Phase 1: run halfway.
-	dr, f, err := core.RunShockInterface(nil, "GodunovFlux", params...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	comp, _ := f.Lookup("grace")
-	gc := comp.(*components.GrACEComponent)
-	d := gc.Field("U")
-	fmt.Printf("phase 1: %d steps to t=%.3f, hierarchy:\n%s", dr.Steps, dr.FinalTime, gc.Hierarchy())
+	// Phase 2: a fresh framework restores the checkpoint and finishes.
+	dr2, restarted := run(2*half, core.CheckpointOptions{Dir: *dir, Restore: manifest})
+	fmt.Printf("phase 2 (restarted): %d more steps to t=%.4f\n", dr2.Steps-dr1.Steps, dr2.FinalTime)
 
-	// Checkpoint (serial run: one shard).
-	path := filepath.Join(*dir, "shock.ckpt")
-	fd, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
+	// Reference: the same run straight through, no checkpoint wired.
+	ref, straight := run(2*half, core.CheckpointOptions{})
+	if !bytes.Equal(restarted, straight) || dr2.FinalTime != ref.FinalTime {
+		log.Fatal("restarted run differs from the straight-through run")
 	}
-	if err := d.WriteCheckpoint(fd); err != nil {
-		log.Fatal(err)
+	last := len(ref.Circulations) - 1
+	if len(dr2.Circulations) != len(ref.Circulations) || dr2.Circulations[last] != ref.Circulations[last] {
+		log.Fatal("restarted circulation history differs from the straight-through run")
 	}
-	fd.Close()
-	info, _ := os.Stat(path)
-	fmt.Printf("\ncheckpoint written: %s (%d bytes)\n", path, info.Size())
-
-	// Phase 2: restore into a fresh DataObject and verify bit equality.
-	rd, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	restored, err := field.ReadCheckpoint(rd, nil)
-	rd.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	var buf1, buf2 bytes.Buffer
-	if err := d.WriteCSV(&buf1, euler.IRho, "orig"); err != nil {
-		log.Fatal(err)
-	}
-	if err := restored.WriteCSV(&buf2, euler.IRho, "orig"); err != nil {
-		log.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		log.Fatal("restored field differs from original")
-	}
-	fmt.Printf("restore verified: density field bit-identical (%d levels, %d cells)\n",
-		restored.Hierarchy().NumLevels(), restored.Hierarchy().TotalCells())
-
-	// Phase 3: continue the run from the restored state — assemble a
-	// fresh framework, Adopt the restored field into its GrACE mesh,
-	// and fire the driver; it detects the existing field and skips the
-	// initial condition.
-	f2 := cca.NewFramework(core.Repo(), nil)
-	params2 := append(params, core.Param{Instance: "driver", Key: "tEnd", Value: "0.6"})
-	if err := core.AssembleRequest(f2, core.RunRequest{Problem: "shock", Params: params2}); err != nil {
-		log.Fatal(err)
-	}
-	g2Comp, _ := f2.Lookup("grace")
-	g2Comp.(*components.GrACEComponent).Adopt("U", restored)
-	if err := f2.Go("driver", "go"); err != nil {
-		log.Fatal(err)
-	}
-	dr2Comp, _ := f2.Lookup("driver")
-	dr2 := dr2Comp.(*components.ShockDriver)
-	fmt.Printf("\nphase 3 (restarted run): %d more steps to t=%.3f, circulation %.4f\n",
-		dr2.Steps, 0.3+dr2.FinalTime, dr2.Circulations[len(dr2.Circulations)-1])
+	fmt.Printf("restart verified: density field and circulation %.6f bit-identical to the straight-through run\n",
+		ref.Circulations[last])
 }

@@ -15,6 +15,8 @@
 //     session to the framework makes GetPort hand out instrumented
 //     proxies, so every wire is measured without splicing anything.
 //
+// Usage:
+//
 //	go run ./examples/instrumented [-mech co-h2-air] [-trace flame.json]
 package main
 

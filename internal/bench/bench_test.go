@@ -124,6 +124,10 @@ func TestTable4RowsBalanced(t *testing.T) {
 	cfg.BaseTEnd = 5e-6
 	cfg.Cells = []int{300}
 	cfg.DtFactors = []int{1, 4}
+	// RunTable4 itself fails unless the component and direct loops do
+	// identical solver work (equal RHS evals per cell) — the deterministic
+	// half of the paper's claim. The timing half is the benchmark's
+	// cca.port_overhead_pct.
 	rows, err := RunTable4(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,19 +135,9 @@ func TestTable4RowsBalanced(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		// The paper's result: component overhead within noise. Allow a
-		// generous 15% band for wall-clock jitter on a shared host.
-		if math.Abs(r.PctDiff) > 15 {
-			t.Errorf("Δt=%d Ncells=%d: %%diff = %v, overhead should be small", r.DtFactor, r.NCells, r.PctDiff)
-		}
-		if r.NFE <= 0 {
-			t.Errorf("NFE = %d", r.NFE)
-		}
-	}
 	// Longer horizon costs more RHS evaluations per cell (paper's
 	// 150 vs 424 pattern).
-	if rows[1].NFE <= rows[0].NFE {
+	if rows[0].NFE <= 0 || rows[1].NFE <= rows[0].NFE {
 		t.Errorf("NFE did not grow with horizon: %d vs %d", rows[0].NFE, rows[1].NFE)
 	}
 }

@@ -4,27 +4,16 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"time"
 
-	"ccahydro/internal/cca"
 	"ccahydro/internal/chem"
-	"ccahydro/internal/components"
-	"ccahydro/internal/core"
-	"ccahydro/internal/obs"
 )
 
 // The chemistry-kernel experiment quantifies what the chemgen code
-// generator buys over the interpreted Reaction-table walk:
-//
-//  1. Microbenchmarks per mechanism: RHS ns/op interpreted vs
-//     generated, and Jacobian build cost finite-difference vs analytic
-//     (the FD build replays cvode's dim+1 RHS sweeps).
-//  2. The flame benchmark: the 2D reaction-diffusion problem run
-//     end-to-end on both engines. Solver work counters (RHS/Jacobian
-//     evaluations per step) are deterministic for a fixed assembly;
-//     wall seconds are host-dependent and reported for the speedup
-//     headline.
+// generator buys over the interpreted Reaction-table walk, per
+// mechanism: RHS ns/op interpreted vs generated, and Jacobian build
+// cost finite-difference vs analytic (the FD build replays cvode's
+// dim+1 RHS sweeps).
 
 // ChemMechRow is one mechanism's microbenchmark line.
 type ChemMechRow struct {
@@ -39,33 +28,9 @@ type ChemMechRow struct {
 	JacSpeedup    float64 `json:"jacobianSpeedup"`
 }
 
-// ChemFlameRun is one engine's flame benchmark: deterministic solver
-// counters plus host wall seconds.
-type ChemFlameRun struct {
-	Engine            string  `json:"engine"` // "interpreted+fd" or "kernels+analytic"
-	FlameSteps        int     `json:"flameSteps"`
-	SolverSteps       int     `json:"solverSteps"`
-	RHSEvals          int     `json:"rhsEvals"`
-	JacEvals          int     `json:"jacEvals"`
-	JacBuildsAnalytic int     `json:"jacBuildsAnalytic"`
-	JacBuildsFD       int     `json:"jacBuildsFD"`
-	NewtonIters       int     `json:"newtonIters"`
-	RHSEvalsPerStep   float64 `json:"rhsEvalsPerFlameStep"`
-	ChemSeconds       float64 `json:"chemPhaseSeconds"`
-	TotalSeconds      float64 `json:"endToEndSeconds"`
-	SecondsPerStep    float64 `json:"secondsPerFlameStep"`
-}
-
 // ChemReport is the BENCH_chem.json artifact.
 type ChemReport struct {
-	Mechanisms []ChemMechRow  `json:"mechanisms"`
-	Flame      []ChemFlameRun `json:"flame"`
-	// ChemSpeedup is the headline: interpreted+FD chemistry-phase
-	// seconds over kernels+analytic on the same flame (must exceed 1.5).
-	ChemSpeedup float64 `json:"flameChemSpeedup"`
-	// RHSEvalRatio is deterministic: interpreted+FD solver RHS
-	// evaluations over the analytic path's (FD sweeps eliminated).
-	RHSEvalRatio float64 `json:"flameRHSEvalRatio"`
+	Mechanisms []ChemMechRow `json:"mechanisms"`
 }
 
 // chemBenchState is the shared microbenchmark state: a hot, partially
@@ -161,91 +126,13 @@ func RunChemMicro(quick bool) ([]ChemMechRow, error) {
 	return rows, nil
 }
 
-// chemFlameParams pins the flame benchmark assembly.
-func chemFlameParams(steps int, kernels string) []core.Param {
-	return []core.Param{
-		{Instance: "grace", Key: "nx", Value: "48"},
-		{Instance: "grace", Key: "ny", Value: "48"},
-		{Instance: "grace", Key: "maxLevels", Value: "2"},
-		{Instance: "driver", Key: "steps", Value: fmt.Sprint(steps)},
-		{Instance: "driver", Key: "dt", Value: "1e-7"},
-		{Instance: "driver", Key: "regridEvery", Value: "1"},
-		{Instance: "chem", Key: "kernels", Value: kernels},
-	}
-}
-
-// runChemFlame runs the flame once on the given engine and collects
-// counters plus wall seconds. The chemistry-phase split comes from an
-// instrumented second run (the port-call interceptor times the
-// driver's AdvanceChemistry wire); end-to-end seconds come from the
-// plain run so interceptor overhead never touches them.
-func runChemFlame(steps int, kernels, engine string) (ChemFlameRun, error) {
-	run := ChemFlameRun{Engine: engine, FlameSteps: steps}
-
-	dr, f, err := core.RunReactionDiffusion(nil, chemFlameParams(steps, kernels)...)
-	if err != nil {
-		return run, err
-	}
-	for _, s := range dr.StepSeconds {
-		run.TotalSeconds += s
-	}
-	run.SecondsPerStep = run.TotalSeconds / float64(steps)
-	comp, err := f.Lookup("cvode")
-	if err != nil {
-		return run, err
-	}
-	st := comp.(*components.CvodeComponent).TotalStats()
-	run.SolverSteps = st.Steps
-	run.RHSEvals = st.RHSEvals
-	run.JacEvals = st.JacEvals
-	run.JacBuildsAnalytic = st.JacBuildsAnalytic
-	run.JacBuildsFD = st.JacBuildsFD
-	run.NewtonIters = st.NewtonIters
-	run.RHSEvalsPerStep = float64(st.RHSEvals) / float64(steps)
-
-	// Instrumented pass for the chemistry-phase seconds.
-	group := obs.NewGroup(1)
-	fr := cca.NewFramework(core.Repo(), nil)
-	fr.SetObservability(group.Rank(0))
-	if err := core.AssembleRequest(fr, core.RunRequest{Problem: "flame", Params: chemFlameParams(steps, kernels)}); err != nil {
-		return run, err
-	}
-	if err := fr.Go("driver", "go"); err != nil {
-		return run, err
-	}
-	for _, h := range group.MergedSnapshot().Histograms {
-		if strings.Contains(h.Name, `port="cellChemistry"`) && strings.Contains(h.Name, `method="AdvanceChemistry"`) {
-			run.ChemSeconds += h.SumSeconds
-		}
-	}
-	return run, nil
-}
-
 // BuildChemReport runs the full chemistry-kernel study.
 func BuildChemReport(quick bool) (*ChemReport, error) {
-	rep := &ChemReport{}
 	rows, err := RunChemMicro(quick)
 	if err != nil {
 		return nil, err
 	}
-	rep.Mechanisms = rows
-
-	steps := 4
-	if quick {
-		steps = 2
-	}
-	interp, err := runChemFlame(steps, "off", "interpreted+fd")
-	if err != nil {
-		return nil, err
-	}
-	gen, err := runChemFlame(steps, "on", "kernels+analytic")
-	if err != nil {
-		return nil, err
-	}
-	rep.Flame = []ChemFlameRun{interp, gen}
-	rep.ChemSpeedup = interp.ChemSeconds / gen.ChemSeconds
-	rep.RHSEvalRatio = float64(interp.RHSEvals) / float64(gen.RHSEvals)
-	return rep, nil
+	return &ChemReport{Mechanisms: rows}, nil
 }
 
 // PrintChemReport renders the study.
@@ -259,14 +146,4 @@ func PrintChemReport(w io.Writer, rep *ChemReport) {
 			r.InterpRHSNs, r.KernelRHSNs, r.RHSSpeedup,
 			r.FDJacNs, r.AnalyticJacNs, r.JacSpeedup)
 	}
-	fmt.Fprintf(w, "\nFlame benchmark (48x48, 2 levels, dt=1e-7):\n\n")
-	fmt.Fprintf(w, "%-18s %6s %9s %8s %8s %8s %11s %10s %10s\n",
-		"engine", "steps", "rhsEvals", "jacFD", "jacAn", "newton", "rhs/step", "chem(s)", "total(s)")
-	for _, r := range rep.Flame {
-		fmt.Fprintf(w, "%-18s %6d %9d %8d %8d %8d %11.0f %10.4f %10.4f\n",
-			r.Engine, r.FlameSteps, r.RHSEvals, r.JacBuildsFD, r.JacBuildsAnalytic,
-			r.NewtonIters, r.RHSEvalsPerStep, r.ChemSeconds, r.TotalSeconds)
-	}
-	fmt.Fprintf(w, "\nflame chemistry-phase speedup: %.2fx (acceptance: > 1.5x)\n", rep.ChemSpeedup)
-	fmt.Fprintf(w, "flame solver RHS-eval ratio:   %.2fx (deterministic; FD sweeps eliminated)\n", rep.RHSEvalRatio)
 }

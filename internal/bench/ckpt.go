@@ -150,7 +150,7 @@ func runFlame(dir, restore string, every int, params []core.Param) ([]float64, e
 	if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 		return nil, err
 	}
-	if err := core.WireCheckpoint(f, dir, restore, every); err != nil {
+	if err := core.WireCheckpointOpts(f, core.CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 		return nil, err
 	}
 	if err := f.Go("driver", "go"); err != nil {
@@ -168,7 +168,7 @@ func runFlameRanks(w *mpi.World, dir, restore string, every int, params []core.P
 		if err := core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
-		if err := core.WireCheckpoint(f, dir, restore, every); err != nil {
+		if err := core.WireCheckpointOpts(f, core.CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 			return err
 		}
 		if err := f.Go("driver", "go"); err != nil {
@@ -369,7 +369,7 @@ func BuildCkptReport(out io.Writer, scratch string) (*CkptReport, error) {
 			if err := core.AssembleRequest(f, core.RunRequest{Problem: "shock", Params: sp}); err != nil {
 				return nil, nil, err
 			}
-			if err := core.WireCheckpoint(f, dir, restore, every); err != nil {
+			if err := core.WireCheckpointOpts(f, core.CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 				return nil, nil, err
 			}
 			if err := f.Go("driver", "go"); err != nil {

@@ -150,12 +150,10 @@ func (ci *componentCellIntegrator) run(nCells int, tEnd, T0, P0 float64) (float6
 // the integrator used as a plain library — concrete calls, no ports.
 // It must stay algorithm-identical to the componentized side, so it
 // uses the same engine the components resolve: the generated kernel
-// with its analytic Jacobian when one is registered, the interpreted
-// tables with finite differences otherwise. Only the dispatch differs.
+// with its analytic Jacobian. Only the dispatch differs.
 type directCellIntegrator struct {
 	mech   *chem.Mechanism
 	kern   chem.Kernel
-	ws     *chem.SourceWorkspace
 	solver *cvode.Solver
 	nfe    int
 }
@@ -165,7 +163,6 @@ func newDirectCellIntegrator() *directCellIntegrator {
 		mech: chem.H2AirLite(),
 	}
 	di.kern = chem.KernelFor(di.mech.Name)
-	di.ws = chem.NewSourceWorkspace(di.mech)
 	n := di.mech.NumSpecies()
 	rhs := func(_ float64, y, ydot []float64) {
 		di.nfe++
@@ -176,18 +173,10 @@ func newDirectCellIntegrator() *directCellIntegrator {
 		Y := y[1 : 1+n]
 		P := y[1+n]
 		rho := di.mech.Density(P, T, Y)
-		if di.kern != nil {
-			ydot[0] = di.kern.ConstVolumeSource(T, rho, Y, ydot[1:1+n])
-		} else {
-			ydot[0] = di.mech.ConstVolumeSource(T, rho, Y, ydot[1:1+n], di.ws)
-		}
+		ydot[0] = di.kern.ConstVolumeSource(T, rho, Y, ydot[1:1+n])
 		ydot[1+n] = di.mech.DPDt(rho, T, ydot[0], Y, ydot[1:1+n])
 	}
-	opts := cvode.Options{RelTol: 1e-6, AbsTol: 1e-10}
-	if di.kern != nil {
-		opts.Jac = chem.RigidVesselJac(di.kern, di.mech)
-	}
-	di.solver = cvode.New(n+2, rhs, opts)
+	di.solver = cvode.New(n+2, rhs, cvode.Options{RelTol: 1e-6, AbsTol: 1e-10, Jac: chem.RigidVesselJac(di.kern, di.mech)})
 	return di
 }
 
@@ -211,7 +200,9 @@ func (di *directCellIntegrator) run(nCells int, tEnd, T0, P0 float64) (float64, 
 }
 
 // RunTable4 executes the single-processor overhead study and returns
-// the rows in the paper's order.
+// the rows in the paper's order. The component and direct loops must do
+// identical solver work — equal RHS evaluations per cell — or the
+// timing comparison is meaningless and RunTable4 fails.
 func RunTable4(cfg Table4Config) ([]Table4Row, error) {
 	if cfg.BaseTEnd == 0 {
 		cfg = DefaultTable4Config
@@ -242,9 +233,12 @@ func RunTable4(cfg Table4Config) ([]Table4Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				dt, _, err := di.run(nc, tEnd, cfg.T0, cfg.P0)
+				dt, n2, err := di.run(nc, tEnd, cfg.T0, cfg.P0)
 				if err != nil {
 					return nil, err
+				}
+				if n1 != n2 {
+					return nil, fmt.Errorf("table4: component loop did %d RHS evals per cell, direct loop %d", n1, n2)
 				}
 				compT = math.Min(compT, ct)
 				directT = math.Min(directT, dt)

@@ -6,7 +6,7 @@
 // closures, and the analytic dense Jacobians d(dT,dY)/d(T,Y) derived
 // term by term from the stoichiometry. The emitted files register
 // themselves with chem.RegisterKernel, so components resolve them by
-// mechanism name at run time (interpreted fallback when absent).
+// mechanism name at run time (a mechanism without one fails to assemble).
 //
 // Run via go generate ./internal/chem/... (directive in the kernels
 // package); output is gofmt-formatted and committed, with a staleness

@@ -12,10 +12,11 @@ import (
 // interpreting the Reaction tables).
 //
 // A Kernel must agree with the interpreted Mechanism of the same name
-// to rounding accuracy; the registry lets components resolve a kernel
-// by mechanism name and fall back to the interpreted path when none is
-// registered. Implementations are stateless (scratch lives on the
-// stack), so a single Kernel value is safe for concurrent use.
+// to rounding accuracy; the Mechanism stays the definition (chemgen's
+// input and the test oracle) while components evaluate the kernel they
+// resolve here by mechanism name. Implementations are stateless
+// (scratch lives on the stack), so a single Kernel value is safe for
+// concurrent use.
 type Kernel interface {
 	// MechName is the canonical mechanism name (Mechanism.Name).
 	MechName() string
@@ -58,8 +59,8 @@ func RegisterKernel(k Kernel) {
 }
 
 // KernelFor returns the registered kernel for a canonical mechanism
-// name, or nil when none is registered (callers fall back to the
-// interpreted Mechanism).
+// name, or nil when none is registered (go generate ./internal/chem/...
+// has not been run for it).
 func KernelFor(name string) Kernel {
 	kernelMu.RLock()
 	defer kernelMu.RUnlock()

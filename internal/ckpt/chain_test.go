@@ -53,10 +53,10 @@ func TestCompressedShardRoundTrip(t *testing.T) {
 	}
 }
 
-// The corruption sweep from v1, rerun against a compressed delta shard:
+// The corruption sweep, rerun against a compressed delta shard:
 // truncation at every length and a bit flip at every offset must error,
-// never panic — including flips landing in the new flags/length words
-// and inside gzip streams.
+// never panic — including flips landing in the flags/length words and
+// inside gzip streams.
 func TestDecodeCompressedDeltaShardCorruptionNeverPanics(t *testing.T) {
 	s := compressibleShard(256)
 	s.Kind = ShardDelta
@@ -87,7 +87,7 @@ func TestDecodeCompressedDeltaShardCorruptionNeverPanics(t *testing.T) {
 // catch the damage. Silent acceptance here would restore garbage bits.
 func TestCorruptGzipFrameWithValidCRCDetected(t *testing.T) {
 	data := EncodeShardOpts(compressibleShard(4096), nil, true)
-	// Walk the v2 frames to find a compressed section.
+	// Walk the section frames to find a compressed section.
 	off := len(shardMagic) + 4
 	corrupted := false
 	for off < len(data) {

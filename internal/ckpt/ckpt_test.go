@@ -1,12 +1,14 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ccahydro/internal/amr"
@@ -108,11 +110,22 @@ func TestDecodeShardCorruptionNeverPanics(t *testing.T) {
 	}
 }
 
+// Only this build's version decodes: version 1 and any newer version
+// are refused with a version error, for shards and manifests alike.
+// The version word follows the 8-byte magic in both.
 func TestDecodeShardRejectsVersionSkew(t *testing.T) {
-	data := EncodeShard(testShard(), nil)
-	data[8]++ // version field follows the 8-byte magic
-	if _, err := DecodeShard(data); err == nil {
-		t.Fatal("version skew accepted")
+	m := &Manifest{Step: 3, NumRanks: 1, ParentStep: -1, Shards: []ManifestEntry{{File: ShardFileName(3, 0)}}}
+	for _, ver := range []uint32{1, FormatVersion + 1} {
+		shard := EncodeShard(testShard(), nil)
+		binary.LittleEndian.PutUint32(shard[8:], ver)
+		if _, err := DecodeShard(shard); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("version-%d shard: err = %v, want a version error", ver, err)
+		}
+		man := EncodeManifest(m)
+		binary.LittleEndian.PutUint32(man[8:], ver)
+		if _, err := DecodeManifest(man); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("version-%d manifest: err = %v, want a version error", ver, err)
+		}
 	}
 }
 

@@ -14,8 +14,7 @@
 // flags bit 0 marks a gzip-compressed section: stored is the gzip
 // stream of the raw payload (clen bytes on disk, ulen bytes raw). The
 // CRC always covers the stored bytes, so manifests validate shards
-// without decompressing them. Version-1 shards (no flags/clen words,
-// payload always raw) remain fully readable.
+// without decompressing them. Decoders accept exactly this version.
 //
 // Sections appear in order: one header, one hierarchy, one field per
 // registered variable, one meta. A *full* shard carries every locally
@@ -42,12 +41,8 @@ import (
 	"ccahydro/internal/mpi"
 )
 
-// FormatVersion is the version this build writes; decoders accept every
-// version back to MinFormatVersion.
-const (
-	FormatVersion    = 2
-	MinFormatVersion = 1
-)
+// FormatVersion is the only version this build writes and reads.
+const FormatVersion = 2
 
 const shardMagic = "CCAHCKPT"
 
@@ -59,7 +54,7 @@ const (
 	secMeta
 )
 
-// Section flags (v2 framing).
+// Section flags.
 const sectionGzip uint32 = 1 << 0
 
 // ShardKind distinguishes full checkpoints from incremental deltas.
@@ -160,7 +155,7 @@ func (e *encoder) box(b amr.Box) {
 	e.i64(b.Hi[1])
 }
 
-// section appends one v2 framed section. When compress is set and the
+// section appends one framed section. When compress is set and the
 // gzip stream comes out smaller, the payload is stored compressed
 // (flags bit 0); otherwise it is stored raw. The CRC covers the stored
 // bytes either way.
@@ -596,30 +591,26 @@ func decodeMeta(payload []byte) (Meta, error) {
 	return m, nil
 }
 
-// readSection consumes one framed section for the given format version
-// and returns (kind, raw payload). Version 1 frames are kind|len|
-// payload|crc; version 2 adds flags and the stored length, and inflates
-// gzip payloads after the CRC check.
-func readSection(d *decoder, ver uint32) (uint32, []byte, error) {
+// readSection consumes one framed section and returns (kind, raw
+// payload), inflating gzip payloads after the CRC check.
+func readSection(d *decoder) (uint32, []byte, error) {
 	kind, err := d.u32()
 	if err != nil {
 		return 0, nil, err
 	}
-	var flags uint32
-	ulen := uint64(0)
-	if ver >= 2 {
-		if flags, err = d.u32(); err != nil {
-			return 0, nil, err
-		}
-		if flags&^sectionGzip != 0 {
-			return 0, nil, fmt.Errorf("ckpt: section %d has unknown flags %#x", kind, flags)
-		}
-		if ulen, err = d.u64(); err != nil {
-			return 0, nil, err
-		}
-		if ulen > maxSectionLen {
-			return 0, nil, fmt.Errorf("ckpt: section %d raw length %d exceeds sanity cap", kind, ulen)
-		}
+	flags, err := d.u32()
+	if err != nil {
+		return 0, nil, err
+	}
+	if flags&^sectionGzip != 0 {
+		return 0, nil, fmt.Errorf("ckpt: section %d has unknown flags %#x", kind, flags)
+	}
+	ulen, err := d.u64()
+	if err != nil {
+		return 0, nil, err
+	}
+	if ulen > maxSectionLen {
+		return 0, nil, fmt.Errorf("ckpt: section %d raw length %d exceeds sanity cap", kind, ulen)
 	}
 	n, err := d.u64()
 	if err != nil {
@@ -638,22 +629,19 @@ func readSection(d *decoder, ver uint32) (uint32, []byte, error) {
 		return 0, nil, fmt.Errorf("ckpt: section %d CRC mismatch (got %08x want %08x)", kind, got, wantCRC)
 	}
 	payload := stored
-	if ver >= 2 {
-		if flags&sectionGzip != 0 {
-			if payload, err = gunzipBytes(stored, int(ulen)); err != nil {
-				return 0, nil, fmt.Errorf("ckpt: section %d: %w", kind, err)
-			}
-		} else if uint64(len(stored)) != ulen {
-			return 0, nil, fmt.Errorf("ckpt: section %d stored length %d != raw length %d without compression",
-				kind, len(stored), ulen)
+	if flags&sectionGzip != 0 {
+		if payload, err = gunzipBytes(stored, int(ulen)); err != nil {
+			return 0, nil, fmt.Errorf("ckpt: section %d: %w", kind, err)
 		}
+	} else if uint64(len(stored)) != ulen {
+		return 0, nil, fmt.Errorf("ckpt: section %d stored length %d != raw length %d without compression",
+			kind, len(stored), ulen)
 	}
 	return kind, payload, nil
 }
 
-// DecodeShard parses and validates one shard file's contents — this
-// build's version 2 or the original version 1. Sections are
-// CRC-verified individually; any structural damage — bad magic, version
+// DecodeShard parses and validates one shard file's contents. Sections
+// are CRC-verified individually; any structural damage — bad magic, version
 // skew, truncation, bit flips, corrupt gzip frames, out-of-range counts
 // — returns a descriptive error.
 func DecodeShard(b []byte) (*Shard, error) {
@@ -666,13 +654,13 @@ func DecodeShard(b []byte) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver < MinFormatVersion || ver > FormatVersion {
-		return nil, fmt.Errorf("ckpt: format version %d, this build reads %d..%d", ver, MinFormatVersion, FormatVersion)
+	if ver != FormatVersion {
+		return nil, fmt.Errorf("ckpt: format version %d, this build reads only %d", ver, FormatVersion)
 	}
 	s := &Shard{Rank: -1, ParentStep: -1}
 	var haveHeader, haveHierarchy, haveMeta bool
 	for d.remaining() > 0 {
-		kind, payload, err := readSection(d, ver)
+		kind, payload, err := readSection(d)
 		if err != nil {
 			return nil, err
 		}
@@ -685,18 +673,16 @@ func DecodeShard(b []byte) (*Shard, error) {
 			if s.NumRanks, err = hd.i64(); err != nil {
 				return nil, err
 			}
-			if ver >= 2 {
-				k, err := hd.u64()
-				if err != nil {
-					return nil, err
-				}
-				if k > uint64(ShardDelta) {
-					return nil, fmt.Errorf("ckpt: header shard kind %d out of range", k)
-				}
-				s.Kind = ShardKind(k)
-				if s.ParentStep, err = hd.i64(); err != nil {
-					return nil, err
-				}
+			k, err := hd.u64()
+			if err != nil {
+				return nil, err
+			}
+			if k > uint64(ShardDelta) {
+				return nil, fmt.Errorf("ckpt: header shard kind %d out of range", k)
+			}
+			s.Kind = ShardKind(k)
+			if s.ParentStep, err = hd.i64(); err != nil {
+				return nil, err
 			}
 			if s.NumRanks < 1 || s.Rank < 0 || s.Rank >= s.NumRanks {
 				return nil, fmt.Errorf("ckpt: header rank %d/%d out of range", s.Rank, s.NumRanks)

@@ -21,10 +21,9 @@ import (
 // when the whole chain down to a full base validates (ResolveChain).
 //
 //	magic "CCAHMANI" | version u32 | body | crc32(body) u32
-//	v1 body := step u64 | nranks u64 | entry*
-//	v2 body := step u64 | nranks u64 | kind u64 | parentStep u64(two's complement)
-//	           | id string | parentID string | entry*
-//	entry    := file string | size u64 | crc u32
+//	body  := step u64 | nranks u64 | kind u64 | parentStep u64(two's complement)
+//	         | id string | parentID string | entry*
+//	entry := file string | size u64 | crc u32
 const manifestMagic = "CCAHMANI"
 
 // ManifestEntry names one rank's shard file and its expected digest.
@@ -37,7 +36,7 @@ type ManifestEntry struct {
 // Manifest indexes one durable checkpoint. ID is derived from the shard
 // digests (see ManifestID); ParentID/ParentStep link a delta to the
 // checkpoint it overlays and are meaningful only when Kind==ShardDelta
-// (ParentStep is -1 otherwise; v1 manifests decode as full with no ID).
+// (ParentStep is -1 otherwise).
 type Manifest struct {
 	Step       int
 	NumRanks   int
@@ -101,7 +100,7 @@ func EncodeManifest(m *Manifest) []byte {
 	return e.b
 }
 
-// DecodeManifest parses and CRC-validates a manifest (version 1 or 2).
+// DecodeManifest parses and CRC-validates a manifest.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < len(manifestMagic)+8 || string(b[:len(manifestMagic)]) != manifestMagic {
 		return nil, fmt.Errorf("ckpt: bad manifest magic")
@@ -111,8 +110,8 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver < MinFormatVersion || ver > FormatVersion {
-		return nil, fmt.Errorf("ckpt: manifest version %d, this build reads %d..%d", ver, MinFormatVersion, FormatVersion)
+	if ver != FormatVersion {
+		return nil, fmt.Errorf("ckpt: manifest version %d, this build reads only %d", ver, FormatVersion)
 	}
 	body := b[d.off : len(b)-4]
 	wantCRC := binary.LittleEndian.Uint32(b[len(b)-4:])
@@ -127,24 +126,22 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if m.NumRanks, err = d.i64(); err != nil {
 		return nil, err
 	}
-	if ver >= 2 {
-		k, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		if k > uint64(ShardDelta) {
-			return nil, fmt.Errorf("ckpt: manifest kind %d out of range", k)
-		}
-		m.Kind = ShardKind(k)
-		if m.ParentStep, err = d.i64(); err != nil {
-			return nil, err
-		}
-		if m.ID, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.ParentID, err = d.str(); err != nil {
-			return nil, err
-		}
+	k, err := d.u64()
+	if err != nil {
+		return nil, err
+	}
+	if k > uint64(ShardDelta) {
+		return nil, fmt.Errorf("ckpt: manifest kind %d out of range", k)
+	}
+	m.Kind = ShardKind(k)
+	if m.ParentStep, err = d.i64(); err != nil {
+		return nil, err
+	}
+	if m.ID, err = d.str(); err != nil {
+		return nil, err
+	}
+	if m.ParentID, err = d.str(); err != nil {
+		return nil, err
 	}
 	if m.Step < 0 || m.NumRanks < 1 || m.NumRanks > maxCount {
 		return nil, fmt.Errorf("ckpt: manifest header step=%d ranks=%d out of range", m.Step, m.NumRanks)

@@ -1,7 +1,6 @@
 package components
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -497,19 +496,21 @@ func TestGrACEAdoptRestoredField(t *testing.T) {
 	gc := graceFixture(t, [2]string{"nx", "16"}, [2]string{"ny", "16"})
 	d := gc.Declare("U", 2, 1)
 	d.LocalPatches(0)[0].FillAll(9)
-
-	// Round-trip through a checkpoint buffer.
-	var buf bytes.Buffer
-	if err := d.WriteCheckpoint(&buf); err != nil {
+	// Rebuild the field the way a checkpoint restore does: hierarchy from
+	// its snapshot, patch storage from the saved raw arrays.
+	h, err := amr.FromSnapshot(d.Hierarchy().Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := field.ReadCheckpoint(&buf, nil)
-	if err != nil {
+	restored := field.New("U", h, 2, 1, nil)
+	if err := restored.LocalPatches(0)[0].SetRawData(d.LocalPatches(0)[0].RawData()); err != nil {
 		t.Fatal(err)
 	}
 
 	gc2 := graceFixture(t, [2]string{"nx", "16"}, [2]string{"ny", "16"})
-	gc2.Adopt("U", restored)
+	if err := gc2.AdoptAll(map[string]*field.DataObject{"U": restored}); err != nil {
+		t.Fatal(err)
+	}
 	if gc2.Field("U") != restored {
 		t.Fatal("adopt did not install the field")
 	}

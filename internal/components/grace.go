@@ -187,20 +187,6 @@ func (gc *GrACEComponent) Apply(name string, level int) {
 	d.ApplyPhysicalBCs(level, bcs)
 }
 
-// Adopt installs a restored DataObject (and its hierarchy) as this
-// mesh's state — the restart path: read a checkpoint shard with
-// field.ReadCheckpoint, Adopt it, and fire the driver, which continues
-// from the restored field instead of re-imposing initial conditions.
-// Other previously declared fields are dropped (a restart re-declares
-// them against the restored hierarchy).
-func (gc *GrACEComponent) Adopt(name string, d *field.DataObject) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	gc.h = d.Hierarchy()
-	gc.fields = map[string]*field.DataObject{name: d}
-	gc.bcs = map[string]field.BCSet{name: field.UniformBC(field.BCSpec{Kind: field.BCOutflow})}
-}
-
 // AdoptAll installs a restored hierarchy and complete field set — the
 // checkpoint-restore path. All fields must share one hierarchy. Default
 // outflow BCs are installed; components that override BCs (the hydro

@@ -114,15 +114,11 @@ func (cr cellRHS) Eval(_ float64, y, ydot []float64) {
 }
 
 // JacFn implements JacobianRHSPort: the generated kernel's exact
-// constant-pressure Jacobian at the adaptor's fixed pressure, or nil
-// when the chemistry runs interpreted (the integrator then keeps its
-// finite-difference sweep). The kernel call is stateless, so the same
-// closure shape is handed to every per-worker solver.
+// constant-pressure Jacobian at the adaptor's fixed pressure. The kernel
+// call is stateless, so the same closure shape is handed to every
+// per-worker solver.
 func (cr cellRHS) JacFn() cvode.Jac {
 	k := cr.ii.chemistry().Kernel()
-	if k == nil {
-		return nil
-	}
 	p0 := cr.ii.p0
 	return func(_ float64, y, jac []float64) {
 		T := y[0]

@@ -161,9 +161,9 @@ type ChemistryPort interface {
 	ConstPressure(T, P float64, Y, dY []float64) float64
 	// ConstVolume fills dY and returns dT/dt at fixed density.
 	ConstVolume(T, rho float64, Y, dY []float64) float64
-	// Kernel returns the generated kernel backing the source terms, or
-	// nil when the provider runs the interpreted path. Adaptors use it
-	// to build analytic Jacobians consistent with the RHS they wrap.
+	// Kernel returns the generated kernel backing the source terms.
+	// Adaptors use it to build analytic Jacobians consistent with the
+	// RHS they wrap.
 	Kernel() chem.Kernel
 }
 

@@ -124,8 +124,8 @@ func (sd *ShockDriver) run() error {
 	mesh.Declare(name, euler.NumComp, 2)
 	if fresh {
 		// First Go: impose the IC and build the initial hierarchy.
-		// Subsequent Go calls (or a restart that Adopted a restored
-		// field) continue from the current data.
+		// Subsequent Go calls (or a checkpoint restore) continue from
+		// the current data.
 		icPort.Impose(mesh, name)
 		if regrid != nil && regridEvery > 0 {
 			for pass := 0; pass < mesh.Hierarchy().MaxLevels-1; pass++ {

@@ -19,21 +19,15 @@ import (
 // wraps pre-existing F77 chemistry the same way). The mechanism is
 // selected by the "mech" parameter ("h2air" or "h2air-lite").
 //
-// The "kernels" parameter picks the evaluation engine: "auto" (the
-// default) uses the chemgen-generated kernel when one is registered
-// for the mechanism and falls back to the interpreted Reaction-table
-// walk otherwise, "on" requires a kernel, "off" forces interpretation.
-// Both engines agree to rounding accuracy (the kernels package property
-// tests pin this), so the switch changes cost, not answers.
-//
-// Source evaluations draw workspaces from a sync.Pool, so the port is
-// safe to call from many worker goroutines at once (parallel per-cell
-// chemistry hammers it); generated kernels are stateless and need no
-// workspace at all. Only the property database needs the mutex.
+// Source terms are evaluated by the mechanism's chemgen-generated
+// kernel. The interpreted Reaction tables remain the mechanism's
+// definition — the chemgen input and the kernels package's test oracle
+// — but never run here. Kernels are stateless, so the port is safe to
+// call from many worker goroutines at once (parallel per-cell chemistry
+// hammers it); only the property database needs the mutex.
 type ThermoChemistry struct {
 	mech   *chem.Mechanism
-	kernel chem.Kernel // nil = interpreted path
-	ws     sync.Pool   // of *chem.SourceWorkspace
+	kernel chem.Kernel
 	db     map[string]float64
 	mu     sync.Mutex
 }
@@ -46,19 +40,9 @@ func (tc *ThermoChemistry) SetServices(svc cca.Services) error {
 		return err
 	}
 	tc.mech = m
-	switch mode := svc.Parameters().GetString("kernels", "auto"); mode {
-	case "auto":
-		tc.kernel = chem.KernelFor(m.Name)
-	case "on":
-		if tc.kernel = chem.KernelFor(m.Name); tc.kernel == nil {
-			return fmt.Errorf("thermochem: kernels=on but no generated kernel for %q", m.Name)
-		}
-	case "off":
-		tc.kernel = nil
-	default:
-		return fmt.Errorf("thermochem: unknown kernels mode %q (want auto, on or off)", mode)
+	if tc.kernel = chem.KernelFor(m.Name); tc.kernel == nil {
+		return fmt.Errorf("thermochem: no generated kernel for %q (run go generate ./internal/chem/...)", m.Name)
 	}
-	tc.ws.New = func() any { return chem.NewSourceWorkspace(m) }
 	tc.db = make(map[string]float64)
 	// Populate the property database: molar masses and counts.
 	tc.db["nspecies"] = float64(m.NumSpecies())
@@ -81,24 +65,12 @@ func (tc *ThermoChemistry) Kernel() chem.Kernel { return tc.kernel }
 
 // ConstPressure implements ChemistryPort. Safe for concurrent callers.
 func (tc *ThermoChemistry) ConstPressure(T, P float64, Y, dY []float64) float64 {
-	if tc.kernel != nil {
-		return tc.kernel.ConstPressureSource(T, P, Y, dY)
-	}
-	ws := tc.ws.Get().(*chem.SourceWorkspace)
-	dT := tc.mech.ConstPressureSource(T, P, Y, dY, ws)
-	tc.ws.Put(ws)
-	return dT
+	return tc.kernel.ConstPressureSource(T, P, Y, dY)
 }
 
 // ConstVolume implements ChemistryPort. Safe for concurrent callers.
 func (tc *ThermoChemistry) ConstVolume(T, rho float64, Y, dY []float64) float64 {
-	if tc.kernel != nil {
-		return tc.kernel.ConstVolumeSource(T, rho, Y, dY)
-	}
-	ws := tc.ws.Get().(*chem.SourceWorkspace)
-	dT := tc.mech.ConstVolumeSource(T, rho, Y, dY, ws)
-	tc.ws.Put(ws)
-	return dT
+	return tc.kernel.ConstVolumeSource(T, rho, Y, dY)
 }
 
 // keyValueView adapts the property map to KeyValuePort.
@@ -218,16 +190,12 @@ func (pm *ProblemModeler) Eval(t float64, y, ydot []float64) {
 }
 
 // JacFn implements JacobianRHSPort: the analytic Jacobian of Eval over
-// z = [T, Y..., P], available when the chemistry runs on a generated
-// kernel (chem.RigidVesselJac does the density and pressure-row chain
-// rules). Each call returns a closure with private scratch.
+// z = [T, Y..., P] from the chemistry's generated kernel
+// (chem.RigidVesselJac does the density and pressure-row chain rules).
+// Each call returns a closure with private scratch.
 func (pm *ProblemModeler) JacFn() cvode.Jac {
 	chemPort := pm.chemistry()
-	k := chemPort.Kernel()
-	if k == nil {
-		return nil
-	}
-	return chem.RigidVesselJac(k, chemPort.Mechanism())
+	return chem.RigidVesselJac(chemPort.Kernel(), chemPort.Mechanism())
 }
 
 // Initializer imposes the 0D initial condition: a vector of double

@@ -9,20 +9,6 @@ import (
 	"ccahydro/internal/components"
 )
 
-// WireCheckpoint retrofits checkpointing onto an assembled framework:
-// it instantiates a CheckpointComponent as "ckpt", points its mesh port
-// at the assembly's MeshPort provider, and connects every unconnected
-// "checkpoint" uses port (the drivers declare one) to it. This is the
-// CCA promise in action — the Table 2/3 assemblies gain durable
-// restart without editing a single existing wire.
-//
-// every is the cadence in driver steps (0 disables saving), dir the
-// checkpoint directory, restore a manifest path or directory to resume
-// from ("" for a cold start).
-func WireCheckpoint(f *cca.Framework, dir, restore string, every int) error {
-	return WireCheckpointOpts(f, CheckpointOptions{Dir: dir, Restore: restore, Every: every})
-}
-
 // CheckpointOptions configures WireCheckpointOpts; the zero value of
 // every field means "component default".
 type CheckpointOptions struct {
@@ -42,8 +28,12 @@ type CheckpointOptions struct {
 	Preempt *ckpt.Gate
 }
 
-// WireCheckpointOpts is WireCheckpoint with the full option surface
-// (incremental deltas, compression, retention).
+// WireCheckpointOpts retrofits checkpointing onto an assembled
+// framework: it instantiates a CheckpointComponent as "ckpt", points its
+// mesh port at the assembly's MeshPort provider, and connects every
+// unconnected "checkpoint" uses port (the drivers declare one) to it.
+// This is the CCA promise in action — the Table 2/3 assemblies gain
+// durable restart without editing a single existing wire.
 func WireCheckpointOpts(f *cca.Framework, o CheckpointOptions) error {
 	const inst = "ckpt"
 	if o.FullEvery == 0 {
@@ -77,7 +67,7 @@ func WireCheckpointOpts(f *cca.Framework, o CheckpointOptions) error {
 	// Point ckpt.mesh at the assembly's mesh provider.
 	meshInst, meshPort, err := findProvider(f, components.MeshPortType)
 	if err != nil {
-		return fmt.Errorf("core: WireCheckpoint: %w", err)
+		return fmt.Errorf("core: WireCheckpointOpts: %w", err)
 	}
 	if err := f.Connect(inst, "mesh", meshInst, meshPort); err != nil {
 		return err

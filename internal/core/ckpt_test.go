@@ -77,7 +77,7 @@ func runFlameCkpt(t *testing.T, dir, restore string, every int, params []Param) 
 	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WireCheckpoint(f, dir, restore, every); err != nil {
+	if err := WireCheckpointOpts(f, CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Go("driver", "go"); err != nil {
@@ -148,7 +148,7 @@ func runFlameSCMD(t *testing.T, world *mpi.World, dir, restore string, every int
 		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
-		if err := WireCheckpoint(f, dir, restore, every); err != nil {
+		if err := WireCheckpointOpts(f, CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 			return err
 		}
 		if err := f.Go("driver", "go"); err != nil {
@@ -208,7 +208,7 @@ func TestShockRestoreBitForBit(t *testing.T) {
 		if err := AssembleRequest(f, RunRequest{Problem: "shock", Params: params}); err != nil {
 			t.Fatal(err)
 		}
-		if err := WireCheckpoint(f, dir, restore, every); err != nil {
+		if err := WireCheckpointOpts(f, CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Go("driver", "go"); err != nil {

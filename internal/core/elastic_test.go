@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,8 +15,8 @@ import (
 
 // Elastic/incremental checkpoint acceptance tests: the cross-P restore
 // matrix (any P_old -> any P_new, bit-for-bit per cell), delta-chain
-// restores, the v1 golden-format compatibility check, and the
-// crash-at-every-step torture run with incremental checkpoints on.
+// restores, and the crash-at-every-step torture run with incremental
+// checkpoints on.
 //
 // All comparisons are per-cell (cellKey -> value): the per-cell physics
 // is rank-count-invariant, but rank-local orderings (and the FP sum
@@ -180,37 +179,6 @@ func shockCkptParams() []Param {
 // sits mid-chain so the continuation crosses a regrid at every P.
 func TestElasticRestoreMatrixShock(t *testing.T) {
 	elasticMatrix(t, "shock", "U", assembleShock(shockCkptParams()), 3)
-}
-
-// TestV1GoldenCheckpointRestores locks the version bump down against
-// committed v1 testdata: a checkpoint written by the PR-4-era format
-// (before kind/flags/length words existed) must restore bit-for-bit
-// under the v2 reader. The golden files are never regenerated by the
-// build — if this test fails, v1 compatibility broke.
-func TestV1GoldenCheckpointRestores(t *testing.T) {
-	golden := filepath.Join("testdata", "v1ckpt", ckpt.ManifestFileName(1))
-	for _, p := range []string{golden, filepath.Join("testdata", "v1ckpt", ckpt.ShardFileName(1, 0))} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ver := binary.LittleEndian.Uint32(data[8:12]); ver != 1 {
-			t.Fatalf("golden file %s has format version %d, want 1 — do not regenerate the testdata", p, ver)
-		}
-	}
-
-	// The exact parameters the golden run used — including the v1-era
-	// interpreted chemistry engine. The golden field values embed its
-	// floating-point evaluation order; continuing them under the
-	// generated kernels would drift in the last digits.
-	params := append(flameCkptParams(), Param{"chem", "kernels", "off"})
-	_, fRef, err := RunReactionDiffusion(nil, params...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := snapshotField(t, fRef, "phi")
-	_, got, _ := runFlameCkpt(t, t.TempDir(), golden, 0, params)
-	assertSameField(t, "v1 golden restore", ref, got)
 }
 
 // TestIncrementalRestoreThroughDeltaChain runs the flame with

@@ -3,32 +3,108 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ccahydro/internal/cca"
+	"ccahydro/internal/chem"
 	"ccahydro/internal/components"
 	"ccahydro/internal/cvode"
 	"ccahydro/internal/mpi"
 )
 
-// Golden trajectory tests for the generated chemistry kernels: the
-// kernel engine (default) and the interpreted engine with
-// finite-difference Jacobians must tell the same physics story within
-// solver tolerance, and the kernel paths must build every Jacobian
-// analytically — zero FD sweeps.
+// Golden trajectory tests for the generated chemistry kernels: each
+// assembled application must tell the same physics story when its
+// chemistry component is swapped for one that evaluates the
+// interpreted Reaction tables, and the kernel runs must build every
+// Jacobian analytically — zero FD sweeps. The solver-level oracle
+// (interpreted sources with FD Jacobians, every mechanism) lives in
+// internal/chem/kernels.
 
-// cvodeStats digs the accumulated solver statistics out of an assembly.
-func cvodeStats(t *testing.T, f *cca.Framework) cvode.Stats {
-	t.Helper()
-	comp, err := f.Lookup("cvode")
+// interpretedChemistry provides ChemistryPort from the mechanism's
+// interpreted Reaction tables. Kernel still returns the generated
+// kernel, so adaptors build the same analytic Jacobians on both engines
+// and only the source terms differ. Flame cells call it from many
+// goroutines, hence the workspace pool.
+type interpretedChemistry struct {
+	mech  *chem.Mechanism
+	ws    sync.Pool
+	calls atomic.Int64
+}
+
+func (ic *interpretedChemistry) SetServices(svc cca.Services) error {
+	m, err := chem.ByName(svc.Parameters().GetString("mech", "h2air"))
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	return comp.(*components.CvodeComponent).TotalStats()
+	ic.mech = m
+	ic.ws.New = func() any { return chem.NewSourceWorkspace(m) }
+	return svc.AddProvidesPort(ic, "chemistry", components.ChemistryPortType)
+}
+
+func (ic *interpretedChemistry) Mechanism() *chem.Mechanism { return ic.mech }
+func (ic *interpretedChemistry) Kernel() chem.Kernel        { return chem.KernelFor(ic.mech.Name) }
+
+func (ic *interpretedChemistry) ConstPressure(T, P float64, Y, dY []float64) float64 {
+	ws := ic.ws.Get().(*chem.SourceWorkspace)
+	defer ic.ws.Put(ws)
+	ic.calls.Add(1)
+	return ic.mech.ConstPressureSource(T, P, Y, dY, ws)
+}
+
+func (ic *interpretedChemistry) ConstVolume(T, rho float64, Y, dY []float64) float64 {
+	ws := ic.ws.Get().(*chem.SourceWorkspace)
+	defer ic.ws.Put(ws)
+	ic.calls.Add(1)
+	return ic.mech.ConstVolumeSource(T, rho, Y, dY, ws)
+}
+
+// runEngines runs a built-in twice: as assembled (generated kernels)
+// and with every chemistry wire moved from "chem" to an
+// interpretedChemistry instance — the paper's component swap, made on
+// the live framework before the go port fires. It returns both
+// frameworks, kernel run first.
+func runEngines(t *testing.T, req RunRequest) (*cca.Framework, *cca.Framework) {
+	t.Helper()
+	var fs [2]*cca.Framework
+	ic := &interpretedChemistry{}
+	for i := range fs {
+		repo := Repo()
+		repo.Register("InterpretedChemistry", func() cca.Component { return ic })
+		f := cca.NewFramework(repo, nil)
+		if err := AssembleRequest(f, req); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if err := f.Instantiate("InterpretedChemistry", "ichem"); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range f.Connections() {
+				if c.Provider != "chem" || c.ProvidesPort != "chemistry" {
+					continue
+				}
+				if err := f.Disconnect(c.User, c.UsesPort); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Connect(c.User, c.UsesPort, "ichem", "chemistry"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := f.Go("driver", "go"); err != nil {
+			t.Fatal(err)
+		}
+		fs[i] = f
+	}
+	if ic.calls.Load() == 0 {
+		t.Fatal("interpreted chemistry never called: the swap did not take")
+	}
+	requireAnalyticOnly(t, "kernel run", cvodeStats(t, fs[0]))
+	return fs[0], fs[1]
 }
 
 // requireAnalyticOnly asserts the run resolved the analytic Jacobian on
-// every build: the ISSUE acceptance criterion for default kernel paths.
+// every build.
 func requireAnalyticOnly(t *testing.T, label string, st cvode.Stats) {
 	t.Helper()
 	if st.JacBuildsAnalytic == 0 {
@@ -39,43 +115,26 @@ func requireAnalyticOnly(t *testing.T, label string, st cvode.Stats) {
 	}
 }
 
-func runIgnitionWithFramework(t *testing.T, params ...Param) (*components.IgnitionDriver, *cca.Framework) {
+func lookupDriver[D cca.Component](t *testing.T, f *cca.Framework) D {
 	t.Helper()
-	f := cca.NewFramework(Repo(), nil)
-	if err := AssembleRequest(f, RunRequest{Problem: "ignition", Params: params}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Go("driver", "go"); err != nil {
-		t.Fatal(err)
-	}
 	comp, err := f.Lookup("driver")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return comp.(*components.IgnitionDriver), f
+	return comp.(D)
 }
 
 // TestIgnitionGoldenKernelsVsInterpreted runs the 0D ignition problem
-// on both engines. The generated kernel with its analytic rigid-vessel
-// Jacobian and the interpreted tables with FD Jacobians take different
-// step sequences, so trajectories agree to solver tolerance, not bit
-// for bit: the ignition delay and the final equilibrium state are the
-// physically meaningful invariants.
+// on both engines. Their step sequences differ, so trajectories agree
+// to solver tolerance, not bit for bit: the ignition delay and the
+// final equilibrium state are the physically meaningful invariants.
 func TestIgnitionGoldenKernelsVsInterpreted(t *testing.T) {
-	base := []Param{
+	fg, fi := runEngines(t, RunRequest{Problem: "ignition", Params: []Param{
 		{"driver", "tEnd", "1e-3"},
 		{"driver", "nOut", "40"},
-	}
-	gen, fg := runIgnitionWithFramework(t, base...)
-	interp, fi := runIgnitionWithFramework(t, append(base, Param{"chem", "kernels", "off"})...)
-
-	// Kernel run: all-analytic. Interpreted run: all-FD.
-	requireAnalyticOnly(t, "ignition kernels=auto", cvodeStats(t, fg))
-	sti := cvodeStats(t, fi)
-	if sti.JacBuildsAnalytic != 0 || sti.JacBuildsFD == 0 {
-		t.Errorf("ignition kernels=off: want pure FD Jacobians, got analytic=%d fd=%d",
-			sti.JacBuildsAnalytic, sti.JacBuildsFD)
-	}
+	}})
+	gen := lookupDriver[*components.IgnitionDriver](t, fg)
+	interp := lookupDriver[*components.IgnitionDriver](t, fi)
 
 	if relDiff := math.Abs(gen.IgnitionDelay-interp.IgnitionDelay) / interp.IgnitionDelay; relDiff > 1e-2 {
 		t.Errorf("ignition delay: kernels %v vs interpreted %v (rel diff %v)",
@@ -94,31 +153,12 @@ func TestIgnitionGoldenKernelsVsInterpreted(t *testing.T) {
 }
 
 // TestFlameGoldenKernelsVsInterpreted runs the 2-step reaction-diffusion
-// flame on both engines and requires the hot-spot maximum temperature to
-// agree within solver tolerance, with zero FD sweeps on the kernel path.
+// flame on both engines and requires the hot-spot maximum temperature
+// and the ambient minimum to agree within solver tolerance.
 func TestFlameGoldenKernelsVsInterpreted(t *testing.T) {
-	gen, fg, err := RunReactionDiffusion(nil, rdParams()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interp, fi, err := RunReactionDiffusion(nil, rdParams(Param{"chem", "kernels", "off"})...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	requireAnalyticOnly(t, "flame kernels=auto", cvodeStats(t, fg))
-	sti := cvodeStats(t, fi)
-	if sti.JacBuildsAnalytic != 0 || sti.JacBuildsFD == 0 {
-		t.Errorf("flame kernels=off: want pure FD Jacobians, got analytic=%d fd=%d",
-			sti.JacBuildsAnalytic, sti.JacBuildsFD)
-	}
-	// The analytic path should also cost far fewer RHS evaluations: each
-	// FD build burns dim+1 of them.
-	stg := cvodeStats(t, fg)
-	if stg.RHSEvals >= sti.RHSEvals {
-		t.Errorf("kernel path RHS evals %d >= interpreted+FD %d; analytic Jacobian should eliminate sweeps",
-			stg.RHSEvals, sti.RHSEvals)
-	}
+	fg, fi := runEngines(t, RunRequest{Problem: "flame", Params: rdParams()})
+	gen := lookupDriver[*components.RDDriver](t, fg)
+	interp := lookupDriver[*components.RDDriver](t, fi)
 
 	if rel := math.Abs(gen.TMax-interp.TMax) / interp.TMax; rel > 1e-6 {
 		t.Errorf("flame TMax: kernels %v vs interpreted %v (rel diff %v)", gen.TMax, interp.TMax, rel)
@@ -128,8 +168,18 @@ func TestFlameGoldenKernelsVsInterpreted(t *testing.T) {
 	}
 }
 
-// TestFlameGoldenKernels4Ranks repeats the kernel-engine flame on a
-// 4-rank simulated cluster: the decomposed run must reproduce the
+// cvodeStats digs the accumulated solver statistics out of an assembly.
+func cvodeStats(t *testing.T, f *cca.Framework) cvode.Stats {
+	t.Helper()
+	comp, err := f.Lookup("cvode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.(*components.CvodeComponent).TotalStats()
+}
+
+// TestFlameGoldenKernels4Ranks runs the flame on a 4-rank simulated
+// cluster: the decomposed run must reproduce the
 // serial TMax bit for bit and every rank must be FD-free (worker
 // integrators resolve the analytic Jacobian through the same port
 // probe as the serial solver).

@@ -55,7 +55,7 @@ func runFlameSCMDTel(world *mpi.World, hub *telemetry.Hub, group *obs.Group, dir
 		if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 			return err
 		}
-		if err := WireCheckpoint(f, dir, restore, every); err != nil {
+		if err := WireCheckpointOpts(f, CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 			return err
 		}
 		rk := hub.Rank(r)

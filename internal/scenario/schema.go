@@ -218,10 +218,7 @@ var classes = map[string]*ClassSchema{
 
 	// Chemistry and transport.
 	"ThermoChemistry": {
-		Params: map[string]*ParamSchema{
-			"mech":    mechEnum("h2air"),
-			"kernels": pEnum("auto", "auto", "on", "off"),
-		},
+		Params: map[string]*ParamSchema{"mech": mechEnum("h2air")},
 		Provides: []PortSchema{
 			prov("chemistry", components.ChemistryPortType),
 			prov("properties", components.KeyValuePortType),

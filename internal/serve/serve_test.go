@@ -2,6 +2,7 @@ package serve
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -193,6 +194,12 @@ func TestBuiltinSpecValidation(t *testing.T) {
 		if _, err := s.Submit(sp); err == nil {
 			t.Errorf("%s: admitted", name)
 		}
+	}
+	// The retired chemistry-engine switch is an unknown key like any other.
+	fl := flameSpec(2, 1, "normal")
+	fl.Params["chem"] = map[string]string{`kernels`: "off"}
+	if _, err := s.Submit(fl); err == nil || !strings.Contains(err.Error(), "has no parameter") {
+		t.Errorf("chem.kernels: err = %v, want an unknown-key rejection", err)
 	}
 }
 

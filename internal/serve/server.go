@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"sync"
@@ -40,7 +41,7 @@ func Listen(addr string, sched *Scheduler) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{sched: sched, ln: ln, stop: make(chan struct{})}
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: telemetry.ReadHeaderTimeout}
 	go s.srv.Serve(ln)
 	return s, nil
 }
@@ -86,10 +87,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+// maxSpecBytes bounds a POSTed Spec body; a larger one is refused with
+// 413 before anything is queued.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads a size-bounded JSON Spec body, answering 413 or 400
+// itself when it cannot.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (Spec, bool) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, "serve: bad spec: "+err.Error(), http.StatusBadRequest)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec)
+	if err == nil {
+		return spec, true
+	}
+	code := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "serve: bad spec: "+err.Error(), code)
+	return spec, false
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	spec, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	j, err := s.sched.Submit(spec)
@@ -110,9 +130,8 @@ func (s *Server) list(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) submitArray(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, "serve: bad spec: "+err.Error(), http.StatusBadRequest)
+	spec, ok := decodeSpec(w, r)
+	if !ok {
 		return
 	}
 	a, err := s.sched.SubmitArray(spec)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,6 +158,31 @@ func TestServeLiveSmoke(t *testing.T) {
 	}
 	if _, err := sched.Submit(ignSpec("1e-4")); err != ErrClosed {
 		t.Fatalf("Submit after shutdown: %v, want ErrClosed", err)
+	}
+}
+
+// TestOversizedSpecRejected: a job or array body past the 1 MiB bound
+// is refused with 413 and queues nothing.
+func TestOversizedSpecRejected(t *testing.T) {
+	sched := newTestSched(t, 1)
+	srv, err := Listen("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	body := `{"problem":"flame","params":{"grace":{"nx":"` + strings.Repeat("1", maxSpecBytes) + `"}}}`
+	for _, route := range []string{"/jobs", "/arrays"} {
+		resp, err := http.Post("http://"+srv.Addr()+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d, want 413", route, len(body), resp.StatusCode)
+		}
+	}
+	if n, a := len(sched.Jobs()), len(sched.Arrays()); n != 0 || a != 0 {
+		t.Fatalf("oversized bodies queued %d jobs and %d arrays", n, a)
 	}
 }
 

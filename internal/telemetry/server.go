@@ -55,6 +55,10 @@ func (e *Endpoints) Handler() http.Handler {
 	return mux
 }
 
+// ReadHeaderTimeout bounds how long a client may take to send request
+// headers, so a stalled connection cannot pin a server goroutine.
+const ReadHeaderTimeout = 10 * time.Second
+
 // Server is the standalone telemetry server: one Hub's Endpoints bound
 // to its own listener.
 type Server struct {
@@ -74,7 +78,7 @@ func Serve(addr string, hub *Hub) (*Server, error) {
 	}
 	stop := make(chan struct{})
 	s := &Server{Endpoints: NewEndpoints(hub, stop), ln: ln, stop: stop}
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
 	go s.srv.Serve(ln)
 	return s, nil
 }

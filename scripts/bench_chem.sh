@@ -1,12 +1,8 @@
 #!/bin/sh
 # Regenerate BENCH_chem.json: the generated-kernel chemistry study.
-# Microbenchmarks each mechanism (interpreted vs chemgen RHS ns/op,
-# finite-difference vs analytic Jacobian build cost) and runs the 2D
-# flame end-to-end on both engines. The solver work counters (RHS and
-# Jacobian evaluations per flame step) are deterministic for the pinned
-# assembly; wall seconds are host-dependent and back the speedup
-# headline, which must exceed the 1.5x acceptance bar. Run from the
-# repo root:
+# Microbenchmarks each mechanism: interpreted vs chemgen RHS ns/op and
+# finite-difference vs analytic Jacobian build cost (wall seconds,
+# host-dependent). Run from the repo root:
 #
 #   sh scripts/bench_chem.sh           # full study
 #   sh scripts/bench_chem.sh -quick    # reduced iterations (same artifact)

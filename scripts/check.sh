@@ -31,8 +31,8 @@ set -e
 
 cd "$(dirname "$0")/.."
 
-echo "== gofmt -l"
-unformatted=$(gofmt -l cmd internal)
+echo "== gofmt -l (every tracked Go file)"
+unformatted=$(gofmt -l $(git ls-files '*.go'))
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:" >&2
 	echo "$unformatted" >&2
