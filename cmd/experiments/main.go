@@ -10,21 +10,19 @@
 //	experiments -exp fig8           # weak-scaling series
 //	experiments -exp fig9           # strong-scaling vs ideal
 //	experiments -exp comm           # halo-exchange study (blocking vs async)
-//	experiments -exp obs            # observability: interceptor overhead + trace shape
-//	experiments -exp ckpt           # checkpoint/restart + fault-recovery study
-//	experiments -exp chem           # generated-kernel vs interpreted chemistry microbenchmarks
-//	experiments -exp pool           # epoch-engine dispatch + strip-interleave study
-//	experiments -exp serve          # run-server throughput + content-addressed dedup study
+//	experiments -exp netsweep       # halo cost across network models
+//	experiments -exp ckpt           # incremental-checkpoint delta-chain sizes
 //	experiments -exp all            # everything
 //
+// The comm and ckpt studies are deterministic (virtual clocks, encoded
+// byte counts) and are what the wall-clock benchmark in benchmark/
+// cannot express; their JSON artifacts are gated by scripts/check.sh.
+//
 // -quick shrinks the parameter sweeps for a fast sanity pass. -commjson
-// writes the comm study to a JSON file (the BENCH_comm.json artifact);
-// -obsjson does the same for the observability study (BENCH_obs.json),
-// -ckptjson for the checkpoint study (BENCH_ckpt.json), -chemjson for
-// the chemistry-kernel study (BENCH_chem.json), -pooljson for the pool
-// study (BENCH_pool.json), and -obstrace writes the instrumented run's
-// Perfetto trace. -cpuprofile/-memprofile write pprof profiles of
-// whatever experiments ran.
+// writes the comm study to a JSON file (the BENCH_comm.json artifact)
+// and -ckptjson the checkpoint study (BENCH_ckpt.json).
+// -cpuprofile/-memprofile write pprof profiles of whatever experiments
+// ran.
 package main
 
 import (
@@ -42,16 +40,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table4, table5, fig3, fig4, fig6, fig7, fig8, fig9, netsweep, comm, obs, ckpt, chem, pool, serve, all")
+	exp := flag.String("exp", "all", "experiment id: table4, table5, fig3, fig4, fig6, fig7, fig8, fig9, netsweep, comm, ckpt, all")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
 	dump := flag.String("dump", "", "directory for CSV/PGM field dumps (fig3, fig4, fig6)")
 	commJSON := flag.String("commjson", "", "path for the comm study JSON artifact (exp comm)")
-	obsJSON := flag.String("obsjson", "", "path for the observability JSON artifact (exp obs)")
-	obsTrace := flag.String("obstrace", "", "path for the instrumented run's Perfetto trace (exp obs)")
 	ckptJSON := flag.String("ckptjson", "", "path for the checkpoint study JSON artifact (exp ckpt)")
-	chemJSON := flag.String("chemjson", "", "path for the chemistry-kernel study JSON artifact (exp chem)")
-	poolJSON := flag.String("pooljson", "", "path for the pool dispatch study JSON artifact (exp pool)")
-	serveJSON := flag.String("servejson", "", "path for the run-server study JSON artifact (exp serve)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -220,67 +213,7 @@ func main() {
 		}
 		rep := bench.BuildCommReport(bench.ReferenceCosts, n, haloPs, n, commPs)
 		bench.PrintCommReport(os.Stdout, rep)
-		if *commJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*commJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *commJSON)
-		}
-		return nil
-	})
-
-	run("obs", func() error {
-		cells := []int{1000, 5000}
-		if *quick {
-			cells = []int{200}
-		}
-		rows, err := bench.RunObsOverhead(cells, bench.DefaultTable4Config.BaseTEnd)
-		if err != nil {
-			return err
-		}
-		bench.PrintObsOverhead(os.Stdout, rows)
-		fmt.Println()
-		rep, group, err := bench.RunObsTrace()
-		if err != nil {
-			return err
-		}
-		bench.PrintObsTrace(os.Stdout, rep)
-		fmt.Println()
-		tel, err := bench.RunTelemetryStudy()
-		if err != nil {
-			return err
-		}
-		rep.Telemetry = tel
-		bench.PrintTelemetryStudy(os.Stdout, tel)
-		if *obsJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*obsJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *obsJSON)
-		}
-		if *obsTrace != "" {
-			f, err := os.Create(*obsTrace)
-			if err != nil {
-				return err
-			}
-			if err := group.WriteTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (open with https://ui.perfetto.dev)\n", *obsTrace)
-		}
-		return nil
+		return writeJSON(*commJSON, rep)
 	})
 
 	run("ckpt", func() error {
@@ -295,71 +228,7 @@ func main() {
 		}
 		fmt.Println()
 		bench.PrintCkptReport(os.Stdout, rep)
-		if *ckptJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*ckptJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *ckptJSON)
-		}
-		return nil
-	})
-
-	run("pool", func() error {
-		rep := bench.BuildPoolReport(*quick)
-		bench.PrintPoolReport(os.Stdout, rep)
-		if *poolJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*poolJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *poolJSON)
-		}
-		return nil
-	})
-
-	run("serve", func() error {
-		rep, err := bench.BuildServeReport(*quick)
-		if err != nil {
-			return err
-		}
-		bench.PrintServeReport(os.Stdout, rep)
-		if *serveJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*serveJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *serveJSON)
-		}
-		return nil
-	})
-
-	run("chem", func() error {
-		rep, err := bench.BuildChemReport(*quick)
-		if err != nil {
-			return err
-		}
-		bench.PrintChemReport(os.Stdout, rep)
-		if *chemJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*chemJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *chemJSON)
-		}
-		return nil
+		return writeJSON(*ckptJSON, rep)
 	})
 
 	run("netsweep", func() error {
@@ -392,6 +261,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// writeJSON writes a study's artifact to path; an empty path skips it.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 // dumpField writes one component of a DataObject as both CSV and PGM.

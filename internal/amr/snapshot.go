@@ -85,6 +85,11 @@ func FromSnapshot(s Snapshot) (*Hierarchy, error) {
 	if maxLevel >= s.MaxLevels {
 		return nil, fmt.Errorf("amr: snapshot patch level %d exceeds maxLevels %d", maxLevel, s.MaxLevels)
 	}
+	// Every level needs a patch, so a level beyond the patch count is
+	// refused here, before it sizes the level table.
+	if maxLevel >= len(s.Patches) {
+		return nil, fmt.Errorf("amr: snapshot patch level %d exceeds its %d patches", maxLevel, len(s.Patches))
+	}
 	h.levels = make([]*Level, maxLevel+1)
 	for l := 0; l <= maxLevel; l++ {
 		h.levels[l] = &Level{Index: l, Domain: h.levelDomain(l)}

@@ -44,6 +44,10 @@ func TestFromSnapshotRejectsMalformed(t *testing.T) {
 		{"negative patch level", func(s *Snapshot) { s.Patches[2].Level = -1 }, "negative level"},
 		{"level beyond max", func(s *Snapshot) { s.Patches[2].Level = 3 }, "exceeds maxLevels"},
 		{"huge level", func(s *Snapshot) { s.Patches[2].Level = 1 << 30 }, "exceeds maxLevels"},
+		{"huge level under huge max", func(s *Snapshot) {
+			s.MaxLevels = 1 << 62
+			s.Patches[2].Level = 1<<62 - 1
+		}, "exceeds its 3 patches"},
 		{"duplicate patch ID", func(s *Snapshot) { s.Patches[1].ID = 0 }, "duplicate patch ID"},
 		{"negative patch ID", func(s *Snapshot) { s.Patches[2].ID = -7 }, "negative ID"},
 		{"empty patch box", func(s *Snapshot) { s.Patches[0].Box = NewBox(3, 3, 2, 3) }, "empty box"},

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"ccahydro/internal/amr"
 )
 
 // corruptions seeds a fuzz corpus with valid encoder output plus the
@@ -26,18 +28,47 @@ func corruptions(f *testing.F, valid ...[]byte) {
 	}
 }
 
-// FuzzDecodeShard: DecodeShard never panics, and any shard it accepts
+// hostileSnapshots are well-framed shards (valid CRCs, so the decoder
+// accepts them) whose hierarchy geometry is nonsense. Byte mutations
+// rarely survive the section CRCs, so these seeds are what carries
+// hostile geometry through to amr.FromSnapshot.
+func hostileSnapshots() [][]byte {
+	edits := []func(s *amr.Snapshot){
+		// Panicked with "makeslice: len out of range" before FromSnapshot
+		// bounded the level table by the patch count.
+		func(s *amr.Snapshot) { s.MaxLevels = 1 << 62; s.Patches[2].Level = 1<<62 - 1 },
+		func(s *amr.Snapshot) { s.MaxLevels = 1 << 20; s.Patches[2].Level = 1 << 19 },
+		func(s *amr.Snapshot) { s.Ratio = 1 << 62 },
+		func(s *amr.Snapshot) { s.Patches[0].Box = amr.NewBox(-1<<62, -1<<62, 1<<62, 1<<62) },
+	}
+	var out [][]byte
+	for _, edit := range edits {
+		sh := testShard()
+		edit(&sh.Snapshot)
+		out = append(out, EncodeShard(sh, nil))
+	}
+	return out
+}
+
+// FuzzDecodeShard: DecodeShard never panics, any shard it accepts
 // re-encodes (raw and gzip) to bytes that decode to the same shard, bit
-// for bit.
+// for bit, and its hierarchy snapshot either rebuilds or is refused by
+// amr.FromSnapshot — never a panic.
 func FuzzDecodeShard(f *testing.F) {
 	delta := compressibleShard(256)
 	delta.Kind, delta.ParentStep = ShardDelta, 11
 	corruptions(f, EncodeShard(testShard(), nil), EncodeShardOpts(delta, nil, false),
 		EncodeShardOpts(compressibleShard(4096), nil, true))
+	for _, b := range hostileSnapshots() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeShard(b)
 		if err != nil {
 			return
+		}
+		if h, err := amr.FromSnapshot(s.Snapshot); err == nil && h == nil {
+			t.Fatal("FromSnapshot returned neither a hierarchy nor an error")
 		}
 		want := EncodeShard(s, nil)
 		for _, gz := range []bool{false, true} {

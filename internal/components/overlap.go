@@ -35,10 +35,10 @@ type stripItem struct {
 // patch's strips into one list and splits strips larger than
 // stripSegMaxCells into segments, so the items are near-uniform and
 // the pool's contiguous chunking cannot concentrate the wide strips
-// into one straggler chunk (BENCH_pool's strip study measures the
-// occupancy gain; a round-robin interleave by strip position was
-// measured *worse* — it groups same-position, similar-width strips
-// into contiguous runs). Strips are disjoint cell regions and each
+// into one straggler chunk (the benchmark's exec.speedup_wN on
+// flame_wN carries the end-to-end effect; a round-robin interleave by
+// strip position was measured *worse* — it groups same-position,
+// similar-width strips into contiguous runs). Strips are disjoint cell regions and each
 // writes only its own patch's out array, so the re-partitioning is
 // race-free and bit-for-bit (per-cell arithmetic does not depend on
 // the worker slot).

@@ -386,3 +386,33 @@ func TestTelemetrySeriesMatchesStats(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryPreservesResults: telemetry never feeds back into the
+// run. The 2-rank flame with a hub, an event log and a live HTTP server
+// attached computes the fields of the detached run bit for bit.
+func TestTelemetryPreservesResults(t *testing.T) {
+	params := flameCkptParams()
+	ref, err := runFlameSCMDTel(mpi.NewWorld(2, mpi.CPlantModel), nil, nil, t.TempDir(), "", 0, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.NewHub(2, nil)
+	if err := hub.LogTo(filepath.Join(t.TempDir(), "events.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := telemetry.Serve("127.0.0.1:0", hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	got, err := runFlameSCMDTel(mpi.NewWorld(2, mpi.CPlantModel), hub, nil, t.TempDir(), "", 0, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.CloseLog(); err != nil {
+		t.Fatal(err)
+	}
+	for r := range ref {
+		assertSameField(t, fmt.Sprintf("attached rank %d", r), ref[r], got[r])
+	}
+}

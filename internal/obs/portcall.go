@@ -6,7 +6,8 @@ import (
 )
 
 // Port-call sampling. The interceptor proxies record every call by
-// default (~30% overhead on µs-scale wires, BENCH_obs); production runs
+// default, which is costly on µs-scale wires (the benchmark's
+// obs.trace_overhead_frac measures it per workload); production runs
 // can thin the stream per wire with a sampling rate and/or a latency
 // floor. Dropped observations are counted in port_call_dropped_total so
 // histogram counts stay honest: true call volume = recorded + dropped.

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: formatting, stale-codegen check, vet, build, full test
-# suite, then race-detector runs on the packages with intra-rank
+# Tier-1 gate: formatting, stale-codegen check, stale-artifact check
+# (the deterministic comm and ckpt studies must regenerate
+# BENCH_comm.json and BENCH_ckpt.json byte for byte), vet, build, full
+# test suite, then race-detector runs on the packages with intra-rank
 # parallelism (the exec epoch engine — persistent workers claiming
 # chunks off a lock-free claim word — and everything that fans patch
 # loops out over it, including the RKC stages) plus the checkpoint
@@ -43,6 +45,14 @@ echo "== go generate ./internal/chem/... (generated kernels must be committed fr
 go generate ./internal/chem/...
 if ! git diff --exit-code -- internal/chem/kernels; then
 	echo "stale generated kernels: commit the go generate output above" >&2
+	exit 1
+fi
+
+echo "== study artifacts (comm and ckpt regenerate byte-identical)"
+go run ./cmd/experiments -exp comm -commjson BENCH_comm.json >/dev/null
+go run ./cmd/experiments -exp ckpt -ckptjson BENCH_ckpt.json >/dev/null
+if ! git diff --exit-code -- BENCH_comm.json BENCH_ckpt.json; then
+	echo "stale study artifacts: commit the regenerated JSON above" >&2
 	exit 1
 fi
 
