@@ -66,7 +66,7 @@ func main() {
 	ckptDir := flag.String("ckpt-dir", "checkpoints", "checkpoint directory")
 	restorePath := flag.String("restore", "", "manifest path or checkpoint directory to resume from")
 	ckptIncremental := flag.Bool("ckpt-incremental", false, "write delta shards holding only patches that changed since the last checkpoint")
-	ckptFullEvery := flag.Int("ckpt-full-every", 8, "with -ckpt-incremental: force a full checkpoint after this many deltas")
+	ckptFullEvery := flag.Int("ckpt-full-every", 0, "with -ckpt-incremental: force a full checkpoint after this many deltas (0 = the CheckpointComponent default)")
 	ckptCompress := flag.Bool("ckpt-compress", false, "gzip checkpoint shard payloads")
 	ckptKeep := flag.Int("ckpt-keep", 0, "retention: keep only the newest K checkpoints (0 = keep all)")
 	ckptKeepEvery := flag.Int("ckpt-keep-every", 0, "retention: additionally keep every N-th step")

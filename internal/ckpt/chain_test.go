@@ -116,7 +116,7 @@ func TestCorruptGzipFrameWithValidCRCDetected(t *testing.T) {
 
 // writeLinkedCkpt deposits one durable single-rank checkpoint linked to
 // parent (nil for a full) and returns its manifest.
-func writeLinkedCkpt(t *testing.T, dir string, step int, parent *Manifest) *Manifest {
+func writeLinkedCkpt(t testing.TB, dir string, step int, parent *Manifest) *Manifest {
 	t.Helper()
 	s := testShard()
 	s.Rank = 0

@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"ccahydro/internal/amr"
 )
@@ -101,6 +104,96 @@ func FuzzDecodeManifest(f *testing.F) {
 		m2, err := DecodeManifest(EncodeManifest(m))
 		if err != nil || !reflect.DeepEqual(m, m2) {
 			t.Fatalf("accepted manifest does not round-trip: %v", err)
+		}
+	})
+}
+
+// chainSteps are the steps of the full + two-delta chain
+// FuzzResolveChain attacks; the last one is the resolve target.
+var chainSteps = [3]int{0, 2, 4}
+
+// writeChain deposits the chain in dir and returns its manifests.
+func writeChain(t testing.TB, dir string) [3]*Manifest {
+	var ms [3]*Manifest
+	var parent *Manifest
+	for i, step := range chainSteps {
+		ms[i] = writeLinkedCkpt(t, dir, step, parent)
+		parent = ms[i]
+	}
+	return ms
+}
+
+// FuzzResolveChain overwrites one manifest of a real full + two-delta
+// chain with the fuzzed bytes and resolves the newest link.
+// ResolveChain must return an error or a base-first chain that starts
+// at a full checkpoint, with strictly increasing steps and every
+// delta's parent step and ID matching the link below it. It must never
+// panic or loop.
+func FuzzResolveChain(f *testing.F) {
+	valid := writeChain(f, f.TempDir())
+	for link, m := range valid {
+		b := EncodeManifest(m)
+		f.Add(uint8(link), b)
+		for _, n := range []int{0, 12, len(b) / 2, len(b) - 1} {
+			f.Add(uint8(link), b[:n])
+		}
+	}
+	// Well-framed lies: a delta pointing at the wrong step, a parent ID
+	// off by one character, a parent written by a different rank count.
+	reenc := func(link int, edit func(m *Manifest)) {
+		m := *valid[link]
+		edit(&m)
+		f.Add(uint8(link), EncodeManifest(&m))
+	}
+	reenc(2, func(m *Manifest) { m.ParentStep = 0 })
+	reenc(1, func(m *Manifest) { m.ParentStep = 1 })
+	reenc(2, func(m *Manifest) { m.ParentID = m.ParentID[:len(m.ParentID)-1] + "0" })
+	reenc(1, func(m *Manifest) {
+		m.NumRanks = 2
+		m.Shards = append(m.Shards[:1:1], m.Shards[0])
+		m.ID = ManifestID(m)
+	})
+	reenc(0, func(m *Manifest) { m.Kind = ShardDelta; m.ParentStep, m.ParentID = 0, m.ID })
+	f.Fuzz(func(t *testing.T, link uint8, b []byte) {
+		dir := t.TempDir()
+		writeChain(t, dir)
+		name := ManifestFileName(chainSteps[int(link)%len(chainSteps)])
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		target := filepath.Join(dir, ManifestFileName(chainSteps[len(chainSteps)-1]))
+		type result struct {
+			chain []ChainLink
+			err   error
+		}
+		done := make(chan result, 1)
+		go func() {
+			chain, err := ResolveChain(target)
+			done <- result{chain, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("ResolveChain did not return")
+		}
+		if r.err != nil {
+			return
+		}
+		chain := r.chain
+		if len(chain) == 0 || chain[len(chain)-1].Path != target {
+			t.Fatalf("resolved chain does not end at the target: %d links", len(chain))
+		}
+		if chain[0].Manifest.Kind != ShardFull {
+			t.Fatalf("chain base at step %d is not a full checkpoint", chain[0].Manifest.Step)
+		}
+		for i := 1; i < len(chain); i++ {
+			m, parent := chain[i].Manifest, chain[i-1].Manifest
+			if m.Kind != ShardDelta || m.Step <= parent.Step || m.ParentStep != parent.Step ||
+				m.ParentID != ManifestID(parent) {
+				t.Fatalf("link %d (step %d, parent %d %s) does not extend step %d (%s)",
+					i, m.Step, m.ParentStep, m.ParentID, parent.Step, ManifestID(parent))
+			}
 		}
 	})
 }

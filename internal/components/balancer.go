@@ -30,9 +30,15 @@ type BalancerComponent struct {
 	inner  amr.LoadBalancer
 }
 
+var balancerSpec = &Spec{
+	Class: "BalancerComponent", New: func() cca.Component { return &BalancerComponent{} },
+	Params:   map[string]Param{"policy": eparam("greedy", "greedy", "sfc")},
+	Provides: []PortDecl{prov("balancer", BalancerPortType)},
+}
+
 // SetServices implements cca.Component.
 func (bc *BalancerComponent) SetServices(svc cca.Services) error {
-	bc.policy = svc.Parameters().GetString("policy", "greedy")
+	bc.policy = balancerSpec.Str(svc.Parameters(), "policy")
 	switch bc.policy {
 	case "sfc":
 		bc.inner = amr.SFCBalancer{}
@@ -40,7 +46,7 @@ func (bc *BalancerComponent) SetServices(svc cca.Services) error {
 		bc.policy = "greedy"
 		bc.inner = amr.GreedyBalancer{}
 	}
-	return svc.AddProvidesPort(bc, "balancer", BalancerPortType)
+	return balancerSpec.register(svc, bc)
 }
 
 // Assign implements amr.LoadBalancer.

@@ -15,20 +15,7 @@ import (
 
 // CheckpointComponent provides the CheckpointPort: periodic durable
 // snapshots of the complete simulation state and bit-exact restores.
-// Parameters:
-//
-//	every       checkpoint cadence in driver steps (default 0 = off)
-//	dir         checkpoint directory (default "checkpoints")
-//	restore     manifest path or checkpoint directory to resume from
-//	            (a directory means "the latest valid checkpoint in it")
-//	incremental write delta shards holding only patches whose bytes
-//	            changed since the previous checkpoint (default false)
-//	fullEvery   force a full checkpoint after this many consecutive
-//	            deltas (default 8; bounds restore chain length)
-//	compress    gzip shard section payloads (default false)
-//	keep        retention: keep the newest K checkpoints, GC the rest
-//	            (default 0 = keep everything)
-//	keepEvery   retention: additionally keep every N-th step (default 0)
+// Its parameters are declared in checkpointSpec.
 //
 // Save path: the driver hands over its phase position (step, time,
 // counters, series); the component snapshots the mesh geometry and
@@ -95,27 +82,39 @@ type checkpointMesh interface {
 	RegridPolicy() (amr.LoadBalancer, amr.Workload)
 }
 
+var checkpointSpec = &Spec{
+	Class: "CheckpointComponent", New: func() cca.Component { return &CheckpointComponent{} },
+	Params: map[string]Param{
+		"every":       iparam("0", 0, 1<<20), // cadence in driver steps; 0 = off
+		"dir":         sparam("checkpoints"), // checkpoint directory
+		"restore":     sparam(""),            // manifest path, or a directory = its latest valid checkpoint
+		"incremental": bparam("false"),       // delta shards of the patches changed since the last save
+		"fullEvery":   iparam("8", 1, 1<<20), // full save after this many deltas (bounds chains)
+		"compress":    bparam("false"),       // gzip shard section payloads
+		"keep":        iparam("0", 0, 1<<20), // retention: newest K; 0 = keep everything
+		"keepEvery":   iparam("0", 0, 1<<20), // retention: also every N-th step
+	},
+	Uses:     []PortDecl{execUse, need("mesh", MeshPortType)},
+	Provides: []PortDecl{prov("checkpoint", CheckpointPortType)},
+}
+
 // SetServices implements cca.Component.
 func (cc *CheckpointComponent) SetServices(svc cca.Services) error {
 	cc.svc = svc
 	p := svc.Parameters()
-	cc.every = p.GetInt("every", 0)
-	cc.dir = p.GetString("dir", "checkpoints")
-	cc.restore = p.GetString("restore", "")
-	cc.incremental = p.GetBool("incremental", false)
-	cc.fullEvery = p.GetInt("fullEvery", 8)
-	if cc.fullEvery < 1 {
-		cc.fullEvery = 1
+	cc.every = checkpointSpec.Int(p, "every")
+	cc.dir = checkpointSpec.Str(p, "dir")
+	cc.restore = checkpointSpec.Str(p, "restore")
+	cc.incremental = checkpointSpec.Bool(p, "incremental")
+	cc.fullEvery = max(checkpointSpec.Int(p, "fullEvery"), 1)
+	cc.compress = checkpointSpec.Bool(p, "compress")
+	cc.keep = ckpt.RetentionPolicy{
+		KeepLast:  checkpointSpec.Int(p, "keep"),
+		KeepEvery: checkpointSpec.Int(p, "keepEvery"),
 	}
-	cc.compress = p.GetBool("compress", false)
-	cc.keep = ckpt.RetentionPolicy{KeepLast: p.GetInt("keep", 0), KeepEvery: p.GetInt("keepEvery", 0)}
 	cc.writer = ckpt.NewWriter(svc.Observability())
 	cc.lastStep = -1
-	if err := svc.RegisterUsesPort("mesh", MeshPortType); err != nil {
-		return err
-	}
-	registerExecPort(svc)
-	return svc.AddProvidesPort(cc, "checkpoint", CheckpointPortType)
+	return checkpointSpec.register(svc, cc)
 }
 
 func (cc *CheckpointComponent) mesh() (checkpointMesh, error) {

@@ -573,3 +573,32 @@ func TestProlongRestrictComponent(t *testing.T) {
 	// Coarse-fine ghost fill runs without panicking.
 	pr.FillCoarseFine(gc, "u", 1)
 }
+
+// ---- Spec accessors -------------------------------------------------------
+
+// TestSpecAccessorPanicsOnUndeclaredKey: reading a parameter the spec
+// does not declare (or a declared one as the wrong kind) is a bug in
+// the component, so it panics instead of inventing a default.
+func TestSpecAccessorPanicsOnUndeclaredKey(t *testing.T) {
+	for name, read := range map[string]func(){
+		"undeclared key": func() { rdDriverSpec.Float(nil, "dtMax") },
+		"wrong kind":     func() { rdDriverSpec.Int(nil, "dt") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accessor did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+	tm := cca.NewTypeMap()
+	tm.SetString("steps", "12")
+	if got := rdDriverSpec.Int(tm, "steps"); got != 12 {
+		t.Errorf("set steps read back as %d", got)
+	}
+	if got := rdDriverSpec.Float(tm, "dt"); got != 1e-7 {
+		t.Errorf("unset dt read as %g, want the declared default", got)
+	}
+}

@@ -31,15 +31,19 @@ type CvodeComponent struct {
 	workers []*workerIntegrator
 }
 
+var cvodeSpec = &Spec{
+	Class: "CvodeComponent", New: func() cca.Component { return &CvodeComponent{} },
+	Params:   map[string]Param{"rtol": fparam("1e-8", 0, 1), "atol": fparam("1e-12", 0, 1)},
+	Uses:     []PortDecl{need("rhs", RHSPortType)},
+	Provides: []PortDecl{prov("integrator", ImplicitIntegratorType)},
+}
+
 // SetServices implements cca.Component.
 func (cc *CvodeComponent) SetServices(svc cca.Services) error {
 	cc.svc = svc
-	cc.rtol = svc.Parameters().GetFloat("rtol", 1e-8)
-	cc.atol = svc.Parameters().GetFloat("atol", 1e-12)
-	if err := svc.RegisterUsesPort("rhs", RHSPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(cc, "integrator", ImplicitIntegratorType)
+	cc.rtol = cvodeSpec.Float(svc.Parameters(), "rtol")
+	cc.atol = cvodeSpec.Float(svc.Parameters(), "atol")
+	return cvodeSpec.register(svc, cc)
 }
 
 // rhsPort fetches the connected RHS once and holds it — the CCA

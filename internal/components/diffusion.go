@@ -25,10 +25,15 @@ type DRFMComponent struct {
 // drfmScratch is one caller's mole-fraction/diffusivity work pair.
 type drfmScratch struct{ X, D []float64 }
 
+var drfmSpec = &Spec{
+	Class: "DRFMComponent", New: func() cca.Component { return &DRFMComponent{} },
+	Params:   map[string]Param{"mech": mechParam},
+	Provides: []PortDecl{prov("transport", TransportPortType)},
+}
+
 // SetServices implements cca.Component.
 func (dc *DRFMComponent) SetServices(svc cca.Services) error {
-	name := svc.Parameters().GetString("mech", "h2air")
-	m, err := chem.ByName(name)
+	m, err := chem.ByName(drfmSpec.Str(svc.Parameters(), "mech"))
 	if err != nil {
 		return err
 	}
@@ -37,7 +42,7 @@ func (dc *DRFMComponent) SetServices(svc cca.Services) error {
 	dc.scratch.New = func() any {
 		return &drfmScratch{X: make([]float64, n), D: make([]float64, n)}
 	}
-	return svc.AddProvidesPort(dc, "transport", TransportPortType)
+	return drfmSpec.register(svc, dc)
 }
 
 // Properties implements TransportPort.
@@ -111,17 +116,18 @@ func (ds *diffScratch) size(nsp, ncells int) {
 	}
 }
 
+var diffusionPhysicsSpec = &Spec{
+	Class: "DiffusionPhysics", New: func() cca.Component { return &DiffusionPhysics{} },
+	Params:   map[string]Param{"P": pressureParam},
+	Uses:     []PortDecl{need("chemistry", ChemistryPortType), need("transport", TransportPortType)},
+	Provides: []PortDecl{prov("patchRHS", PatchRHSPortType)},
+}
+
 // SetServices implements cca.Component.
 func (dp *DiffusionPhysics) SetServices(svc cca.Services) error {
 	dp.svc = svc
-	dp.p0 = svc.Parameters().GetFloat("P", chem.PAtm)
-	if err := svc.RegisterUsesPort("transport", TransportPortType); err != nil {
-		return err
-	}
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(dp, "patchRHS", PatchRHSPortType)
+	dp.p0 = diffusionPhysicsSpec.Float(svc.Parameters(), "P")
+	return diffusionPhysicsSpec.register(svc, dp)
 }
 
 func (dp *DiffusionPhysics) ports() (TransportPort, ChemistryPort) {
@@ -241,20 +247,20 @@ type MaxDiffCoeffEvaluator struct {
 	p0  float64
 }
 
+var maxDiffCoeffSpec = &Spec{
+	Class: "MaxDiffCoeffEvaluator", New: func() cca.Component { return &MaxDiffCoeffEvaluator{} },
+	Params: map[string]Param{"P": pressureParam},
+	Uses: []PortDecl{
+		need("chemistry", ChemistryPortType), execUse, need("transport", TransportPortType),
+	},
+	Provides: []PortDecl{prov("maxEigen", SpectralRadiusPortType)},
+}
+
 // SetServices implements cca.Component.
 func (me *MaxDiffCoeffEvaluator) SetServices(svc cca.Services) error {
 	me.svc = svc
-	me.p0 = svc.Parameters().GetFloat("P", chem.PAtm)
-	if err := svc.RegisterUsesPort("transport", TransportPortType); err != nil {
-		return err
-	}
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(me, "maxEigen", SpectralRadiusPortType)
+	me.p0 = maxDiffCoeffSpec.Float(svc.Parameters(), "P")
+	return maxDiffCoeffSpec.register(svc, me)
 }
 
 // MaxEigen implements SpectralRadiusPort: rho(J) <= 4 Dmax (1/dx^2 +

@@ -25,9 +25,15 @@ type ExecutionComponent struct {
 
 var _ ExecutionPort = (*ExecutionComponent)(nil)
 
+var executionSpec = &Spec{
+	Class: "ExecutionComponent", New: func() cca.Component { return &ExecutionComponent{} },
+	Params:   map[string]Param{"workers": iparam("0", 0, 1024)},
+	Provides: []PortDecl{prov("exec", ExecutionPortType)},
+}
+
 func (ec *ExecutionComponent) SetServices(svc cca.Services) error {
 	ec.svc = svc
-	return svc.AddProvidesPort(ec, "exec", ExecutionPortType)
+	return executionSpec.register(svc, ec)
 }
 
 // Pool returns the component's pool, creating it on first use from the
@@ -38,7 +44,7 @@ func (ec *ExecutionComponent) Pool() *exec.Pool {
 	if ec.pool == nil {
 		w := 0
 		if ec.svc != nil {
-			w = ec.svc.Parameters().GetInt("workers", 0)
+			w = executionSpec.Int(ec.svc.Parameters(), "workers")
 		}
 		if w <= 0 {
 			ec.pool = exec.Default()
@@ -57,13 +63,6 @@ func (ec *ExecutionComponent) Pool() *exec.Pool {
 		}
 	}
 	return ec.pool
-}
-
-// registerExecPort declares the optional "exec" uses port on a
-// component. Errors are impossible for a fresh name; the helper keeps
-// SetServices bodies tidy.
-func registerExecPort(svc cca.Services) error {
-	return svc.RegisterUsesPort("exec", ExecutionPortType)
 }
 
 // optionalPool resolves a component's optional "exec" uses port,

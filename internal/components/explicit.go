@@ -44,19 +44,19 @@ type eiLevelCache struct {
 	strips  stripPlan
 }
 
+var explicitIntegratorSpec = &Spec{
+	Class: "ExplicitIntegrator", New: func() cca.Component { return &ExplicitIntegrator{} },
+	Params: map[string]Param{"rtol": fparam("1e-5", 0, 1), "atol": fparam("1e-8", 0, 1)},
+	Uses: []PortDecl{
+		execUse, need("maxEigen", SpectralRadiusPortType), need("patchRHS", PatchRHSPortType),
+	},
+	Provides: []PortDecl{prov("integrator", ExplicitIntegratorType)},
+}
+
 // SetServices implements cca.Component.
 func (ei *ExplicitIntegrator) SetServices(svc cca.Services) error {
 	ei.svc = svc
-	if err := svc.RegisterUsesPort("patchRHS", PatchRHSPortType); err != nil {
-		return err
-	}
-	if err := svc.RegisterUsesPort("maxEigen", SpectralRadiusPortType); err != nil {
-		return err
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(ei, "integrator", ExplicitIntegratorType)
+	return explicitIntegratorSpec.register(svc, ei)
 }
 
 // samePatches reports whether the cached patch list is still the live
@@ -71,15 +71,6 @@ func samePatches(a, b []*field.PatchData) bool {
 		}
 	}
 	return true
-}
-
-func (ei *ExplicitIntegrator) port(name string) cca.Port {
-	p, err := ei.svc.GetPort(name)
-	if err != nil {
-		panic(fmt.Sprintf("ExplicitIntegrator: %v", err))
-	}
-	ei.svc.ReleasePort(name)
-	return p
 }
 
 // levelVector flattens the interiors of a level's local patches into a
@@ -178,8 +169,8 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 	if o != nil {
 		defer o.Span("rkc", obsLevelName("rkc.advance", level))()
 	}
-	rhsPort := ei.port("patchRHS").(PatchRHSPort)
-	eigPort := ei.port("maxEigen").(SpectralRadiusPort)
+	rhsPort := explicitIntegratorSpec.port(ei.svc, "patchRHS").(PatchRHSPort)
+	eigPort := explicitIntegratorSpec.port(ei.svc, "maxEigen").(SpectralRadiusPort)
 	d := mesh.Field(name)
 	gc, isGrace := meshAsGrace(mesh)
 	patches := d.LocalPatches(level)
@@ -245,8 +236,8 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 
 	dt := t1 - t0
 	opt := rkc.Options{
-		RelTol:      ei.svc.Parameters().GetFloat("rtol", 1e-5),
-		AbsTol:      ei.svc.Parameters().GetFloat("atol", 1e-8),
+		RelTol:      explicitIntegratorSpec.Float(ei.svc.Parameters(), "rtol"),
+		AbsTol:      explicitIntegratorSpec.Float(ei.svc.Parameters(), "atol"),
 		InitialStep: dt,
 		MaxStep:     dt,
 		MaxStages:   1024,

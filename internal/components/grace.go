@@ -12,14 +12,7 @@ import (
 
 // GrACEComponent is the componentized SAMR data manager (the paper
 // wraps the GrACE library the same way): it accommodates the Mesh,
-// Data Object, and (default) Boundary Condition subsystems. Parameters:
-//
-//	nx, ny        coarse mesh cells (default 100 x 100)
-//	lx, ly        physical domain size in meters (default 0.01, the
-//	              paper's 10 mm square)
-//	ratio         refinement ratio (default 2)
-//	maxLevels     hierarchy depth cap (default 3)
-//	maxPatchCells patch split threshold (default 4096)
+// Data Object, and (default) Boundary Condition subsystems.
 type GrACEComponent struct {
 	svc cca.Services
 
@@ -31,16 +24,36 @@ type GrACEComponent struct {
 	regridOpt amr.RegridOptions
 }
 
+var graceSpec = &Spec{
+	Class: "GrACEComponent", New: func() cca.Component { return &GrACEComponent{} },
+	Params: map[string]Param{
+		"nx":            iparam("100", 4, 4096), // coarse mesh cells
+		"ny":            iparam("100", 4, 4096),
+		"lx":            fparam("0.01", 1e-12, 1e12), // domain size in meters: the paper's 10 mm square
+		"ly":            fparam("0.01", 1e-12, 1e12),
+		"ratio":         iparam("2", 2, 4),         // refinement ratio
+		"maxLevels":     iparam("3", 1, 8),         // hierarchy depth cap
+		"maxPatchCells": iparam("4096", 16, 1<<20), // patch split threshold
+	},
+	// Optional: a load-balancer component may be wired in to replace
+	// the default greedy policy (paper future work: load-balancer
+	// interfaces). Unconnected is fine.
+	Uses: []PortDecl{use("balancer", BalancerPortType)},
+	Provides: []PortDecl{
+		prov("bc", BCPortType), prov("data", DataPortType), prov("mesh", MeshPortType),
+	},
+}
+
 // SetServices implements cca.Component.
 func (gc *GrACEComponent) SetServices(svc cca.Services) error {
 	gc.svc = svc
 	p := svc.Parameters()
-	nx := p.GetInt("nx", 100)
-	ny := p.GetInt("ny", 100)
-	gc.lx = p.GetFloat("lx", 0.01)
-	gc.ly = p.GetFloat("ly", 0.01)
-	ratio := p.GetInt("ratio", 2)
-	maxLevels := p.GetInt("maxLevels", 3)
+	nx := graceSpec.Int(p, "nx")
+	ny := graceSpec.Int(p, "ny")
+	gc.lx = graceSpec.Float(p, "lx")
+	gc.ly = graceSpec.Float(p, "ly")
+	ratio := graceSpec.Int(p, "ratio")
+	maxLevels := graceSpec.Int(p, "maxLevels")
 	ranks := 1
 	if comm := svc.Comm(); comm != nil {
 		ranks = comm.Size()
@@ -49,20 +62,8 @@ func (gc *GrACEComponent) SetServices(svc cca.Services) error {
 	gc.fields = make(map[string]*field.DataObject)
 	gc.bcs = make(map[string]field.BCSet)
 	gc.regridOpt = amr.DefaultRegridOptions
-	gc.regridOpt.MaxPatchCells = p.GetInt("maxPatchCells", 4096)
-	// Optional: a load-balancer component may be wired in to replace
-	// the default greedy policy (paper future work: load-balancer
-	// interfaces). Unconnected is fine.
-	if err := svc.RegisterUsesPort("balancer", BalancerPortType); err != nil {
-		return err
-	}
-	if err := svc.AddProvidesPort(gc, "mesh", MeshPortType); err != nil {
-		return err
-	}
-	if err := svc.AddProvidesPort(gc, "data", DataPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(gc, "bc", BCPortType)
+	gc.regridOpt.MaxPatchCells = graceSpec.Int(p, "maxPatchCells")
+	return graceSpec.register(svc, gc, gc, gc)
 }
 
 // Hierarchy implements MeshPort.

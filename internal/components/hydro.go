@@ -12,15 +12,21 @@ import (
 )
 
 // States reconstructs limited left/right face states (paper Sec. 4.3).
-// Parameter "limiter" selects mc (default), minmod or first.
+// Parameter "limiter" selects mc, minmod or first.
 type States struct {
 	fn euler.StatesFunc
+}
+
+var statesSpec = &Spec{
+	Class: "States", New: func() cca.Component { return &States{} },
+	Params:   map[string]Param{"limiter": eparam("mc", "mc", "minmod", "first")},
+	Provides: []PortDecl{prov("states", StatesPortType)},
 }
 
 // SetServices implements cca.Component.
 func (st *States) SetServices(svc cca.Services) error {
 	var lim euler.Limiter
-	switch svc.Parameters().GetString("limiter", "mc") {
+	switch statesSpec.Str(svc.Parameters(), "limiter") {
 	case "minmod":
 		lim = euler.MinMod
 	case "first":
@@ -29,7 +35,7 @@ func (st *States) SetServices(svc cca.Services) error {
 		lim = euler.MC
 	}
 	st.fn = euler.MUSCLStates(lim)
-	return svc.AddProvidesPort(st, "states", StatesPortType)
+	return statesSpec.register(svc, st)
 }
 
 // Pair implements StatesPort.
@@ -40,9 +46,14 @@ func (st *States) Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.P
 // GodunovFluxComp provides the exact-Riemann Godunov flux.
 type GodunovFluxComp struct{}
 
+var godunovFluxSpec = &Spec{
+	Class: "GodunovFlux", New: func() cca.Component { return &GodunovFluxComp{} },
+	Provides: []PortDecl{prov("flux", FluxPortType)},
+}
+
 // SetServices implements cca.Component.
 func (gf *GodunovFluxComp) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(gf, "flux", FluxPortType)
+	return godunovFluxSpec.register(svc, gf)
 }
 
 // Flux implements FluxPort.
@@ -55,9 +66,14 @@ func (gf *GodunovFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserv
 // sharper than EFM), demonstrating the same swap the paper performs.
 type HLLCFluxComp struct{}
 
+var hllcFluxSpec = &Spec{
+	Class: "HLLCFlux", New: func() cca.Component { return &HLLCFluxComp{} },
+	Provides: []PortDecl{prov("flux", FluxPortType)},
+}
+
 // SetServices implements cca.Component.
 func (hf *HLLCFluxComp) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(hf, "flux", FluxPortType)
+	return hllcFluxSpec.register(svc, hf)
 }
 
 // Flux implements FluxPort.
@@ -69,9 +85,14 @@ func (hf *HLLCFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved 
 // drop-in replacement for GodunovFlux at Mach ≈ 3.5.
 type EFMFluxComp struct{}
 
+var efmFluxSpec = &Spec{
+	Class: "EFMFlux", New: func() cca.Component { return &EFMFluxComp{} },
+	Provides: []PortDecl{prov("flux", FluxPortType)},
+}
+
 // SetServices implements cca.Component.
 func (ef *EFMFluxComp) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(ef, "flux", FluxPortType)
+	return efmFluxSpec.register(svc, ef)
 }
 
 // Flux implements FluxPort.
@@ -92,22 +113,19 @@ type InviscidFlux struct {
 	solved euler.Solver
 }
 
+var inviscidFluxSpec = &Spec{
+	Class: "InviscidFlux", New: func() cca.Component { return &InviscidFlux{} },
+	Uses: []PortDecl{
+		execUse, need("flux", FluxPortType),
+		need("gasProperties", KeyValuePortType), need("states", StatesPortType),
+	},
+	Provides: []PortDecl{prov("patchRHS", PatchRHSPortType)},
+}
+
 // SetServices implements cca.Component.
 func (iv *InviscidFlux) SetServices(svc cca.Services) error {
 	iv.svc = svc
-	for _, u := range [][2]string{
-		{"states", StatesPortType},
-		{"flux", FluxPortType},
-		{"gasProperties", KeyValuePortType},
-	} {
-		if err := svc.RegisterUsesPort(u[0], u[1]); err != nil {
-			return err
-		}
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(iv, "patchRHS", PatchRHSPortType)
+	return inviscidFluxSpec.register(svc, iv)
 }
 
 func (iv *InviscidFlux) solver() *euler.Solver {
@@ -163,16 +181,17 @@ type CharacteristicQuantities struct {
 	svc cca.Services
 }
 
+var characteristicsSpec = &Spec{
+	Class: "CharacteristicQuantities", New: func() cca.Component { return &CharacteristicQuantities{} },
+	Params:   map[string]Param{"cfl": fparam("0.45", 1e-3, 1)},
+	Uses:     []PortDecl{execUse, need("gasProperties", KeyValuePortType)},
+	Provides: []PortDecl{prov("characteristics", CharacteristicsPortType)},
+}
+
 // SetServices implements cca.Component.
 func (cq *CharacteristicQuantities) SetServices(svc cca.Services) error {
 	cq.svc = svc
-	if err := svc.RegisterUsesPort("gasProperties", KeyValuePortType); err != nil {
-		return err
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(cq, "characteristics", CharacteristicsPortType)
+	return characteristicsSpec.register(svc, cq)
 }
 
 // StableDt implements CharacteristicsPort: the CFL-limited step of a
@@ -189,7 +208,7 @@ func (cq *CharacteristicQuantities) StableDt(mesh MeshPort, name string, level i
 	if !ok {
 		gamma = euler.AirGamma
 	}
-	cfl := cq.svc.Parameters().GetFloat("cfl", 0.45)
+	cfl := characteristicsSpec.Float(cq.svc.Parameters(), "cfl")
 	s := &euler.Solver{Gas: euler.Gas{Gamma: gamma}, CFL: cfl}
 	d := mesh.Field(name)
 	dx, dy := mesh.Spacing(level)
@@ -217,17 +236,26 @@ type BoundaryConditions struct {
 	svc cca.Services
 }
 
+var boundaryConditionsSpec = &Spec{
+	Class: "BoundaryConditions", New: func() cca.Component { return &BoundaryConditions{} },
+	Params: map[string]Param{
+		"xlo": eparam("outflow", "outflow", "reflect"),
+		"xhi": eparam("outflow", "outflow", "reflect"),
+		"ylo": eparam("reflect", "outflow", "reflect"),
+		"yhi": eparam("reflect", "outflow", "reflect"),
+	},
+	Uses:     []PortDecl{need("mesh", MeshPortType)},
+	Provides: []PortDecl{prov("bc", BCPortType)},
+}
+
 // SetServices implements cca.Component.
 func (bc *BoundaryConditions) SetServices(svc cca.Services) error {
 	bc.svc = svc
-	if err := svc.RegisterUsesPort("mesh", MeshPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(bc, "bc", BCPortType)
+	return boundaryConditionsSpec.register(svc, bc)
 }
 
-func (bc *BoundaryConditions) spec(side string, def string, normalComp int) field.BCSpec {
-	switch bc.svc.Parameters().GetString(side, def) {
+func (bc *BoundaryConditions) spec(side string, normalComp int) field.BCSpec {
+	switch boundaryConditionsSpec.Str(bc.svc.Parameters(), side) {
 	case "reflect":
 		return field.BCSpec{Kind: field.BCReflect, OddComps: []int{normalComp}}
 	default:
@@ -244,10 +272,10 @@ func (bc *BoundaryConditions) Apply(name string, level int) {
 	bc.svc.ReleasePort("mesh")
 	mesh := mp.(MeshPort)
 	bcs := field.BCSet{
-		field.XLo: bc.spec("xlo", "outflow", euler.IMx),
-		field.XHi: bc.spec("xhi", "outflow", euler.IMx),
-		field.YLo: bc.spec("ylo", "reflect", euler.IMy),
-		field.YHi: bc.spec("yhi", "reflect", euler.IMy),
+		field.XLo: bc.spec("xlo", euler.IMx),
+		field.XHi: bc.spec("xhi", euler.IMx),
+		field.YLo: bc.spec("ylo", euler.IMy),
+		field.YHi: bc.spec("yhi", euler.IMy),
 	}
 	mesh.Field(name).ApplyPhysicalBCs(level, bcs)
 }
@@ -256,9 +284,14 @@ func (bc *BoundaryConditions) Apply(name string, level int) {
 // levels (paper Sec. 4.3).
 type ProlongRestrict struct{}
 
+var prolongRestrictSpec = &Spec{
+	Class: "ProlongRestrict", New: func() cca.Component { return &ProlongRestrict{} },
+	Provides: []PortDecl{prov("prolongRestrict", ProlongRestrictPortType)},
+}
+
 // SetServices implements cca.Component.
 func (pr *ProlongRestrict) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(pr, "prolongRestrict", ProlongRestrictPortType)
+	return prolongRestrictSpec.register(svc, pr)
 }
 
 // Prolong implements ProlongRestrictPort.
@@ -280,22 +313,25 @@ func (pr *ProlongRestrict) FillCoarseFine(mesh MeshPort, name string, level int)
 // Freon (density ratio from the GasProperties database) separated by an
 // oblique interface, ruptured by a rightward-moving shock of the given
 // Mach number. Nondimensional units: pre-shock air has rho=1, p=1.
-// Parameters:
-//
-//	interfaceX   interface foot position as a fraction of Lx (default 0.40)
-//	angleDeg     interface angle from the vertical (default 30)
-//	shockX       initial shock position fraction (default 0.20)
 type ConicalInterfaceIC struct {
 	svc cca.Services
+}
+
+var conicalInterfaceSpec = &Spec{
+	Class: "ConicalInterfaceIC", New: func() cca.Component { return &ConicalInterfaceIC{} },
+	Params: map[string]Param{
+		"interfaceX": fparam("0.40", 0, 1),  // interface foot position as a fraction of Lx
+		"angleDeg":   fparam("30", -85, 85), // interface angle from the vertical
+		"shockX":     fparam("0.20", 0, 1),  // initial shock position fraction
+	},
+	Uses:     []PortDecl{need("gasProperties", KeyValuePortType)},
+	Provides: []PortDecl{prov("ic", ICFieldPortType)},
 }
 
 // SetServices implements cca.Component.
 func (ci *ConicalInterfaceIC) SetServices(svc cca.Services) error {
 	ci.svc = svc
-	if err := svc.RegisterUsesPort("gasProperties", KeyValuePortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(ci, "ic", ICFieldPortType)
+	return conicalInterfaceSpec.register(svc, ci)
 }
 
 // PostShockState returns the Rankine–Hugoniot state behind a Mach-M
@@ -321,18 +357,12 @@ func (ci *ConicalInterfaceIC) Impose(mesh MeshPort, name string) {
 	if gamma == 0 {
 		gamma = euler.AirGamma
 	}
-	ratio, ok := db.Value("densityRatio")
-	if !ok {
-		ratio = 3.0
-	}
-	mach, ok := db.Value("mach")
-	if !ok {
-		mach = 1.5
-	}
+	ratio := gasValue(db, "densityRatio")
+	mach := gasValue(db, "mach")
 	params := ci.svc.Parameters()
-	ifaceX := params.GetFloat("interfaceX", 0.40)
-	angle := params.GetFloat("angleDeg", 30) * math.Pi / 180
-	shockX := params.GetFloat("shockX", 0.20)
+	ifaceX := conicalInterfaceSpec.Float(params, "interfaceX")
+	angle := conicalInterfaceSpec.Float(params, "angleDeg") * math.Pi / 180
+	shockX := conicalInterfaceSpec.Float(params, "shockX")
 
 	g := euler.Gas{Gamma: gamma}
 	air := euler.Primitive{Rho: 1, P: 1, Zeta: 0}

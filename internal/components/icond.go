@@ -9,12 +9,6 @@ import (
 // InitialCondition initializes the reaction–diffusion field with hot
 // spots in a cold stoichiometric H2–air mixture (the paper's
 // three-hot-spot configuration). The field layout is [T, Y_0..Y_{n-1}].
-// Parameters:
-//
-//	Tcold   ambient temperature (default 300 K)
-//	Thot    hot-spot peak temperature (default 1800 K)
-//	radius  hot-spot radius as a fraction of the domain (default 0.06)
-//	nspots  number of hot spots (default 3, capped at 4)
 type InitialCondition struct {
 	svc cca.Services
 }
@@ -25,13 +19,22 @@ var hotSpotCenters = [4][2]float64{
 	{0.30, 0.30}, {0.70, 0.40}, {0.45, 0.72}, {0.75, 0.75},
 }
 
+var initialConditionSpec = &Spec{
+	Class: "InitialCondition", New: func() cca.Component { return &InitialCondition{} },
+	Params: map[string]Param{
+		"Tcold":  fparam("300", 100, 5000),  // ambient temperature, K
+		"Thot":   fparam("1800", 100, 5000), // hot-spot peak temperature, K
+		"radius": fparam("0.06", 1e-9, 1e3), // hot-spot radius as a fraction of the domain
+		"nspots": iparam("3", 1, 4),         // number of hot spots
+	},
+	Uses:     []PortDecl{need("chemistry", ChemistryPortType)},
+	Provides: []PortDecl{prov("ic", ICFieldPortType)},
+}
+
 // SetServices implements cca.Component.
 func (ic *InitialCondition) SetServices(svc cca.Services) error {
 	ic.svc = svc
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(ic, "ic", ICFieldPortType)
+	return initialConditionSpec.register(svc, ic)
 }
 
 // Impose implements ICFieldPort: writes T and mass fractions over the
@@ -46,13 +49,10 @@ func (ic *InitialCondition) Impose(mesh MeshPort, name string) {
 	Y := mech.StoichiometricH2Air()
 
 	params := ic.svc.Parameters()
-	tCold := params.GetFloat("Tcold", 300)
-	tHot := params.GetFloat("Thot", 1800)
-	radius := params.GetFloat("radius", 0.06)
-	nspots := params.GetInt("nspots", 3)
-	if nspots > len(hotSpotCenters) {
-		nspots = len(hotSpotCenters)
-	}
+	tCold := initialConditionSpec.Float(params, "Tcold")
+	tHot := initialConditionSpec.Float(params, "Thot")
+	radius := initialConditionSpec.Float(params, "radius")
+	nspots := min(initialConditionSpec.Int(params, "nspots"), len(hotSpotCenters))
 
 	d := mesh.Field(name)
 	h := d.Hierarchy()
@@ -91,15 +91,33 @@ type GasProperties struct {
 	db map[string]float64
 }
 
-// SetServices implements cca.Component. Parameters prefixed "prop_"
-// are loaded into the database.
+var gasPropertiesSpec = &Spec{
+	Class: "GasProperties", New: func() cca.Component { return &GasProperties{} },
+	Params: map[string]Param{
+		"gamma":        fparam("1.4", 1.0001, 3),
+		"densityRatio": fparam("3.0", 1e-3, 1e3),
+		"mach":         fparam("1.5", 1, 50),
+	},
+	Provides: []PortDecl{prov("properties", KeyValuePortType)},
+}
+
+// SetServices implements cca.Component: every parameter is loaded into
+// the database.
 func (gp *GasProperties) SetServices(svc cca.Services) error {
-	gp.db = map[string]float64{
-		"gamma":        svc.Parameters().GetFloat("gamma", 1.4),
-		"densityRatio": svc.Parameters().GetFloat("densityRatio", 3.0),
-		"mach":         svc.Parameters().GetFloat("mach", 1.5),
+	gp.db = make(map[string]float64, len(gasPropertiesSpec.Params))
+	for key := range gasPropertiesSpec.Params {
+		gp.db[key] = gasPropertiesSpec.Float(svc.Parameters(), key)
 	}
-	return svc.AddProvidesPort(gp, "properties", KeyValuePortType)
+	return gasPropertiesSpec.register(svc, gp)
+}
+
+// gasValue reads key from a gas-properties database, falling back to
+// the GasProperties default when the provider lacks it.
+func gasValue(db KeyValuePort, key string) float64 {
+	if v, ok := db.Value(key); ok {
+		return v
+	}
+	return gasPropertiesSpec.Float(nil, key)
 }
 
 // SetValue implements KeyValuePort.

@@ -10,8 +10,8 @@ import (
 // Fig 1): fetch the initial state, hand the state vector to the
 // implicit integration subsystem in output segments, and record the
 // temperature/pressure trajectory plus the ignition delay (time of
-// peak dT/dt). Parameters: "tEnd" (s, default 1e-3, the paper's 1 ms)
-// and "nOut" (trajectory samples, default 50).
+// peak dT/dt). Parameters: "tEnd" (s; the default is the paper's 1 ms)
+// and "nOut" (trajectory samples).
 type IgnitionDriver struct {
 	svc cca.Services
 
@@ -21,20 +21,21 @@ type IgnitionDriver struct {
 	FinalY                  []float64
 }
 
+var ignitionDriverSpec = &Spec{
+	Class: "IgnitionDriver", New: func() cca.Component { return &IgnitionDriver{} },
+	Params: map[string]Param{"tEnd": fparam("1e-3", 1e-12, 1e6), "nOut": iparam("50", 1, 1<<20)},
+	Uses: []PortDecl{
+		need("chemistry", ChemistryPortType), need("ic", ICStatePortType),
+		need("integrator", ImplicitIntegratorType), need("stats", StatsPortType),
+	},
+	Provides: []PortDecl{prov("go", cca.GoPortType)},
+	Driver:   &DriverMeta{ProgressKey: "T"},
+}
+
 // SetServices implements cca.Component.
 func (dr *IgnitionDriver) SetServices(svc cca.Services) error {
 	dr.svc = svc
-	for _, u := range [][2]string{
-		{"ic", ICStatePortType},
-		{"integrator", ImplicitIntegratorType},
-		{"chemistry", ChemistryPortType},
-		{"stats", StatsPortType},
-	} {
-		if err := svc.RegisterUsesPort(u[0], u[1]); err != nil {
-			return err
-		}
-	}
-	return svc.AddProvidesPort(cca.GoPort(goFunc(dr.run)), "go", cca.GoPortType)
+	return ignitionDriverSpec.register(svc, goFunc(dr.run))
 }
 
 // goFunc adapts a function to cca.GoPort.
@@ -42,25 +43,13 @@ type goFunc func() error
 
 func (g goFunc) Go() error { return g() }
 
-func (dr *IgnitionDriver) port(name string) cca.Port {
-	p, err := dr.svc.GetPort(name)
-	if err != nil {
-		panic(fmt.Sprintf("IgnitionDriver: %v", err))
-	}
-	dr.svc.ReleasePort(name)
-	return p
-}
-
 func (dr *IgnitionDriver) run() error {
-	tEnd := dr.svc.Parameters().GetFloat("tEnd", 1e-3)
-	nOut := dr.svc.Parameters().GetInt("nOut", 50)
-	if nOut < 1 {
-		nOut = 1
-	}
-	icPort := dr.port("ic").(ICStatePort)
-	integ := dr.port("integrator").(ImplicitIntegratorPort)
-	chemPort := dr.port("chemistry").(ChemistryPort)
-	stats := dr.port("stats").(StatsPort)
+	tEnd := ignitionDriverSpec.Float(dr.svc.Parameters(), "tEnd")
+	nOut := max(ignitionDriverSpec.Int(dr.svc.Parameters(), "nOut"), 1)
+	icPort := ignitionDriverSpec.port(dr.svc, "ic").(ICStatePort)
+	integ := ignitionDriverSpec.port(dr.svc, "integrator").(ImplicitIntegratorPort)
+	chemPort := ignitionDriverSpec.port(dr.svc, "chemistry").(ChemistryPort)
+	stats := ignitionDriverSpec.port(dr.svc, "stats").(StatsPort)
 
 	T0, P0, Y0 := icPort.InitialState()
 	n := chemPort.Mechanism().NumSpecies()

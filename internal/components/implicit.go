@@ -34,25 +34,24 @@ type ImplicitIntegrator struct {
 	cells []cellRef
 }
 
+var implicitIntegratorSpec = &Spec{
+	Class: "ImplicitIntegrator", New: func() cca.Component { return &ImplicitIntegrator{} },
+	Params: map[string]Param{"P": pressureParam},
+	Uses: []PortDecl{
+		need("chemistry", ChemistryPortType), execUse, need("integrator", ImplicitIntegratorType),
+	},
+	// The adaptor also provides the RHS the CvodeComponent consumes:
+	// the wiring loops CvodeComponent.rhs -> ImplicitIntegrator.cellRHS.
+	Provides: []PortDecl{
+		prov("cellChemistry", CellChemistryPortType), prov("cellRHS", RHSPortType),
+	},
+}
+
 // SetServices implements cca.Component.
 func (ii *ImplicitIntegrator) SetServices(svc cca.Services) error {
 	ii.svc = svc
-	ii.p0 = svc.Parameters().GetFloat("P", chem.PAtm)
-	if err := svc.RegisterUsesPort("integrator", ImplicitIntegratorType); err != nil {
-		return err
-	}
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	// The adaptor also provides the RHS the CvodeComponent consumes:
-	// the wiring loops CvodeComponent.rhs -> ImplicitIntegrator.cellRHS.
-	if err := svc.AddProvidesPort(cellRHS{ii}, "cellRHS", RHSPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(ii, "cellChemistry", CellChemistryPortType)
+	ii.p0 = implicitIntegratorSpec.Float(svc.Parameters(), "P")
+	return implicitIntegratorSpec.register(svc, ii, cellRHS{ii})
 }
 
 func (ii *ImplicitIntegrator) chemistry() ChemistryPort {

@@ -12,23 +12,27 @@ import (
 // domain streaming against the outer gas, with a small sinusoidal
 // transverse velocity perturbation to seed the roll-up. Units are
 // nondimensional (outer gas rho=1, p=1); the band density comes from
-// the GasProperties database ("densityRatio"). Parameters:
-//
-//	shearU      velocity jump across each layer (default 0.5)
-//	thickness   shear-layer thickness as a fraction of Ly (default 0.05)
-//	perturbAmp  transverse perturbation amplitude (default 0.01)
-//	modes       perturbation wavenumber across Lx (default 2)
+// the GasProperties database ("densityRatio").
 type KelvinHelmholtzIC struct {
 	svc cca.Services
+}
+
+var kelvinHelmholtzSpec = &Spec{
+	Class: "KelvinHelmholtzIC", New: func() cca.Component { return &KelvinHelmholtzIC{} },
+	Params: map[string]Param{
+		"shearU":     fparam("0.5", 0, 50),       // velocity jump across each layer
+		"thickness":  fparam("0.05", 1e-4, 0.25), // shear-layer thickness as a fraction of Ly
+		"perturbAmp": fparam("0.01", 0, 1),       // transverse perturbation amplitude
+		"modes":      iparam("2", 1, 64),         // perturbation wavenumber across Lx
+	},
+	Uses:     []PortDecl{need("gasProperties", KeyValuePortType)},
+	Provides: []PortDecl{prov("ic", ICFieldPortType)},
 }
 
 // SetServices implements cca.Component.
 func (kh *KelvinHelmholtzIC) SetServices(svc cca.Services) error {
 	kh.svc = svc
-	if err := svc.RegisterUsesPort("gasProperties", KeyValuePortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(kh, "ic", ICFieldPortType)
+	return kelvinHelmholtzSpec.register(svc, kh)
 }
 
 // Impose implements ICFieldPort on the conserved field.
@@ -43,15 +47,12 @@ func (kh *KelvinHelmholtzIC) Impose(mesh MeshPort, name string) {
 	if gamma == 0 {
 		gamma = euler.AirGamma
 	}
-	ratio, ok := db.Value("densityRatio")
-	if !ok {
-		ratio = 3.0
-	}
+	ratio := gasValue(db, "densityRatio")
 	params := kh.svc.Parameters()
-	shearU := params.GetFloat("shearU", 0.5)
-	delta := params.GetFloat("thickness", 0.05)
-	amp := params.GetFloat("perturbAmp", 0.01)
-	modes := float64(params.GetInt("modes", 2))
+	shearU := kelvinHelmholtzSpec.Float(params, "shearU")
+	delta := kelvinHelmholtzSpec.Float(params, "thickness")
+	amp := kelvinHelmholtzSpec.Float(params, "perturbAmp")
+	modes := float64(kelvinHelmholtzSpec.Int(params, "modes"))
 
 	g := euler.Gas{Gamma: gamma}
 	d := mesh.Field(name)
@@ -94,23 +95,27 @@ func sq(x float64) float64 { return x * x }
 // GasProperties database) about to strike a sinusoidally corrugated
 // interface between light and heavy gas ("densityRatio"). The
 // impulsive acceleration inverts and grows the corrugation — the
-// single-shot cousin of Rayleigh–Taylor. Parameters:
-//
-//	interfaceX  mean interface position as a fraction of Lx (default 0.55)
-//	amplitude   corrugation amplitude as a fraction of Lx (default 0.05)
-//	modes       corrugation wavenumber across Ly (default 3)
-//	shockX      initial shock position fraction (default 0.25)
+// single-shot cousin of Rayleigh–Taylor.
 type RichtmyerMeshkovIC struct {
 	svc cca.Services
+}
+
+var richtmyerMeshkovSpec = &Spec{
+	Class: "RichtmyerMeshkovIC", New: func() cca.Component { return &RichtmyerMeshkovIC{} },
+	Params: map[string]Param{
+		"interfaceX": fparam("0.55", 0, 1),    // mean interface position as a fraction of Lx
+		"amplitude":  fparam("0.05", 0, 0.25), // corrugation amplitude as a fraction of Lx
+		"modes":      iparam("3", 1, 64),      // corrugation wavenumber across Ly
+		"shockX":     fparam("0.25", 0, 1),    // initial shock position fraction
+	},
+	Uses:     []PortDecl{need("gasProperties", KeyValuePortType)},
+	Provides: []PortDecl{prov("ic", ICFieldPortType)},
 }
 
 // SetServices implements cca.Component.
 func (rm *RichtmyerMeshkovIC) SetServices(svc cca.Services) error {
 	rm.svc = svc
-	if err := svc.RegisterUsesPort("gasProperties", KeyValuePortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(rm, "ic", ICFieldPortType)
+	return richtmyerMeshkovSpec.register(svc, rm)
 }
 
 // Impose implements ICFieldPort on the conserved field.
@@ -125,19 +130,13 @@ func (rm *RichtmyerMeshkovIC) Impose(mesh MeshPort, name string) {
 	if gamma == 0 {
 		gamma = euler.AirGamma
 	}
-	ratio, ok := db.Value("densityRatio")
-	if !ok {
-		ratio = 3.0
-	}
-	mach, ok := db.Value("mach")
-	if !ok {
-		mach = 1.5
-	}
+	ratio := gasValue(db, "densityRatio")
+	mach := gasValue(db, "mach")
 	params := rm.svc.Parameters()
-	ifaceX := params.GetFloat("interfaceX", 0.55)
-	amp := params.GetFloat("amplitude", 0.05)
-	modes := float64(params.GetInt("modes", 3))
-	shockX := params.GetFloat("shockX", 0.25)
+	ifaceX := richtmyerMeshkovSpec.Float(params, "interfaceX")
+	amp := richtmyerMeshkovSpec.Float(params, "amplitude")
+	modes := float64(richtmyerMeshkovSpec.Int(params, "modes"))
+	shockX := richtmyerMeshkovSpec.Float(params, "shockX")
 
 	g := euler.Gas{Gamma: gamma}
 	light := euler.Primitive{Rho: 1, P: 1, Zeta: 0}

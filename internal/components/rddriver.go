@@ -1,7 +1,6 @@
 package components
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -18,18 +17,7 @@ const rdDriverName = "rd"
 // RDDriver assembles the operator-split time loop of the 2D
 // reaction–diffusion flame (paper Sec. 4.2): stiff chemistry integrated
 // implicitly cell by cell, diffusion integrated explicitly with RKC,
-// with optional SAMR regridding between steps. Parameters:
-//
-//	dt           macro time step in seconds (default 1e-7, the paper's
-//	             scaling-run step)
-//	steps        number of macro steps (default 5, as in the paper)
-//	regridEvery  regrid period in steps; 0 disables adaptivity (the
-//	             paper's scaling runs turn adaptivity off)
-//	splitting    "lie" (chemistry then diffusion) or "strang" (half
-//	             chemistry, diffusion, half chemistry); default lie
-//	field        data object name (default "phi")
-//	skipChem     when true the chemistry half is skipped (diffusion-only
-//	             runs for scaling studies)
+// with optional SAMR regridding between steps.
 type RDDriver struct {
 	svc cca.Services
 
@@ -39,47 +27,32 @@ type RDDriver struct {
 	TMax, TMin   float64
 }
 
+var rdDriverSpec = &Spec{
+	Class: "RDDriver", New: func() cca.Component { return &RDDriver{} },
+	Params: map[string]Param{
+		"dt":          fparam("1e-7", 1e-15, 1e3), // macro step, s: the paper's scaling-run step
+		"steps":       iparam("5", 1, 1<<20),      // macro steps, as in the paper
+		"regridEvery": iparam("0", 0, 1<<20),      // regrid period; 0 = no adaptivity, as in the scaling runs
+		// lie: chemistry then diffusion; strang: half chemistry,
+		// diffusion, half chemistry.
+		"splitting": eparam("lie", "lie", "strang"),
+		"field":     sparam("phi"),   // data object name
+		"skipChem":  bparam("false"), // diffusion-only runs for scaling studies
+	},
+	Uses: []PortDecl{
+		use("cellChemistry", CellChemistryPortType), use("checkpoint", CheckpointPortType),
+		need("chemistry", ChemistryPortType), execUse,
+		need("explicit", ExplicitIntegratorType), need("ic", ICFieldPortType),
+		need("mesh", MeshPortType), use("regrid", RegridPortType), use("stats", StatsPortType),
+	},
+	Provides: []PortDecl{prov("go", cca.GoPortType)},
+	Driver:   &DriverMeta{DurationParam: "steps", ProgressKey: "cells"},
+}
+
 // SetServices implements cca.Component.
 func (dr *RDDriver) SetServices(svc cca.Services) error {
 	dr.svc = svc
-	for _, u := range [][2]string{
-		{"mesh", MeshPortType},
-		{"ic", ICFieldPortType},
-		{"explicit", ExplicitIntegratorType},
-		{"cellChemistry", CellChemistryPortType},
-		{"regrid", RegridPortType},
-		{"stats", StatsPortType},
-		{"chemistry", ChemistryPortType},
-		{"checkpoint", CheckpointPortType},
-	} {
-		if err := svc.RegisterUsesPort(u[0], u[1]); err != nil {
-			return err
-		}
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(cca.GoPort(goFunc(dr.run)), "go", cca.GoPortType)
-}
-
-func (dr *RDDriver) port(name string) cca.Port {
-	p, err := dr.svc.GetPort(name)
-	if err != nil {
-		panic(fmt.Sprintf("RDDriver: %v", err))
-	}
-	dr.svc.ReleasePort(name)
-	return p
-}
-
-// optionalPort returns nil when the uses port is unconnected (regrid
-// and stats are optional in reduced assemblies).
-func (dr *RDDriver) optionalPort(name string) cca.Port {
-	p, err := dr.svc.GetPort(name)
-	if err != nil {
-		return nil
-	}
-	dr.svc.ReleasePort(name)
-	return p
+	return rdDriverSpec.register(svc, goFunc(dr.run))
 }
 
 // multiLevelChem resolves the optional multi-level extension of a
@@ -98,31 +71,31 @@ func multiLevelChem(c CellChemistryPort) MultiLevelChemistryPort {
 
 func (dr *RDDriver) run() error {
 	params := dr.svc.Parameters()
-	dt := params.GetFloat("dt", 1e-7)
-	steps := params.GetInt("steps", 5)
-	regridEvery := params.GetInt("regridEvery", 0)
-	splitting := params.GetString("splitting", "lie")
-	name := params.GetString("field", "phi")
-	skipChem := params.GetBool("skipChem", false)
+	dt := rdDriverSpec.Float(params, "dt")
+	steps := rdDriverSpec.Int(params, "steps")
+	regridEvery := rdDriverSpec.Int(params, "regridEvery")
+	splitting := rdDriverSpec.Str(params, "splitting")
+	name := rdDriverSpec.Str(params, "field")
+	skipChem := rdDriverSpec.Bool(params, "skipChem")
 
-	mesh := dr.port("mesh").(MeshPort)
-	icPort := dr.port("ic").(ICFieldPort)
-	expl := dr.port("explicit").(ExplicitIntegratorPort)
-	chemPort := dr.port("chemistry").(ChemistryPort)
+	mesh := rdDriverSpec.port(dr.svc, "mesh").(MeshPort)
+	icPort := rdDriverSpec.port(dr.svc, "ic").(ICFieldPort)
+	expl := rdDriverSpec.port(dr.svc, "explicit").(ExplicitIntegratorPort)
+	chemPort := rdDriverSpec.port(dr.svc, "chemistry").(ChemistryPort)
 	var cellChem CellChemistryPort
-	if p := dr.optionalPort("cellChemistry"); p != nil {
+	if p := rdDriverSpec.port(dr.svc, "cellChemistry"); p != nil {
 		cellChem = p.(CellChemistryPort)
 	}
 	var regrid RegridPort
-	if p := dr.optionalPort("regrid"); p != nil {
+	if p := rdDriverSpec.port(dr.svc, "regrid"); p != nil {
 		regrid = p.(RegridPort)
 	}
 	var stats StatsPort
-	if p := dr.optionalPort("stats"); p != nil {
+	if p := rdDriverSpec.port(dr.svc, "stats"); p != nil {
 		stats = p.(StatsPort)
 	}
 	var ck CheckpointPort
-	if p := dr.optionalPort("checkpoint"); p != nil {
+	if p := rdDriverSpec.port(dr.svc, "checkpoint"); p != nil {
 		ck = p.(CheckpointPort)
 	}
 

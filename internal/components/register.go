@@ -2,46 +2,46 @@ package components
 
 import "ccahydro/internal/cca"
 
+// specs is the component palette: every class's contract, in the order
+// RegisterAll registers them. It is the Go substitute for the
+// shared-object components Ccaffeine would dlopen, and the scenario
+// validator's static truth.
+var specs = []*Spec{
+	thermoChemistrySpec, dpdtSpec, problemModelerSpec, initializerSpec,
+	cvodeSpec, statisticsSpec, ignitionDriverSpec, graceSpec,
+	initialConditionSpec, drfmSpec, diffusionPhysicsSpec, maxDiffCoeffSpec,
+	explicitIntegratorSpec, implicitIntegratorSpec, regridSpec, rdDriverSpec,
+	conicalInterfaceSpec, kelvinHelmholtzSpec, richtmyerMeshkovSpec, statesSpec,
+	godunovFluxSpec, efmFluxSpec, hllcFluxSpec, inviscidFluxSpec,
+	characteristicsSpec, rk2Spec, boundaryConditionsSpec, gasPropertiesSpec,
+	prolongRestrictSpec, shockDriverSpec, tauTimerSpec, rhsMonitorSpec,
+	patchRHSMonitorSpec, balancerSpec, executionSpec, checkpointSpec,
+}
+
+var specByClass = func() map[string]*Spec {
+	m := make(map[string]*Spec, len(specs))
+	for _, s := range specs {
+		m[s.Class] = s
+	}
+	return m
+}()
+
+// Specs returns every class's spec in registration order. Callers must
+// not modify the result.
+func Specs() []*Spec { return specs }
+
+// SpecFor returns the spec of a class name.
+func SpecFor(class string) (*Spec, bool) {
+	s, ok := specByClass[class]
+	return s, ok
+}
+
 // RegisterAll adds every component class to a repository under the
-// names the paper's assemblies use. It is the Go substitute for the
-// palette of shared-object components Ccaffeine would dlopen.
+// names the paper's assemblies use.
 func RegisterAll(repo *cca.Repository) {
-	repo.Register("ThermoChemistry", func() cca.Component { return &ThermoChemistry{} })
-	repo.Register("DPDt", func() cca.Component { return &DPDt{} })
-	repo.Register("ProblemModeler", func() cca.Component { return &ProblemModeler{} })
-	repo.Register("Initializer", func() cca.Component { return &Initializer{} })
-	repo.Register("CvodeComponent", func() cca.Component { return &CvodeComponent{} })
-	repo.Register("StatisticsComponent", func() cca.Component { return &StatisticsComponent{} })
-	repo.Register("IgnitionDriver", func() cca.Component { return &IgnitionDriver{} })
-	repo.Register("GrACEComponent", func() cca.Component { return &GrACEComponent{} })
-	repo.Register("InitialCondition", func() cca.Component { return &InitialCondition{} })
-	repo.Register("DRFMComponent", func() cca.Component { return &DRFMComponent{} })
-	repo.Register("DiffusionPhysics", func() cca.Component { return &DiffusionPhysics{} })
-	repo.Register("MaxDiffCoeffEvaluator", func() cca.Component { return &MaxDiffCoeffEvaluator{} })
-	repo.Register("ExplicitIntegrator", func() cca.Component { return &ExplicitIntegrator{} })
-	repo.Register("ImplicitIntegrator", func() cca.Component { return &ImplicitIntegrator{} })
-	repo.Register("ErrorEstAndRegrid", func() cca.Component { return &ErrorEstAndRegrid{} })
-	repo.Register("RDDriver", func() cca.Component { return &RDDriver{} })
-	repo.Register("ConicalInterfaceIC", func() cca.Component { return &ConicalInterfaceIC{} })
-	repo.Register("KelvinHelmholtzIC", func() cca.Component { return &KelvinHelmholtzIC{} })
-	repo.Register("RichtmyerMeshkovIC", func() cca.Component { return &RichtmyerMeshkovIC{} })
-	repo.Register("States", func() cca.Component { return &States{} })
-	repo.Register("GodunovFlux", func() cca.Component { return &GodunovFluxComp{} })
-	repo.Register("EFMFlux", func() cca.Component { return &EFMFluxComp{} })
-	repo.Register("HLLCFlux", func() cca.Component { return &HLLCFluxComp{} })
-	repo.Register("InviscidFlux", func() cca.Component { return &InviscidFlux{} })
-	repo.Register("CharacteristicQuantities", func() cca.Component { return &CharacteristicQuantities{} })
-	repo.Register("ExplicitIntegratorRK2", func() cca.Component { return &ExplicitIntegratorRK2{} })
-	repo.Register("BoundaryConditions", func() cca.Component { return &BoundaryConditions{} })
-	repo.Register("GasProperties", func() cca.Component { return &GasProperties{} })
-	repo.Register("ProlongRestrict", func() cca.Component { return &ProlongRestrict{} })
-	repo.Register("ShockDriver", func() cca.Component { return &ShockDriver{} })
-	repo.Register("TauTimer", func() cca.Component { return &TauTimer{} })
-	repo.Register("RHSMonitor", func() cca.Component { return &RHSMonitor{} })
-	repo.Register("PatchRHSMonitor", func() cca.Component { return &PatchRHSMonitor{} })
-	repo.Register("BalancerComponent", func() cca.Component { return &BalancerComponent{} })
-	repo.Register("ExecutionComponent", func() cca.Component { return &ExecutionComponent{} })
-	repo.Register("CheckpointComponent", func() cca.Component { return &CheckpointComponent{} })
+	for _, s := range specs {
+		repo.Register(s.Class, s.New)
+	}
 }
 
 // NewRepository returns a repository with every component registered.

@@ -12,19 +12,25 @@ import (
 // ErrorEstAndRegrid estimates gradients at each cell and flags regions
 // for refinement or coarsening, then triggers a hierarchy rebuild
 // (paper Secs. 4.2/4.3 — reused by both the flame and the shock
-// assemblies). Parameters:
-//
-//	threshold  scaled-gradient flag threshold (default 0.08)
-//	comp       field component to monitor (default 0, i.e. T or rho)
-//	buffer     flag buffer cells (default 2)
+// assemblies).
 type ErrorEstAndRegrid struct {
 	svc cca.Services
+}
+
+var regridSpec = &Spec{
+	Class: "ErrorEstAndRegrid", New: func() cca.Component { return &ErrorEstAndRegrid{} },
+	Params: map[string]Param{
+		"threshold": fparam("0.08", 0, 1e6), // scaled-gradient flag threshold
+		"comp":      iparam("0", 0, 64),     // field component to monitor (T or rho)
+		"buffer":    iparam("2", 0, 64),     // flag buffer cells
+	},
+	Provides: []PortDecl{prov("regrid", RegridPortType)},
 }
 
 // SetServices implements cca.Component.
 func (er *ErrorEstAndRegrid) SetServices(svc cca.Services) error {
 	er.svc = svc
-	return svc.AddProvidesPort(er, "regrid", RegridPortType)
+	return regridSpec.register(svc, er)
 }
 
 // EstimateAndRegrid implements RegridPort. The error indicator is the
@@ -34,9 +40,9 @@ func (er *ErrorEstAndRegrid) SetServices(svc cca.Services) error {
 // everywhere.
 func (er *ErrorEstAndRegrid) EstimateAndRegrid(mesh MeshPort, name string) bool {
 	p := er.svc.Parameters()
-	threshold := p.GetFloat("threshold", 0.08)
-	comp := p.GetInt("comp", 0)
-	buffer := p.GetInt("buffer", 2)
+	threshold := regridSpec.Float(p, "threshold")
+	comp := regridSpec.Int(p, "comp")
+	buffer := regridSpec.Int(p, "buffer")
 
 	d := mesh.Field(name)
 	h := d.Hierarchy()

@@ -27,21 +27,16 @@ type rk2LevelCache struct {
 	strips  stripPlan
 }
 
+var rk2Spec = &Spec{
+	Class: "ExplicitIntegratorRK2", New: func() cca.Component { return &ExplicitIntegratorRK2{} },
+	Uses:     []PortDecl{need("bc", BCPortType), execUse, need("patchRHS", PatchRHSPortType)},
+	Provides: []PortDecl{prov("integrator", ExplicitIntegratorType)},
+}
+
 // SetServices implements cca.Component.
 func (rk *ExplicitIntegratorRK2) SetServices(svc cca.Services) error {
 	rk.svc = svc
-	for _, u := range [][2]string{
-		{"patchRHS", PatchRHSPortType},
-		{"bc", BCPortType},
-	} {
-		if err := svc.RegisterUsesPort(u[0], u[1]); err != nil {
-			return err
-		}
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(rk, "integrator", ExplicitIntegratorType)
+	return rk2Spec.register(svc, rk)
 }
 
 func (rk *ExplicitIntegratorRK2) ports() (PatchRHSPort, BCPort) {

@@ -17,17 +17,7 @@ import (
 // ShockDriver orchestrates the 2D shock–interface interaction (paper
 // Sec. 4.3, Fig 5): CFL-controlled RK2 advance over all levels,
 // periodic regridding around the shocks and the gas–gas interface, and
-// the interfacial-circulation diagnostic of Fig 7. Parameters:
-//
-//	tEnd         end time in shock-crossing units (default 1.0)
-//	maxSteps     hard step cap (default 10000)
-//	regridEvery  steps between regrids, 0 = off (default 5)
-//	cfl          Courant number passed to dt control (informative)
-//	field        conserved field name (default "U")
-//
-// shockDriverName tags checkpoints written by this driver.
-const shockDriverName = "shock"
-
+// the interfacial-circulation diagnostic of Fig 7.
 type ShockDriver struct {
 	svc cca.Services
 
@@ -41,71 +31,57 @@ type ShockDriver struct {
 	dts []float64
 }
 
+// shockDriverName tags checkpoints written by this driver.
+const shockDriverName = "shock"
+
+var shockDriverSpec = &Spec{
+	Class: "ShockDriver", New: func() cca.Component { return &ShockDriver{} },
+	Params: map[string]Param{
+		"tEnd":        fparam("1.0", 1e-12, 1e12), // end time in shock-crossing units
+		"maxSteps":    iparam("10000", 1, 1<<20),  // hard step cap
+		"regridEvery": iparam("5", 0, 1<<20),      // steps between regrids; 0 = off
+		"field":       sparam("U"),                // conserved field name
+	},
+	Uses: []PortDecl{
+		need("bc", BCPortType), need("characteristics", CharacteristicsPortType),
+		use("checkpoint", CheckpointPortType), execUse,
+		need("gasProperties", KeyValuePortType), need("ic", ICFieldPortType),
+		need("integrator", ExplicitIntegratorType), need("mesh", MeshPortType),
+		use("regrid", RegridPortType), use("stats", StatsPortType),
+	},
+	Provides: []PortDecl{prov("go", cca.GoPortType)},
+	Driver:   &DriverMeta{DurationParam: "maxSteps", ProgressKey: "t"},
+}
+
 // SetServices implements cca.Component.
 func (sd *ShockDriver) SetServices(svc cca.Services) error {
 	sd.svc = svc
-	for _, u := range [][2]string{
-		{"mesh", MeshPortType},
-		{"ic", ICFieldPortType},
-		{"integrator", ExplicitIntegratorType},
-		{"characteristics", CharacteristicsPortType},
-		{"regrid", RegridPortType},
-		{"stats", StatsPortType},
-		{"gasProperties", KeyValuePortType},
-		{"bc", BCPortType},
-		{"checkpoint", CheckpointPortType},
-	} {
-		if err := svc.RegisterUsesPort(u[0], u[1]); err != nil {
-			return err
-		}
-	}
-	if err := registerExecPort(svc); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(cca.GoPort(goFunc(sd.run)), "go", cca.GoPortType)
-}
-
-func (sd *ShockDriver) port(name string) cca.Port {
-	p, err := sd.svc.GetPort(name)
-	if err != nil {
-		panic(fmt.Sprintf("ShockDriver: %v", err))
-	}
-	sd.svc.ReleasePort(name)
-	return p
-}
-
-func (sd *ShockDriver) optionalPort(name string) cca.Port {
-	p, err := sd.svc.GetPort(name)
-	if err != nil {
-		return nil
-	}
-	sd.svc.ReleasePort(name)
-	return p
+	return shockDriverSpec.register(svc, goFunc(sd.run))
 }
 
 func (sd *ShockDriver) run() error {
 	params := sd.svc.Parameters()
-	tEnd := params.GetFloat("tEnd", 1.0)
-	maxSteps := params.GetInt("maxSteps", 10000)
-	regridEvery := params.GetInt("regridEvery", 5)
-	name := params.GetString("field", "U")
+	tEnd := shockDriverSpec.Float(params, "tEnd")
+	maxSteps := shockDriverSpec.Int(params, "maxSteps")
+	regridEvery := shockDriverSpec.Int(params, "regridEvery")
+	name := shockDriverSpec.Str(params, "field")
 
-	mesh := sd.port("mesh").(MeshPort)
-	icPort := sd.port("ic").(ICFieldPort)
-	integ := sd.port("integrator").(ExplicitIntegratorPort)
-	chars := sd.port("characteristics").(CharacteristicsPort)
-	bc := sd.port("bc").(BCPort)
-	db := sd.port("gasProperties").(KeyValuePort)
+	mesh := shockDriverSpec.port(sd.svc, "mesh").(MeshPort)
+	icPort := shockDriverSpec.port(sd.svc, "ic").(ICFieldPort)
+	integ := shockDriverSpec.port(sd.svc, "integrator").(ExplicitIntegratorPort)
+	chars := shockDriverSpec.port(sd.svc, "characteristics").(CharacteristicsPort)
+	bc := shockDriverSpec.port(sd.svc, "bc").(BCPort)
+	db := shockDriverSpec.port(sd.svc, "gasProperties").(KeyValuePort)
 	var regrid RegridPort
-	if p := sd.optionalPort("regrid"); p != nil {
+	if p := shockDriverSpec.port(sd.svc, "regrid"); p != nil {
 		regrid = p.(RegridPort)
 	}
 	var stats StatsPort
-	if p := sd.optionalPort("stats"); p != nil {
+	if p := shockDriverSpec.port(sd.svc, "stats"); p != nil {
 		stats = p.(StatsPort)
 	}
 	var ck CheckpointPort
-	if p := sd.optionalPort("checkpoint"); p != nil {
+	if p := shockDriverSpec.port(sd.svc, "checkpoint"); p != nil {
 		ck = p.(CheckpointPort)
 	}
 

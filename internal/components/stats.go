@@ -31,10 +31,15 @@ type StatisticsComponent struct {
 	version atomic.Uint64
 }
 
+var statisticsSpec = &Spec{
+	Class: "StatisticsComponent", New: func() cca.Component { return &StatisticsComponent{} },
+	Provides: []PortDecl{prov("stats", StatsPortType)},
+}
+
 // SetServices implements cca.Component.
 func (sc *StatisticsComponent) SetServices(svc cca.Services) error {
 	sc.series = make(map[string][]float64)
-	return svc.AddProvidesPort(sc, "stats", StatsPortType)
+	return statisticsSpec.register(svc, sc)
 }
 
 // Record implements StatsPort.

@@ -49,11 +49,16 @@ type TauTimer struct {
 	seconds map[string]float64
 }
 
+var tauTimerSpec = &Spec{
+	Class: "TauTimer", New: func() cca.Component { return &TauTimer{} },
+	Provides: []PortDecl{prov("timing", TimingPortType)},
+}
+
 // SetServices implements cca.Component.
 func (tt *TauTimer) SetServices(svc cca.Services) error {
 	tt.calls = make(map[string]int)
 	tt.seconds = make(map[string]float64)
-	return svc.AddProvidesPort(tt, "timing", TimingPortType)
+	return tauTimerSpec.register(svc, tt)
 }
 
 // Record implements TimingPort.
@@ -98,8 +103,8 @@ func (tt *TauTimer) WriteReport(w io.Writer) {
 // RHSMonitor is a proxy component that splices into an ode.RHSPort
 // wire: it uses the real RHS ("inner") and a TimingPort, and provides
 // an identically typed "rhs" port that delegates while measuring. The
-// instance name labels the timer, so multiple monitors can share one
-// TauTimer.
+// "label" parameter, or the instance name when it is empty, labels the
+// timer, so multiple monitors can share one TauTimer.
 type RHSMonitor struct {
 	svc   cca.Services
 	inner RHSPort
@@ -110,17 +115,27 @@ type RHSMonitor struct {
 	once sync.Once
 }
 
+var rhsMonitorSpec = &Spec{
+	Class: "RHSMonitor", New: func() cca.Component { return &RHSMonitor{} },
+	Params:   map[string]Param{"label": sparam("")},
+	Uses:     []PortDecl{need("inner", RHSPortType), need("timing", TimingPortType)},
+	Provides: []PortDecl{prov("rhs", RHSPortType)},
+}
+
 // SetServices implements cca.Component.
 func (rm *RHSMonitor) SetServices(svc cca.Services) error {
 	rm.svc = svc
-	rm.label = svc.Parameters().GetString("label", svc.InstanceName())
-	if err := svc.RegisterUsesPort("inner", RHSPortType); err != nil {
-		return err
+	rm.label = monitorLabel(rhsMonitorSpec, svc)
+	return rhsMonitorSpec.register(svc, rm)
+}
+
+// monitorLabel is a monitor's timer label: its "label" parameter, or
+// its instance name when that is empty.
+func monitorLabel(spec *Spec, svc cca.Services) string {
+	if l := spec.Str(svc.Parameters(), "label"); l != "" {
+		return l
 	}
-	if err := svc.RegisterUsesPort("timing", TimingPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(rm, "rhs", RHSPortType)
+	return svc.InstanceName()
 }
 
 func (rm *RHSMonitor) fetch() {
@@ -187,17 +202,18 @@ type PatchRHSMonitor struct {
 	once sync.Once
 }
 
+var patchRHSMonitorSpec = &Spec{
+	Class: "PatchRHSMonitor", New: func() cca.Component { return &PatchRHSMonitor{} },
+	Params:   map[string]Param{"label": sparam("")},
+	Uses:     []PortDecl{need("inner", PatchRHSPortType), need("timing", TimingPortType)},
+	Provides: []PortDecl{prov("patchRHS", PatchRHSPortType)},
+}
+
 // SetServices implements cca.Component.
 func (pm *PatchRHSMonitor) SetServices(svc cca.Services) error {
 	pm.svc = svc
-	pm.label = svc.Parameters().GetString("label", svc.InstanceName())
-	if err := svc.RegisterUsesPort("inner", PatchRHSPortType); err != nil {
-		return err
-	}
-	if err := svc.RegisterUsesPort("timing", TimingPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(pm, "patchRHS", PatchRHSPortType)
+	pm.label = monitorLabel(patchRHSMonitorSpec, svc)
+	return patchRHSMonitorSpec.register(svc, pm)
 }
 
 func (pm *PatchRHSMonitor) fetch() {

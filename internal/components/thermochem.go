@@ -32,10 +32,27 @@ type ThermoChemistry struct {
 	mu     sync.Mutex
 }
 
+// mechParam selects a mechanism under any name chem.ByName resolves,
+// short or fully qualified.
+var mechParam = eparam("h2air",
+	"h2air", "h2air-9sp-19rx",
+	"h2air-lite", "h2air-lite-8sp-5rx",
+	"co-h2-air", "co-h2-air-12sp-28rx")
+
+// pressureParam is an open-domain pressure in Pa, 1 atm by default.
+var pressureParam = fparam("101325", 1, 1e9)
+
+var thermoChemistrySpec = &Spec{
+	Class: "ThermoChemistry", New: func() cca.Component { return &ThermoChemistry{} },
+	Params: map[string]Param{"mech": mechParam},
+	Provides: []PortDecl{
+		prov("chemistry", ChemistryPortType), prov("properties", KeyValuePortType),
+	},
+}
+
 // SetServices implements cca.Component.
 func (tc *ThermoChemistry) SetServices(svc cca.Services) error {
-	name := svc.Parameters().GetString("mech", "h2air")
-	m, err := chem.ByName(name)
+	m, err := chem.ByName(thermoChemistrySpec.Str(svc.Parameters(), "mech"))
 	if err != nil {
 		return err
 	}
@@ -51,10 +68,7 @@ func (tc *ThermoChemistry) SetServices(svc cca.Services) error {
 		tc.db[fmt.Sprintf("W_%s", sp.Name)] = sp.W
 		tc.db[fmt.Sprintf("index_%s", sp.Name)] = float64(i)
 	}
-	if err := svc.AddProvidesPort(tc, "chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(keyValueView{tc}, "properties", KeyValuePortType)
+	return thermoChemistrySpec.register(svc, tc, keyValueView{tc})
 }
 
 // Mechanism implements ChemistryPort.
@@ -97,13 +111,16 @@ type DPDt struct {
 	chem ChemistryPort
 }
 
+var dpdtSpec = &Spec{
+	Class: "DPDt", New: func() cca.Component { return &DPDt{} },
+	Uses:     []PortDecl{need("chemistry", ChemistryPortType)},
+	Provides: []PortDecl{prov("dpdt", DPDtPortType)},
+}
+
 // SetServices implements cca.Component.
 func (d *DPDt) SetServices(svc cca.Services) error {
 	d.svc = svc
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(d, "dpdt", DPDtPortType)
+	return dpdtSpec.register(svc, d)
 }
 
 // DPDt implements DPDtPort.
@@ -130,16 +147,16 @@ type ProblemModeler struct {
 	dpdt DPDtPort
 }
 
+var problemModelerSpec = &Spec{
+	Class: "ProblemModeler", New: func() cca.Component { return &ProblemModeler{} },
+	Uses:     []PortDecl{need("chemistry", ChemistryPortType), need("dpdt", DPDtPortType)},
+	Provides: []PortDecl{prov("rhs", RHSPortType)},
+}
+
 // SetServices implements cca.Component.
 func (pm *ProblemModeler) SetServices(svc cca.Services) error {
 	pm.svc = svc
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	if err := svc.RegisterUsesPort("dpdt", DPDtPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(pm, "rhs", RHSPortType)
+	return problemModelerSpec.register(svc, pm)
 }
 
 func (pm *ProblemModeler) chemistry() ChemistryPort {
@@ -207,15 +224,19 @@ type Initializer struct {
 	svc    cca.Services
 }
 
+var initializerSpec = &Spec{
+	Class: "Initializer", New: func() cca.Component { return &Initializer{} },
+	Params:   map[string]Param{"T0": fparam("1000", 200, 5000), "P0": pressureParam},
+	Uses:     []PortDecl{need("chemistry", ChemistryPortType)},
+	Provides: []PortDecl{prov("ic", ICStatePortType)},
+}
+
 // SetServices implements cca.Component.
 func (ic *Initializer) SetServices(svc cca.Services) error {
 	ic.svc = svc
-	ic.T0 = svc.Parameters().GetFloat("T0", 1000)
-	ic.P0 = svc.Parameters().GetFloat("P0", chem.PAtm)
-	if err := svc.RegisterUsesPort("chemistry", ChemistryPortType); err != nil {
-		return err
-	}
-	return svc.AddProvidesPort(ic, "ic", ICStatePortType)
+	ic.T0 = initializerSpec.Float(svc.Parameters(), "T0")
+	ic.P0 = initializerSpec.Float(svc.Parameters(), "P0")
+	return initializerSpec.register(svc, ic)
 }
 
 // InitialState implements ICStatePort.

@@ -36,19 +36,19 @@ type CheckpointOptions struct {
 // durable restart without editing a single existing wire.
 func WireCheckpointOpts(f *cca.Framework, o CheckpointOptions) error {
 	const inst = "ckpt"
-	if o.FullEvery == 0 {
-		o.FullEvery = 8
-	}
-	for _, kv := range [][2]string{
+	params := [][2]string{
 		{"every", strconv.Itoa(o.Every)},
 		{"dir", o.Dir},
 		{"restore", o.Restore},
 		{"incremental", strconv.FormatBool(o.Incremental)},
-		{"fullEvery", strconv.Itoa(o.FullEvery)},
 		{"compress", strconv.FormatBool(o.Compress)},
 		{"keep", strconv.Itoa(o.Keep)},
 		{"keepEvery", strconv.Itoa(o.KeepEvery)},
-	} {
+	}
+	if o.FullEvery != 0 {
+		params = append(params, [2]string{"fullEvery", strconv.Itoa(o.FullEvery)})
+	}
+	for _, kv := range params {
 		if err := f.SetParameter(inst, kv[0], kv[1]); err != nil {
 			return err
 		}

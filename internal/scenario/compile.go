@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ccahydro/internal/cca"
+	"ccahydro/internal/components"
 )
 
 // Param is one programmatic (instance, key, value) override applied on
@@ -121,9 +122,10 @@ func (c *Compiled) Script() *cca.Script {
 // RunInstance is the instance whose go port drives the run.
 func (c *Compiled) RunInstance() string { return c.Run }
 
-func (c *Compiled) driver() *DriverSchema {
-	if cls, ok := classes[c.RunClass]; ok && cls.Driver != nil {
-		return cls.Driver
+// driver returns the run target's spec when it is a driver, else nil.
+func (c *Compiled) driver() *components.Spec {
+	if s, ok := ClassInfo(c.RunClass); ok && s.Driver != nil {
+		return s
 	}
 	return nil
 }
@@ -133,7 +135,7 @@ func (c *Compiled) driver() *DriverSchema {
 // key so runs differing only in length share a checkpoint lineage.
 func (c *Compiled) DurationParam() string {
 	if d := c.driver(); d != nil {
-		return d.DurationParam
+		return d.Driver.DurationParam
 	}
 	return ""
 }
@@ -142,7 +144,7 @@ func (c *Compiled) DurationParam() string {
 // driver steps.
 func (c *Compiled) ProgressKey() string {
 	if d := c.driver(); d != nil {
-		return d.ProgressKey
+		return d.Driver.ProgressKey
 	}
 	return ""
 }
@@ -150,10 +152,8 @@ func (c *Compiled) ProgressKey() string {
 // Checkpointable reports whether the assembly supports checkpoint/
 // restart (and therefore preemption, elastic resume, and warm starts).
 func (c *Compiled) Checkpointable() bool {
-	if d := c.driver(); d != nil {
-		return d.Checkpointable
-	}
-	return false
+	d := c.driver()
+	return d != nil && d.Checkpointable()
 }
 
 // Param returns an instance parameter explicitly set by the scenario.

@@ -7,77 +7,44 @@ import (
 	"sort"
 	"testing"
 
-	"ccahydro/internal/cca"
 	"ccahydro/internal/components"
 )
 
-// portSet renders a port list as sorted "name type" strings for
-// comparison regardless of declaration order.
-func portSet(ports []PortSchema) []string {
-	out := make([]string, len(ports))
-	for i, p := range ports {
-		out[i] = p.Name + " " + p.Type
+// TestSpecSelfConsistency checks every component spec against itself:
+// the palette RegisterAll installs is exactly the spec list, each
+// declared default parses as its kind and lies inside its own range or
+// enum, ports are declared in name order, run-server metadata exists
+// exactly for go-port providers, the duration knob names a declared
+// int parameter, and the progress key is set.
+func TestSpecSelfConsistency(t *testing.T) {
+	if got := components.NewRepository().Classes(); fmt.Sprint(got) != fmt.Sprint(Classes()) {
+		t.Fatalf("registered palette %v differs from the specs %v", got, Classes())
 	}
-	sort.Strings(out)
-	return out
-}
-
-func livePortSet(pairs [][2]string) []string {
-	out := make([]string, len(pairs))
-	for i, p := range pairs {
-		out[i] = p[0] + " " + p[1]
-	}
-	sort.Strings(out)
-	return out
-}
-
-func diffSets(t *testing.T, label string, got, want []string) {
-	t.Helper()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("%s:\n schema: %v\n live:   %v", label, want, got)
-	}
-}
-
-// TestSchemaConformance pins the static schema against the living
-// component registry: every registered class has a schema entry, every
-// schema entry names a registered class, and for each class the uses
-// and provides port lists (names AND exact type strings) match what the
-// component registers in SetServices. A drifting schema would let the
-// validator accept scenarios the framework rejects, or vice versa.
-func TestSchemaConformance(t *testing.T) {
-	repo := components.NewRepository()
-	live := repo.Classes()
-	if fmt.Sprint(Classes()) != fmt.Sprint(live) {
-		t.Fatalf("class palettes differ:\n schema: %v\n live:   %v", Classes(), live)
-	}
-	for _, class := range live {
-		cls, _ := ClassInfo(class)
-		f := cca.NewFramework(repo, nil)
-		if err := f.Instantiate(class, "x"); err != nil {
-			t.Fatalf("instantiate %s: %v", class, err)
-		}
-		uses, err := f.UsesPorts("x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		provides, err := f.ProvidedPorts("x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffSets(t, class+" uses ports", livePortSet(uses), portSet(cls.Uses))
-		diffSets(t, class+" provides ports", livePortSet(provides), portSet(cls.Provides))
-		// Run-server metadata exists exactly for go-port providers.
-		hasGo := false
-		for _, p := range provides {
-			if p[1] == cca.GoPortType {
-				hasGo = true
+	for _, class := range Classes() {
+		s, _ := ClassInfo(class)
+		for key, p := range s.Params {
+			v := &validator{}
+			v.checkParam(Pos{}, "x", s, class, key, p.Default)
+			for _, d := range v.diags {
+				t.Errorf("%s: declared default %q: %s", class, p.Default, d.Msg)
 			}
 		}
-		if hasGo != (cls.Driver != nil) {
-			t.Errorf("%s: go port %v but driver schema %v", class, hasGo, cls.Driver)
+		for _, ports := range [][]components.PortDecl{s.Uses, s.Provides} {
+			if !sort.SliceIsSorted(ports, func(i, j int) bool { return ports[i].Name < ports[j].Name }) {
+				t.Errorf("%s: ports %v not in name order (diagnostics list them in spec order)", class, ports)
+			}
 		}
-		if hasGo != cls.HasGo() {
-			t.Errorf("%s: HasGo() = %v, live go port = %v", class, cls.HasGo(), hasGo)
+		if s.HasGo() != (s.Driver != nil) {
+			t.Errorf("%s: go port %v but driver metadata %v", class, s.HasGo(), s.Driver)
+		}
+		if s.Driver == nil {
+			continue
+		}
+		if d := s.Driver.DurationParam; d != "" && s.Params[d].Kind != components.KindInt {
+			t.Errorf("%s: duration knob %q is not a declared int parameter", class, d)
+		}
+		if s.Driver.ProgressKey == "" {
+			t.Errorf("%s: driver has no progress key", class)
 		}
 	}
 }

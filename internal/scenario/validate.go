@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ccahydro/internal/components"
 )
 
 // maxSweepPoints bounds the cartesian product a sweep may expand to: a
@@ -22,7 +24,7 @@ func Compile(path string, src []byte) (*Compiled, error) {
 	return Validate(file)
 }
 
-// Validate checks a parsed scenario against the class schema and lowers
+// Validate checks a parsed scenario against the component specs and lowers
 // it to a Compiled assembly. All diagnostics are collected, not just
 // the first.
 func Validate(file *File) (*Compiled, error) {
@@ -63,7 +65,7 @@ func (v *validator) run() *Compiled {
 			continue
 		}
 		byInst[comp.Instance] = comp
-		cls, known := classes[comp.Class]
+		cls, known := ClassInfo(comp.Class)
 		if !known {
 			v.errf(comp.ClassPos, "unknown component class %q", comp.Class)
 		}
@@ -97,16 +99,16 @@ func (v *validator) run() *Compiled {
 		if !uok || !pok {
 			continue
 		}
-		ucls, uclsOK := classes[uc.Class]
-		pcls, pclsOK := classes[pc.Class]
+		ucls, uclsOK := ClassInfo(uc.Class)
+		pcls, pclsOK := ClassInfo(pc.Class)
 		if !uclsOK || !pclsOK {
 			continue // the unknown-class diagnostic already covers this
 		}
-		up := ucls.uses(cn.UsesPort)
+		up := ucls.UsesPort(cn.UsesPort)
 		if up == nil {
 			v.errf(cn.Pos, "component %q (%s) has no uses port %q", cn.User, uc.Class, cn.UsesPort)
 		}
-		pp := pcls.provides(cn.ProvidesPort)
+		pp := pcls.ProvidesPort(cn.ProvidesPort)
 		if pp == nil {
 			v.errf(cn.ProviderPos, "component %q (%s) does not provide port %q", cn.Provider, pc.Class, cn.ProvidesPort)
 		}
@@ -134,7 +136,7 @@ func (v *validator) run() *Compiled {
 	// time, not at step 500" guarantee: a missing required port would
 	// otherwise panic inside the driver loop.
 	for _, comp := range f.Comps {
-		cls, ok := classes[comp.Class]
+		cls, ok := ClassInfo(comp.Class)
 		if !ok || byInst[comp.Instance] != comp {
 			continue
 		}
@@ -157,7 +159,7 @@ func (v *validator) run() *Compiled {
 		rc, ok := byInst[f.Run.Instance]
 		if !ok {
 			v.errf(f.Run.Pos, "run references unknown instance %q", f.Run.Instance)
-		} else if cls, clsOK := classes[rc.Class]; clsOK {
+		} else if cls, clsOK := ClassInfo(rc.Class); clsOK {
 			c.RunClass = rc.Class
 			if !cls.HasGo() {
 				v.errf(f.Run.Pos, "run target %q (%s) does not provide a go port", f.Run.Instance, rc.Class)
@@ -195,8 +197,8 @@ func valueTexts(vals []Value) []string {
 	return out
 }
 
-// checkParam validates one parameter value against its schema.
-func (v *validator) checkParam(pos Pos, inst string, cls *ClassSchema, clsName, key, val string) {
+// checkParam validates one parameter value against its declaration.
+func (v *validator) checkParam(pos Pos, inst string, cls *components.Spec, clsName, key, val string) {
 	ps, ok := cls.Params[key]
 	if !ok {
 		v.errf(pos, "component %q (%s) has no parameter %q", inst, clsName, key)
@@ -204,7 +206,7 @@ func (v *validator) checkParam(pos Pos, inst string, cls *ClassSchema, clsName, 
 	}
 	ref := inst + "." + key
 	switch ps.Kind {
-	case KindInt:
+	case components.KindInt:
 		n, err := strconv.Atoi(val)
 		if err != nil {
 			v.errf(pos, "parameter %s: cannot parse %q as int", ref, val)
@@ -213,7 +215,7 @@ func (v *validator) checkParam(pos Pos, inst string, cls *ClassSchema, clsName, 
 		if float64(n) < ps.Min || float64(n) > ps.Max {
 			v.errf(pos, "parameter %s: value %d out of range [%s, %s]", ref, n, formatBound(ps.Min), formatBound(ps.Max))
 		}
-	case KindFloat:
+	case components.KindFloat:
 		x, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			v.errf(pos, "parameter %s: cannot parse %q as float", ref, val)
@@ -222,11 +224,11 @@ func (v *validator) checkParam(pos Pos, inst string, cls *ClassSchema, clsName, 
 		if x < ps.Min || x > ps.Max {
 			v.errf(pos, "parameter %s: value %v out of range [%s, %s]", ref, x, formatBound(ps.Min), formatBound(ps.Max))
 		}
-	case KindBool:
+	case components.KindBool:
 		if _, err := strconv.ParseBool(val); err != nil {
 			v.errf(pos, "parameter %s: cannot parse %q as bool", ref, val)
 		}
-	case KindEnum:
+	case components.KindEnum:
 		for _, e := range ps.Enum {
 			if val == e {
 				return
@@ -237,12 +239,12 @@ func (v *validator) checkParam(pos Pos, inst string, cls *ClassSchema, clsName, 
 }
 
 // Override sets one instance parameter after checking it against the
-// instance's class schema, as Compile checks a file's own settings: an
+// instance's class spec, as Compile checks a file's own settings: an
 // unknown instance, an unknown key, or an out-of-range value is an
 // error and leaves the scenario unchanged.
 func (c *Compiled) Override(instance, key, value string) error {
 	class := c.ClassOf(instance)
-	cls, ok := classes[class]
+	cls, ok := ClassInfo(class)
 	if !ok {
 		return fmt.Errorf("scenario %s: no component instance %q", c.Name, instance)
 	}
@@ -268,7 +270,7 @@ func (v *validator) checkAxis(ax *SweepAxis, byInst map[string]*ComponentStmt, u
 		v.errf(ax.Pos, "sweep references unknown instance %q", ax.Instance)
 		return
 	}
-	cls, clsOK := classes[comp.Class]
+	cls, clsOK := ClassInfo(comp.Class)
 	if !clsOK {
 		return
 	}
@@ -283,25 +285,25 @@ func (v *validator) checkAxis(ax *SweepAxis, byInst map[string]*ComponentStmt, u
 	// types on both the uses and provides sides, required ports still
 	// satisfied, and every knob set on the instance still legal.
 	for _, val := range ax.Values {
-		sub, known := classes[val.Text]
+		sub, known := ClassInfo(val.Text)
 		if !known {
 			v.errf(val.Pos, "sweep class axis %q: unknown component class %q", ax.Instance, val.Text)
 			continue
 		}
 		for _, cn := range v.file.Conns {
 			if cn.User == ax.Instance {
-				up := sub.uses(cn.UsesPort)
+				up := sub.UsesPort(cn.UsesPort)
 				if up == nil {
 					v.errf(val.Pos, "sweep class %q for %q has no uses port %q (wired at %s)", val.Text, ax.Instance, cn.UsesPort, cn.Pos)
-				} else if orig := cls.uses(cn.UsesPort); orig != nil && up.Type != orig.Type {
+				} else if orig := cls.UsesPort(cn.UsesPort); orig != nil && up.Type != orig.Type {
 					v.errf(val.Pos, "sweep class %q for %q: uses port %q is %s, not %s", val.Text, ax.Instance, cn.UsesPort, up.Type, orig.Type)
 				}
 			}
 			if cn.Provider == ax.Instance {
-				pp := sub.provides(cn.ProvidesPort)
+				pp := sub.ProvidesPort(cn.ProvidesPort)
 				if pp == nil {
 					v.errf(val.Pos, "sweep class %q for %q does not provide port %q (wired at %s)", val.Text, ax.Instance, cn.ProvidesPort, cn.Pos)
-				} else if orig := cls.provides(cn.ProvidesPort); orig != nil && pp.Type != orig.Type {
+				} else if orig := cls.ProvidesPort(cn.ProvidesPort); orig != nil && pp.Type != orig.Type {
 					v.errf(val.Pos, "sweep class %q for %q: provides port %q is %s, not %s", val.Text, ax.Instance, cn.ProvidesPort, pp.Type, orig.Type)
 				}
 			}

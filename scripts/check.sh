@@ -19,9 +19,12 @@
 # (TestServeLiveSmoke boots ccaserve's scheduler+HTTP stack, submits
 # two concurrent jobs plus a duplicate, and asserts the duplicate is a
 # zero-step cache hit; TestAcceptancePreemptResume drives the
-# preempt/elastic-resume scenario end to end). The scenario gate
+# preempt/elastic-resume scenario end to end). After vet, a grep
+# holds every component to one port-registration path: only the
+# Spec.register helper in internal/components/spec.go may call
+# RegisterUsesPort or AddProvidesPort. The scenario gate
 # parse-validates every file in scenarios/ against the component
-# schema, replays the hand-built fuzz corpus through the parser (the
+# specs (each class's declared ports and parameters), replays the hand-built fuzz corpus through the parser (the
 # seeds run even without a fuzzing budget), and holds the golden claim:
 # the built-in problems — the embedded scenario files — reproduce the
 # frozen fingerprints of their fields and series, serially and on 4
@@ -58,6 +61,14 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== one port-registration path (components register only through Spec.register in spec.go)"
+stray=$(git grep -nE 'RegisterUsesPort|AddProvidesPort' -- internal/components ':!*_test.go' ':!internal/components/spec.go' || true)
+if [ -n "$stray" ]; then
+	echo "ports registered outside the spec helper; declare them in the class's Spec instead:" >&2
+	echo "$stray" >&2
+	exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
