@@ -1,19 +1,17 @@
-// Instrumented runs the 0D ignition assembly with two observability
-// layers stacked:
+// Instrumented runs the 0D ignition assembly with the framework's
+// port-call interceptor attached — the paper's future-work plan ("By
+// using TAU, we intend to characterize the performance characteristics
+// of individual components and their assemblies"), executed without
+// touching the assembly. Attaching an obs session to the framework
+// makes GetPort hand out instrumented proxies, so every wire is
+// measured as wired:
 //
-//  1. The TAU-style performance monitor spliced into the integrator's
-//     RHS wire — the paper's future-work plan ("By using TAU, we intend
-//     to characterize the performance characteristics of individual
-//     components and their assemblies"), executed. The RHSMonitor
-//     component provides and uses the same port type, so it drops into
-//     the existing wiring without touching either endpoint:
+//	cvode.rhs ────────────────► model.rhs
 //
-//     before:  cvode.rhs ────────────────► model.rhs
-//     after:   cvode.rhs ─► monitor.rhs; monitor.inner ─► model.rhs
-//
-//  2. The framework's own port-call interceptor: attaching an obs
-//     session to the framework makes GetPort hand out instrumented
-//     proxies, so every wire is measured without splicing anything.
+// The call table lists each (instance, port, method) with its call
+// count and latency; cvode/rhs/Jac shows the analytic Jacobian crossing
+// the wrapped RHS wire. A 4-rank flame then reports the message
+// substrate's own per-rank statistics.
 //
 // Usage:
 //
@@ -46,13 +44,11 @@ func main() {
 	must(f.SetParameter("chem", "mech", *mech))
 	must(f.SetParameter("driver", "tEnd", fmt.Sprint(*tEnd)))
 	must(f.SetParameter("driver", "nOut", "10"))
-	must(f.SetParameter("monitor", "label", "chemistry RHS"))
 
 	for _, inst := range [][2]string{
 		{"ThermoChemistry", "chem"}, {"DPDt", "dpdt"}, {"ProblemModeler", "model"},
 		{"Initializer", "init"}, {"CvodeComponent", "cvode"},
 		{"StatisticsComponent", "stats"}, {"IgnitionDriver", "driver"},
-		{"TauTimer", "tau"}, {"RHSMonitor", "monitor"},
 	} {
 		must(f.Instantiate(inst[0], inst[1]))
 	}
@@ -61,9 +57,7 @@ func main() {
 		{"model", "chemistry", "chem", "chemistry"},
 		{"model", "dpdt", "dpdt", "dpdt"},
 		{"init", "chemistry", "chem", "chemistry"},
-		{"monitor", "inner", "model", "rhs"},
-		{"monitor", "timing", "tau", "timing"},
-		{"cvode", "rhs", "monitor", "rhs"},
+		{"cvode", "rhs", "model", "rhs"},
 		{"driver", "ic", "init", "ic"},
 		{"driver", "integrator", "cvode", "integrator"},
 		{"driver", "chemistry", "chem", "chemistry"},
@@ -79,13 +73,7 @@ func main() {
 	fmt.Printf("ignition with %q: T %0.f -> %.0f K over %.1e s\n\n",
 		*mech, dr.Temps[0], dr.Temps[len(dr.Temps)-1], *tEnd)
 
-	tauComp, _ := f.Lookup("tau")
-	fmt.Println("per-component timing (TAU-style, spliced monitor):")
-	tauComp.(*components.TauTimer).WriteReport(os.Stdout)
-
-	// The interceptor saw the same run from the framework side: every
-	// GetPort wire, not just the one the monitor was spliced into.
-	fmt.Println("\nport-call summary (framework interceptor, no splicing):")
+	fmt.Println("port-call summary (framework interceptor):")
 	serialObs.MergedSnapshot().WriteCallTable(os.Stdout)
 
 	// The message substrate instruments itself the same way: run a small

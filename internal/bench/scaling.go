@@ -76,7 +76,7 @@ func Calibrate() (CellCosts, error) {
 		return CellCosts{}, err
 	}
 
-	// Diffusion stage cost: one EvalPatch on a 32x32 patch through the
+	// Diffusion stage cost: one whole-patch evaluation of a 32x32 patch through the
 	// real transport model.
 	tm := transport.New(mech)
 	h := amr.NewHierarchy(amr.NewBox(0, 0, 31, 31), 2, 1, 1)

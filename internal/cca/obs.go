@@ -35,13 +35,18 @@ var portWrappers struct {
 }
 
 // RegisterPortWrapper installs the proxy factory for one port type
-// string. Later registrations for the same type win; registration is
-// typically done from init functions of the port-owning package.
+// string, typically from an init function of the port-owning package.
+// It panics if the type already has a wrapper: two proxies claiming one
+// port type is a wiring bug, and letting either win silently would
+// hide it.
 func RegisterPortWrapper(portType string, w PortWrapper) {
 	portWrappers.mu.Lock()
 	defer portWrappers.mu.Unlock()
 	if portWrappers.m == nil {
 		portWrappers.m = make(map[string]PortWrapper)
+	}
+	if _, dup := portWrappers.m[portType]; dup {
+		panic("cca: duplicate port wrapper for " + portType)
 	}
 	portWrappers.m[portType] = w
 }

@@ -204,3 +204,26 @@ func TestServicesObservabilityAccessor(t *testing.T) {
 		t.Error("Observability does not surface the attached session")
 	}
 }
+
+// TestRegisterPortWrapperPanicsOnDuplicate: a second wrapper for an
+// already wrapped port type is refused loudly, and the first stays in
+// force.
+func TestRegisterPortWrapperPanicsOnDuplicate(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("duplicate RegisterPortWrapper did not panic")
+			}
+		}()
+		RegisterPortWrapper("test.AddPort", func(*obs.Obs, string, string, Port) Port { return nil })
+	}()
+	f, cl, _ := obsFixture(t)
+	f.SetObservability(obs.NewGroup(1).Rank(0))
+	p, err := cl.svc.GetPort("calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, proxied := p.(*wrappedAdder); !proxied {
+		t.Errorf("GetPort returned %T, want the first registered proxy", p)
+	}
+}

@@ -78,20 +78,20 @@ type DiffusionPhysics struct {
 	p0  float64
 
 	// Ports resolve once (CCA: a connection is an interface value; a
-	// call is one dispatch) so concurrent EvalPatch calls skip the
+	// call is one dispatch) so concurrent EvalRegion calls skip the
 	// framework entirely.
 	portsOnce sync.Once
 	tp        TransportPort
 	cp        ChemistryPort
 
-	// scratch recycles one patch evaluation's work arrays. EvalPatch is
+	// scratch recycles one region evaluation's work arrays. EvalRegion is
 	// reachable from several concurrent jobs (patch fan-out, and nested
 	// loops under it), so the component must not hold mutable state —
 	// each call draws a private scratch from the pool.
 	scratch sync.Pool // of *diffScratch
 }
 
-// diffScratch is one EvalPatch call's working set: composition vectors
+// diffScratch is one EvalRegion call's working set: composition vectors
 // plus the per-cell property cache, with all rhoD slices carved out of
 // one backing array (the seed allocated a fresh slice per cell).
 type diffScratch struct {
@@ -155,19 +155,13 @@ type cellProps struct {
 	cp   float64
 }
 
-// EvalPatch implements PatchRHSPort. pd holds [T, Y...] with ghosts
-// filled; out receives dPhi/dt on the interior. Safe for concurrent
-// calls on different patches.
-func (dp *DiffusionPhysics) EvalPatch(pd, out *field.PatchData, dx, dy float64) {
-	dp.EvalRegion(pd, out, pd.Interior(), dx, dy)
-}
-
-// EvalRegion implements RegionRHSPort: EvalPatch restricted to a
+// EvalRegion implements PatchRHSPort. pd holds [T, Y...] with the
+// ghosts region reads filled; out receives dPhi/dt over region, a
 // sub-box of the interior. Properties are evaluated over the region
 // grown by one cell (the stencil support); per-cell arithmetic is
 // identical to a full-patch evaluation, so any disjoint partition of
-// the interior reproduces EvalPatch bit for bit. Safe for concurrent
-// calls on disjoint regions.
+// the interior reproduces it bit for bit. Safe for concurrent calls on
+// disjoint regions.
 func (dp *DiffusionPhysics) EvalRegion(pd, out *field.PatchData, region amr.Box, dx, dy float64) {
 	if region.Empty() {
 		return

@@ -159,7 +159,7 @@ func (lv *levelVector) gatherFrom(p, o int, src *field.PatchData, out []float64)
 
 // AdvanceLevel implements ExplicitIntegratorPort. Each RHS evaluation
 // performs the collective ghost protocol serially (the cohort must stay
-// synchronized), then fans the independent per-patch EvalPatch calls
+// synchronized), then fans the independent per-region EvalRegion calls
 // and the ydot gather out over the execution pool — patches read their
 // own ghost-padded arrays and write their own disjoint blocks of the
 // flat vector, so the parallel sweep is race-free and, because block

@@ -107,7 +107,7 @@ func (ef *EFMFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
 type InviscidFlux struct {
 	svc cca.Services
 	// The assembled solver resolves once: ports are interface values
-	// after connection, and concurrent EvalPatch calls (the integrator
+	// after connection, and concurrent EvalRegion calls (the integrator
 	// fans patches out) must not mutate component state.
 	once   sync.Once
 	solved euler.Solver
@@ -162,15 +162,10 @@ func (iv *InviscidFlux) solver() *euler.Solver {
 	return &iv.solved
 }
 
-// EvalPatch implements PatchRHSPort. Safe for concurrent calls on
-// different patches.
-func (iv *InviscidFlux) EvalPatch(pd, out *field.PatchData, dx, dy float64) {
-	iv.solver().RHSPatch(pd, out, dx, dy)
-}
-
-// EvalRegion implements RegionRHSPort: the same flux divergence
-// restricted to a sub-box. Face fluxes are pure functions of the cells
-// behind them, so disjoint regions reproduce EvalPatch bit for bit.
+// EvalRegion implements PatchRHSPort: the flux divergence over a
+// sub-box of the interior. Face fluxes are pure functions of the cells
+// behind them, so disjoint regions reproduce a whole-patch sweep bit
+// for bit. Safe for concurrent calls on disjoint regions.
 func (iv *InviscidFlux) EvalRegion(pd, out *field.PatchData, region amr.Box, dx, dy float64) {
 	iv.solver().RHSRegion(pd, out, region, dx, dy)
 }

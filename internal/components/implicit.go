@@ -13,7 +13,7 @@ import (
 
 // ImplicitIntegrator is the adaptor that "calls on the Implicit
 // Integration subsystem for all cells and all patches" (paper Sec.
-// 4.2): for every cell of the named field on a level, it packs the
+// 4.2): for every cell of the named field on every level, it packs the
 // cell state [T, Y...] into a vector, advances it through the
 // connected implicit integrator (CvodeComponent) against the
 // constant-pressure chemistry RHS, and writes the result back.
@@ -152,41 +152,23 @@ func appendLevelCells(cells []cellRef, d *field.DataObject, level int) []cellRef
 
 // AdvanceChemistry implements CellChemistryPort. The stiff integrations
 // are independent across cells (each reads and writes only its own
-// column of the field), so they fan out over the execution pool: the
-// flattened cell list is chunked contiguously, each worker slot gets a
-// private integrator (WorkerIntegratorPort) and scratch vector, and
-// cvode.Solver.Init fully resets solver state per cell — so the result
-// of every cell is bit-for-bit the serial result regardless of width.
-func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, level int, dt float64) (int, error) {
-	if o := ii.svc.Observability(); o != nil {
-		defer o.Span("chem", obsLevelName("chem.implicit", level))()
-	}
-	d := mesh.Field(name)
-	ii.cells = appendLevelCells(ii.cells[:0], d, level)
-	return ii.advanceCells(dt)
-}
-
-// AdvanceChemistryLevels implements MultiLevelChemistryPort: the cells
-// of every level are flattened into one list and advanced in a single
-// pool epoch. Per-cell results are independent of which loop delivered
-// the cell (the solver is fully re-initialized per cell), so this is
-// bit-for-bit the per-level sequence minus NumLevels-1 fork/join
-// barriers — fine levels with few cells no longer serialize the pool.
-func (ii *ImplicitIntegrator) AdvanceChemistryLevels(mesh MeshPort, name string, dt float64) (int, error) {
+// column of the field) and dt is level-uniform, so the cells of every
+// level are flattened into one list and fan out over the execution
+// pool in a single epoch: the list is chunked contiguously, each worker
+// slot gets a private integrator (WorkerIntegratorPort) and scratch
+// vector, and cvode.Solver.Init fully resets solver state per cell — so
+// the result of every cell is bit-for-bit the serial result regardless
+// of width, and fine levels with few cells never serialize the pool.
+func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, dt float64) (int, error) {
 	if o := ii.svc.Observability(); o != nil {
 		defer o.Span("chem", "chem.implicit all-levels")()
 	}
 	d := mesh.Field(name)
-	ii.cells = ii.cells[:0]
+	cells := ii.cells[:0]
 	for l := 0; l < d.Hierarchy().NumLevels(); l++ {
-		ii.cells = appendLevelCells(ii.cells, d, l)
+		cells = appendLevelCells(cells, d, l)
 	}
-	return ii.advanceCells(dt)
-}
-
-// advanceCells integrates every cell of ii.cells by dt over the pool.
-func (ii *ImplicitIntegrator) advanceCells(dt float64) (int, error) {
-	cells := ii.cells
+	ii.cells = cells
 	ip, err := ii.svc.GetPort("integrator")
 	if err != nil {
 		return 0, err

@@ -6,21 +6,6 @@ import (
 	"ccahydro/internal/field"
 )
 
-// regionRHS resolves the optional region-evaluation extension of a
-// patch-RHS wire. Proxy components (PatchRHSMonitor) implement
-// EvalRegion by delegation and report through SupportsRegion whether
-// the component actually behind the wire does too.
-func regionRHS(rhs PatchRHSPort) RegionRHSPort {
-	rr, ok := rhs.(RegionRHSPort)
-	if !ok {
-		return nil
-	}
-	if p, ok := rhs.(interface{ SupportsRegion() bool }); ok && !p.SupportsRegion() {
-		return nil
-	}
-	return rr
-}
-
 // stripItem is one boundary strip of one patch in the interleaved
 // post-exchange work list.
 type stripItem struct {
@@ -84,7 +69,7 @@ func (sp *stripPlan) ensure(patches []*field.PatchData, ghost int) {
 
 // evalLevelOverlapped runs the ghost protocol for one level and writes
 // the RHS of every local patch into out, overlapping the same-level
-// exchange with compute when the RHS wire supports region evaluation:
+// exchange with compute:
 //
 //	preExchange              coarse-level BCs + coarse–fine fill
 //	ExchangeGhostsStart      seam messages go into flight
@@ -97,31 +82,21 @@ func (sp *stripPlan) ensure(patches []*field.PatchData, ghost int) {
 //	                         cross-patch strip plan
 //
 // The split is engaged uniformly (serial and parallel, any pool width)
-// so every configuration exercises identical arithmetic; RegionRHSPort
-// providers guarantee disjoint regions reproduce EvalPatch bit for
-// bit. Without region support the call degrades to the blocking order:
-// exchange, BCs, full-patch evaluation.
+// so every configuration exercises identical arithmetic; PatchRHSPort
+// providers guarantee disjoint regions reproduce a whole-interior
+// evaluation bit for bit.
 func evalLevelOverlapped(d *field.DataObject, level int, patches, out []*field.PatchData,
 	dx, dy float64, pool *exec.Pool, rhs PatchRHSPort, sp *stripPlan, preExchange, applyBC func()) {
 	preExchange()
-	rr := regionRHS(rhs)
-	if rr == nil {
-		d.ExchangeGhosts(level)
-		applyBC()
-		pool.ForEach(len(patches), func(_, i int) {
-			rhs.EvalPatch(patches[i], out[i], dx, dy)
-		})
-		return
-	}
 	sp.ensure(patches, d.Ghost)
 	ex := d.ExchangeGhostsStart(level)
 	pool.ForEach(len(patches), func(_, i int) {
-		rr.EvalRegion(patches[i], out[i], sp.inner[i], dx, dy)
+		rhs.EvalRegion(patches[i], out[i], sp.inner[i], dx, dy)
 	})
 	ex.Finish()
 	applyBC()
 	pool.ForEach(len(sp.items), func(_, k int) {
 		it := sp.items[k]
-		rr.EvalRegion(patches[it.pi], out[it.pi], it.box, dx, dy)
+		rhs.EvalRegion(patches[it.pi], out[it.pi], it.box, dx, dy)
 	})
 }

@@ -188,21 +188,14 @@ type TransportPort interface {
 	MaxDiffusivity(T, P float64, Y []float64) float64
 }
 
-// PatchRHSPort evaluates a PDE right-hand side one patch at a time
-// (paper type (d): ports that accept an array from a patch).
+// PatchRHSPort evaluates a PDE right-hand side one patch region at a
+// time (paper type (d): ports that accept an array from a patch).
+// Drivers overlap ghost exchange with compute through it: interior
+// cells (which never read ghosts) are evaluated while messages are in
+// flight, boundary strips after the exchange completes. Providers must
+// guarantee that splitting the interior into disjoint regions
+// reproduces a whole-interior evaluation bit for bit.
 type PatchRHSPort interface {
-	// EvalPatch writes dPhi/dt into out over the interior of pd.
-	EvalPatch(pd, out *field.PatchData, dx, dy float64)
-}
-
-// RegionRHSPort is an optional extension of PatchRHSPort: the same
-// evaluation restricted to a sub-box of the patch interior, cell-for-
-// cell identical to EvalPatch over that box. Drivers that overlap ghost
-// exchange with compute probe for it: interior cells (which never read
-// ghosts) are evaluated while messages are in flight, boundary strips
-// after the exchange completes. Providers must guarantee that splitting
-// the interior into disjoint regions reproduces EvalPatch bit for bit.
-type RegionRHSPort interface {
 	// EvalRegion writes dPhi/dt into out over region, a sub-box of pd's
 	// interior, reading pd only within region grown by the stencil.
 	EvalRegion(pd, out *field.PatchData, region amr.Box, dx, dy float64)
@@ -217,22 +210,13 @@ type ExplicitIntegratorPort interface {
 }
 
 // CellChemistryPort advances the stiff chemistry in every cell of every
-// patch (the paper's ImplicitIntegrator adaptor, which "calls on the
-// Implicit Integration subsystem for all cells and all patches").
+// patch of every level (the paper's ImplicitIntegrator adaptor, which
+// "calls on the Implicit Integration subsystem for all cells and all
+// patches"). Per-cell integrations are independent across levels (dt
+// is the same everywhere under operator splitting), so providers may
+// advance the whole hierarchy in one pool epoch.
 type CellChemistryPort interface {
-	AdvanceChemistry(mesh MeshPort, name string, level int, dt float64) (cells int, err error)
-}
-
-// MultiLevelChemistryPort is the optional extension of a cellChemistry
-// wire that advances the cells of *all* hierarchy levels in one
-// flattened pool epoch instead of one fork/join per level — per-cell
-// integrations are independent across levels (dt is the same
-// everywhere under operator splitting), so the per-level barriers buy
-// nothing and starve workers on small fine levels. Proxy components
-// (iCellChem) implement it by delegation and report through
-// SupportsMultiLevel whether the component behind the wire does too.
-type MultiLevelChemistryPort interface {
-	AdvanceChemistryLevels(mesh MeshPort, name string, dt float64) (cells int, err error)
+	AdvanceChemistry(mesh MeshPort, name string, dt float64) (cells int, err error)
 }
 
 // FluxPort computes an interface flux from reconstructed left/right
@@ -268,7 +252,11 @@ type ExecutionPort interface {
 
 // WorkerIntegratorPort is an optional extension of an implicit
 // integrator provider: per-worker integrator instances so cell
-// integrations can proceed concurrently. CvodeComponent implements it.
+// integrations can proceed concurrently. CvodeComponent implements it;
+// ImplicitIntegrator probes for it with a type assertion on the wire
+// and stays serial without it. The interceptor picks its proxy variant
+// at wrap time, so the assertion answers for the provider on a
+// wrapped wire too.
 type WorkerIntegratorPort interface {
 	// WorkerIntegrator returns a private integrator for worker slot w of
 	// a pool of the given width. Instances are created on first use and

@@ -55,20 +55,6 @@ func (dr *RDDriver) SetServices(svc cca.Services) error {
 	return rdDriverSpec.register(svc, goFunc(dr.run))
 }
 
-// multiLevelChem resolves the optional multi-level extension of a
-// cellChemistry wire, mirroring regionRHS: proxies answer
-// SupportsMultiLevel truthfully for the component behind them.
-func multiLevelChem(c CellChemistryPort) MultiLevelChemistryPort {
-	ml, ok := c.(MultiLevelChemistryPort)
-	if !ok {
-		return nil
-	}
-	if p, ok := c.(interface{ SupportsMultiLevel() bool }); ok && !p.SupportsMultiLevel() {
-		return nil
-	}
-	return ml
-}
-
 func (dr *RDDriver) run() error {
 	params := dr.svc.Parameters()
 	dt := rdDriverSpec.Float(params, "dt")
@@ -136,21 +122,8 @@ func (dr *RDDriver) run() error {
 		if skipChem || cellChem == nil {
 			return nil
 		}
-		// One flattened epoch over all levels' cells when the wire
-		// supports it (bit-for-bit the per-level sequence: each cell's
-		// integration is independent and dt is level-uniform); the
-		// per-level loop is the fallback for foreign providers.
-		if ml := multiLevelChem(cellChem); ml != nil {
-			_, err := ml.AdvanceChemistryLevels(mesh, name, dt*frac)
-			return err
-		}
-		h := mesh.Hierarchy()
-		for l := 0; l < h.NumLevels(); l++ {
-			if _, err := cellChem.AdvanceChemistry(mesh, name, l, dt*frac); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := cellChem.AdvanceChemistry(mesh, name, dt*frac)
+		return err
 	}
 	diffStep := func(t0, t1 float64) error {
 		h := mesh.Hierarchy()

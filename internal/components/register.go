@@ -14,8 +14,8 @@ var specs = []*Spec{
 	conicalInterfaceSpec, kelvinHelmholtzSpec, richtmyerMeshkovSpec, statesSpec,
 	godunovFluxSpec, efmFluxSpec, hllcFluxSpec, inviscidFluxSpec,
 	characteristicsSpec, rk2Spec, boundaryConditionsSpec, gasPropertiesSpec,
-	prolongRestrictSpec, shockDriverSpec, tauTimerSpec, rhsMonitorSpec,
-	patchRHSMonitorSpec, balancerSpec, executionSpec, checkpointSpec,
+	prolongRestrictSpec, shockDriverSpec, balancerSpec, executionSpec,
+	checkpointSpec,
 }
 
 var specByClass = func() map[string]*Spec {

@@ -7,8 +7,8 @@
 //
 // The paper's future-work item (4) plans to "characterize the
 // performance characteristics of individual components and their
-// assemblies" with TAU; this package is the framework-side half of that
-// plan: instrumentation lives on the wires and in the substrate, not
+// assemblies" with TAU; this package carries out that plan:
+// instrumentation lives on the wires and in the substrate, not
 // inside components, so any assembly is observable without changing a
 // single component (the FLASH/Cactus argument for framework-level
 // instrumentation).

@@ -33,7 +33,7 @@ func TestValidationDiagnostics(t *testing.T) {
 		},
 		{
 			name: "duplicate instance",
-			src:  "scenario x\ncomponent a StatisticsComponent\ncomponent a TauTimer\nrun a\n",
+			src:  "scenario x\ncomponent a StatisticsComponent\ncomponent a StatisticsComponent\nrun a\n",
 			want: []string{
 				`t.scn:3:1: duplicate component instance "a" (first declared at t.scn:2:1)`,
 				`t.scn:4:1: run target "a" (StatisticsComponent) does not provide a go port`,
@@ -49,29 +49,29 @@ func TestValidationDiagnostics(t *testing.T) {
 		},
 		{
 			name: "connect unknown instances",
-			src:  "scenario x\ncomponent s TauTimer\nconnect a.ic -> b.stats\nrun s\n",
+			src:  "scenario x\ncomponent s StatisticsComponent\nconnect a.ic -> b.stats\nrun s\n",
 			want: []string{
 				`t.scn:3:1: connect references unknown instance "a"`,
 				`t.scn:3:17: connect references unknown instance "b"`,
-				`t.scn:4:1: run target "s" (TauTimer) does not provide a go port`,
+				`t.scn:4:1: run target "s" (StatisticsComponent) does not provide a go port`,
 			},
 		},
 		{
 			name: "no such uses port",
-			src:  "scenario x\ncomponent t TauTimer\ncomponent s StatisticsComponent\nconnect s.timing -> t.timing\nrun t\n",
+			src:  "scenario x\ncomponent t StatisticsComponent\ncomponent s StatisticsComponent\nconnect s.timing -> t.stats\nrun t\n",
 			want: []string{
 				`t.scn:4:1: component "s" (StatisticsComponent) has no uses port "timing"`,
-				`t.scn:5:1: run target "t" (TauTimer) does not provide a go port`,
+				`t.scn:5:1: run target "t" (StatisticsComponent) does not provide a go port`,
 			},
 		},
 		{
 			name: "no such provides port",
-			src:  "scenario x\ncomponent t TauTimer\ncomponent m RHSMonitor\nconnect m.timing -> t.clock\nrun t\n",
+			src:  "scenario x\ncomponent t StatisticsComponent\ncomponent m DiffusionPhysics\nconnect m.chemistry -> t.clock\nrun t\n",
 			want: []string{
-				`t.scn:3:1: component "m" (RHSMonitor): required uses port "inner" (ode.RHSPort) is not connected`,
-				`t.scn:3:1: component "m" (RHSMonitor): required uses port "timing" (perf.TimingPort) is not connected`,
-				`t.scn:4:21: component "t" (TauTimer) does not provide port "clock"`,
-				`t.scn:5:1: run target "t" (TauTimer) does not provide a go port`,
+				`t.scn:3:1: component "m" (DiffusionPhysics): required uses port "chemistry" (chem.SourceTermPort) is not connected`,
+				`t.scn:3:1: component "m" (DiffusionPhysics): required uses port "transport" (transport.PropertiesPort) is not connected`,
+				`t.scn:4:24: component "t" (StatisticsComponent) does not provide port "clock"`,
+				`t.scn:5:1: run target "t" (StatisticsComponent) does not provide a go port`,
 			},
 		},
 		{
@@ -126,19 +126,19 @@ func TestValidationDiagnostics(t *testing.T) {
 		},
 		{
 			name: "sweep unknown instance",
-			src:  "scenario x\ncomponent s TauTimer\nrun s\nsweep {\n    param q.tEnd = [1]\n}\n",
+			src:  "scenario x\ncomponent s StatisticsComponent\nrun s\nsweep {\n    param q.tEnd = [1]\n}\n",
 			want: []string{
-				`t.scn:3:1: run target "s" (TauTimer) does not provide a go port`,
+				`t.scn:3:1: run target "s" (StatisticsComponent) does not provide a go port`,
 				`t.scn:5:5: sweep references unknown instance "q"`,
 			},
 		},
 		{
 			name: "sweep class incompatible",
 			src: miniScenario +
-				"sweep {\n    class cvode = [TauTimer]\n}\n",
+				"sweep {\n    class cvode = [StatisticsComponent]\n}\n",
 			want: []string{
-				`t.scn:21:20: sweep class "TauTimer" for "cvode" has no uses port "rhs" (wired at t.scn:14:1)`,
-				`t.scn:21:20: sweep class "TauTimer" for "cvode" does not provide port "integrator" (wired at t.scn:16:1)`,
+				`t.scn:21:20: sweep class "StatisticsComponent" for "cvode" has no uses port "rhs" (wired at t.scn:14:1)`,
+				`t.scn:21:20: sweep class "StatisticsComponent" for "cvode" does not provide port "integrator" (wired at t.scn:16:1)`,
 			},
 		},
 	}

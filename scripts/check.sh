@@ -22,8 +22,12 @@
 # preempt/elastic-resume scenario end to end). After vet, a grep
 # holds every component to one port-registration path: only the
 # Spec.register helper in internal/components/spec.go may call
-# RegisterUsesPort or AddProvidesPort. The scenario gate
-# parse-validates every file in scenarios/ against the component
+# RegisterUsesPort or AddProvidesPort; a second grep keeps the
+# optional region/multi-level port extensions and their capability
+# probes (RegionRHSPort, MultiLevelChemistryPort, SupportsRegion,
+# SupportsMultiLevel) out of non-test Go. After the test suite the
+# instrumented example runs once, so it cannot rot unbuilt. The
+# scenario gate parse-validates every file in scenarios/ against the component
 # specs (each class's declared ports and parameters), replays the hand-built fuzz corpus through the parser (the
 # seeds run even without a fuzzing budget), and holds the golden claim:
 # the built-in problems — the embedded scenario files — reproduce the
@@ -70,11 +74,22 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
+echo "== one instrumentation path (no optional region/multi-level port extensions or their probes)"
+probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel' -- '*.go' ':!*_test.go' || true)
+if [ -n "$probes" ]; then
+	echo "optional-capability probes are back; extend PatchRHSPort/CellChemistryPort instead:" >&2
+	echo "$probes" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== instrumented example smoke (interceptor call table on the 0D ignition, 4-rank flame stats)"
+go run ./examples/instrumented >/dev/null
 
 echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
