@@ -7,6 +7,7 @@ import (
 	"ccahydro/internal/amr"
 	"ccahydro/internal/cca"
 	"ccahydro/internal/chem"
+	"ccahydro/internal/cvode"
 	"ccahydro/internal/euler"
 	"ccahydro/internal/field"
 )
@@ -467,6 +468,7 @@ func (vecRHS) Dim() int { return 1 }
 func (vecRHS) Eval(_ float64, y, ydot []float64) {
 	ydot[0] = -2 * y[0]
 }
+func (vecRHS) JacFn() cvode.Jac { return nil }
 
 func TestCvodeComponentIntegrates(t *testing.T) {
 	repo := cca.NewRepository()

@@ -12,22 +12,22 @@ import (
 // uses port and exposes an ImplicitIntegratorPort. Tolerances come
 // from the "rtol"/"atol" parameters.
 type CvodeComponent struct {
-	svc    cca.Services
-	solver *cvode.Solver
+	svc cca.Services
 	// rhs is fetched once; invocation is then one interface dispatch.
 	// Guarded by rhsOnce: worker integrators resolve it lazily from
 	// pool goroutines.
 	rhs     RHSPort
 	rhsOnce sync.Once
-	dim     int
 	rtol    float64
 	atol    float64
 	// accumulated stats across calls; guarded by statsMu because
 	// worker integrators report from pool goroutines.
 	statsMu sync.Mutex
 	total   cvode.Stats
-	// workers holds per-worker-slot integrator instances (see
-	// WorkerIntegrator); rebuilt when the pool width changes.
+	// own serves the component's own IntegrateTo; workers holds the
+	// per-worker-slot instances (see WorkerIntegrator), rebuilt when
+	// the pool width changes.
+	own     workerIntegrator
 	workers []*workerIntegrator
 }
 
@@ -41,6 +41,7 @@ var cvodeSpec = &Spec{
 // SetServices implements cca.Component.
 func (cc *CvodeComponent) SetServices(svc cca.Services) error {
 	cc.svc = svc
+	cc.own.CvodeComponent = cc
 	cc.rtol = cvodeSpec.Float(svc.Parameters(), "rtol")
 	cc.atol = cvodeSpec.Float(svc.Parameters(), "atol")
 	return cvodeSpec.register(svc, cc)
@@ -60,45 +61,10 @@ func (cc *CvodeComponent) rhsPort() RHSPort {
 	return cc.rhs
 }
 
-// ensureSolver (re)creates the solver when the RHS dimension changes.
-func (cc *CvodeComponent) ensureSolver() {
-	rhs := cc.rhsPort()
-	dim := rhs.Dim()
-	if cc.solver != nil && dim == cc.dim {
-		return
-	}
-	cc.dim = dim
-	f := func(t float64, y, ydot []float64) { cc.rhsPort().Eval(t, y, ydot) }
-	cc.solver = cvode.New(dim, f, cvode.Options{
-		RelTol: cc.rtol,
-		AbsTol: cc.atol,
-		Jac:    cc.jacFn(),
-	})
-}
-
-// jacFn probes the wired RHS for the optional JacobianRHSPort
-// capability. A nil return keeps cvode's finite-difference fallback;
-// each call hands out a fresh evaluator so per-worker solvers never
-// share Jacobian scratch.
-func (cc *CvodeComponent) jacFn() cvode.Jac {
-	if jp, ok := cc.rhsPort().(JacobianRHSPort); ok {
-		return jp.JacFn()
-	}
-	return nil
-}
-
 // IntegrateTo implements ImplicitIntegratorPort: advance y in place
 // from t0 to t1.
 func (cc *CvodeComponent) IntegrateTo(t0, t1 float64, y []float64) (cvode.Stats, error) {
-	cc.ensureSolver()
-	cc.solver.Init(t0, y)
-	if err := cc.solver.Integrate(t1); err != nil {
-		return cc.solver.Stats(), err
-	}
-	copy(y, cc.solver.Y())
-	st := cc.solver.Stats()
-	cc.addStats(st)
-	return st, nil
+	return cc.own.IntegrateTo(t0, t1, y)
 }
 
 func (cc *CvodeComponent) addStats(st cvode.Stats) {
@@ -134,9 +100,7 @@ const (
 	counterCvodeErrTestFail = "cvode.err_test_fails"
 )
 
-// Counters implements CounterSource: the cumulative solver statistics a
-// checkpoint must carry so a restored run reports the same Table 4
-// totals as an uninterrupted one.
+// Counters implements ImplicitIntegratorPort.
 func (cc *CvodeComponent) Counters() map[string]float64 {
 	st := cc.TotalStats()
 	return map[string]float64{
@@ -151,7 +115,7 @@ func (cc *CvodeComponent) Counters() map[string]float64 {
 	}
 }
 
-// RestoreCounters implements CounterSource.
+// RestoreCounters implements ImplicitIntegratorPort.
 func (cc *CvodeComponent) RestoreCounters(m map[string]float64) {
 	cc.statsMu.Lock()
 	cc.total = cvode.Stats{
@@ -167,12 +131,16 @@ func (cc *CvodeComponent) RestoreCounters(m map[string]float64) {
 	cc.statsMu.Unlock()
 }
 
-// workerIntegrator is one worker slot's private solver. Each slot owns
-// its own cvode.Solver, so cell integrations on different workers never
-// share state; Init fully resets the solver, so results are identical
-// to the shared-solver serial path.
+// workerIntegrator is one private solver: a worker slot's, or the
+// component's own. Each owns its cvode.Solver, so cell integrations on
+// different workers never share state; Init fully resets the solver,
+// so results are identical whichever instance integrates a cell. The
+// solver is (re)built when the state dimension changes, with the
+// wired RHS's analytic Jacobian when it offers one. The embedded
+// component supplies the rest of the port (statistics, worker slots),
+// and every instance reports its work into the component's totals.
 type workerIntegrator struct {
-	cc     *CvodeComponent
+	*CvodeComponent
 	solver *cvode.Solver
 	dim    int
 }
@@ -182,9 +150,9 @@ var _ ImplicitIntegratorPort = (*workerIntegrator)(nil)
 func (wi *workerIntegrator) IntegrateTo(t0, t1 float64, y []float64) (cvode.Stats, error) {
 	if wi.solver == nil || wi.dim != len(y) {
 		wi.dim = len(y)
-		rhs := wi.cc.rhsPort()
-		wi.solver = cvode.New(wi.dim, func(t float64, y, ydot []float64) { rhs.Eval(t, y, ydot) },
-			cvode.Options{RelTol: wi.cc.rtol, AbsTol: wi.cc.atol, Jac: wi.cc.jacFn()})
+		rhs := wi.rhsPort()
+		wi.solver = cvode.New(wi.dim, rhs.Eval,
+			cvode.Options{RelTol: wi.rtol, AbsTol: wi.atol, Jac: rhs.JacFn()})
 	}
 	wi.solver.Init(t0, y)
 	if err := wi.solver.Integrate(t1); err != nil {
@@ -192,20 +160,17 @@ func (wi *workerIntegrator) IntegrateTo(t0, t1 float64, y []float64) (cvode.Stat
 	}
 	copy(y, wi.solver.Y())
 	st := wi.solver.Stats()
-	wi.cc.addStats(st)
+	wi.addStats(st)
 	return st, nil
 }
 
-// WorkerIntegrator implements WorkerIntegratorPort: a private
-// integrator per worker slot so per-cell chemistry can fan out across a
-// pool. Call it serially (before launching the parallel loop);
-// instances persist across calls with the same width.
+// WorkerIntegrator implements ImplicitIntegratorPort.
 func (cc *CvodeComponent) WorkerIntegrator(w, width int) ImplicitIntegratorPort {
 	if len(cc.workers) != width {
 		cc.workers = make([]*workerIntegrator, width)
 	}
 	if cc.workers[w] == nil {
-		cc.workers[w] = &workerIntegrator{cc: cc}
+		cc.workers[w] = &workerIntegrator{CvodeComponent: cc}
 	}
 	return cc.workers[w]
 }

@@ -172,7 +172,6 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 	rhsPort := explicitIntegratorSpec.port(ei.svc, "patchRHS").(PatchRHSPort)
 	eigPort := explicitIntegratorSpec.port(ei.svc, "maxEigen").(SpectralRadiusPort)
 	d := mesh.Field(name)
-	gc, isGrace := meshAsGrace(mesh)
 	patches := d.LocalPatches(level)
 	dx, dy := mesh.Spacing(level)
 	comm := ei.svc.Comm()
@@ -199,21 +198,9 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 	lv := lc.lv
 	dim := lv.dim()
 
-	// The ghost protocol splits around the exchange so interior cells are
-	// evaluated while seam messages are in flight (evalLevelOverlapped):
-	// the pre-exchange part is the coarse-level fill, the post part the
-	// level's own physical BCs.
-	preExchange := func() {
-		if isGrace && level > 0 {
-			gc.Apply(name, level-1)
-			gc.FillCoarseFineGhosts(name, level)
-		}
-	}
-	applyBC := func() {
-		if isGrace {
-			gc.Apply(name, level)
-		}
-	}
+	// The ghost protocol applies the mesh's own physical BCs (the flame
+	// wires no BC component); only GrACEComponent provides MeshPort.
+	gf := ghostFill{d: d, bc: mesh.(*GrACEComponent), name: name, level: level}
 	f := func(_ float64, y, ydot []float64) {
 		if o != nil {
 			defer o.Span("rkc", obsLevelName("rkc.stage", level))()
@@ -221,8 +208,7 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 		pool.ForEach(len(patches), func(_, i int) {
 			lv.scatterPatch(i, lc.offs[i], y)
 		})
-		evalLevelOverlapped(d, level, patches, lc.rhsData, dx, dy, pool, rhsPort,
-			&lc.strips, preExchange, applyBC)
+		evalLevelOverlapped(gf, patches, lc.rhsData, dx, dy, pool, rhsPort, &lc.strips)
 		pool.ForEach(len(patches), func(_, i int) {
 			lv.gatherFrom(i, lc.offs[i], lc.rhsData[i], ydot)
 		})
@@ -264,17 +250,6 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 		return fmt.Errorf("ExplicitIntegrator level %d: %w", level, err)
 	}
 	lv.scatter(s.Y())
-	if isGrace {
-		gc.FillAllGhosts(name, level)
-	} else {
-		d.ExchangeGhosts(level)
-	}
+	gf.fill()
 	return nil
-}
-
-// meshAsGrace recovers the concrete GrACE component behind a MeshPort
-// when available (for the full ghost protocol).
-func meshAsGrace(mesh MeshPort) (*GrACEComponent, bool) {
-	gc, ok := mesh.(*GrACEComponent)
-	return gc, ok
 }

@@ -40,7 +40,7 @@ var graceSpec = &Spec{
 	// interfaces). Unconnected is fine.
 	Uses: []PortDecl{use("balancer", BalancerPortType)},
 	Provides: []PortDecl{
-		prov("bc", BCPortType), prov("data", DataPortType), prov("mesh", MeshPortType),
+		prov("bc", BCPortType), prov("mesh", MeshPortType),
 	},
 }
 
@@ -63,7 +63,7 @@ func (gc *GrACEComponent) SetServices(svc cca.Services) error {
 	gc.bcs = make(map[string]field.BCSet)
 	gc.regridOpt = amr.DefaultRegridOptions
 	gc.regridOpt.MaxPatchCells = graceSpec.Int(p, "maxPatchCells")
-	return graceSpec.register(svc, gc, gc, gc)
+	return graceSpec.register(svc, gc, gc)
 }
 
 // Hierarchy implements MeshPort.
@@ -159,26 +159,6 @@ func (gc *GrACEComponent) Spacing(level int) (float64, float64) {
 	return amr.MeshSpacing(dx0, gc.h.Ratio, level), amr.MeshSpacing(dy0, gc.h.Ratio, level)
 }
 
-// ExchangeGhosts implements DataPort.
-func (gc *GrACEComponent) ExchangeGhosts(name string, level int) {
-	gc.Field(name).ExchangeGhosts(level)
-}
-
-// FillCoarseFineGhosts implements DataPort.
-func (gc *GrACEComponent) FillCoarseFineGhosts(name string, level int) {
-	gc.Field(name).FillCoarseFineGhosts(level, field.ProlongLinear)
-}
-
-// Restrict implements DataPort.
-func (gc *GrACEComponent) Restrict(name string, level int) {
-	gc.Field(name).RestrictLevel(level)
-}
-
-// ProlongNewLevel implements DataPort.
-func (gc *GrACEComponent) ProlongNewLevel(name string, level int) {
-	gc.Field(name).ProlongLevel(level, field.ProlongLinear)
-}
-
 // Apply implements BCPort with the per-field rule (default outflow).
 func (gc *GrACEComponent) Apply(name string, level int) {
 	gc.mu.Lock()
@@ -229,16 +209,4 @@ func (gc *GrACEComponent) FieldNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// FillAllGhosts performs the full ghost protocol for one level: physical
-// BCs, coarse–fine interpolation, then same-level exchange (which
-// overrides interpolated ghosts wherever real neighbors exist).
-func (gc *GrACEComponent) FillAllGhosts(name string, level int) {
-	if level > 0 {
-		gc.Apply(name, level-1)
-		gc.FillCoarseFineGhosts(name, level)
-	}
-	gc.ExchangeGhosts(name, level)
-	gc.Apply(name, level)
 }

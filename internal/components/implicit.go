@@ -26,9 +26,6 @@ type ImplicitIntegrator struct {
 	chem     ChemistryPort
 	chemOnce sync.Once
 
-	// rhs context for the current cell integration.
-	nsp int
-
 	// cells is the reusable flattened work list (one driver advance at
 	// a time drives this port, so reuse is race-free).
 	cells []cellRef
@@ -65,32 +62,17 @@ func (ii *ImplicitIntegrator) chemistry() ChemistryPort {
 	return ii.chem
 }
 
-// counterSource resolves the wired integrator's CounterSource
-// capability, or nil when the provider has none.
-func (ii *ImplicitIntegrator) counterSource() CounterSource {
-	p, err := ii.svc.GetPort("integrator")
-	if err != nil {
-		return nil
-	}
-	ii.svc.ReleasePort("integrator")
-	cs, _ := p.(CounterSource)
-	return cs
+func (ii *ImplicitIntegrator) integrator() ImplicitIntegratorPort {
+	return implicitIntegratorSpec.port(ii.svc, "integrator").(ImplicitIntegratorPort)
 }
 
-// Counters implements CounterSource by delegating to the wired
+// Counters implements CellChemistryPort by delegating to the wired
 // integrator (the CvodeComponent's cumulative statistics).
-func (ii *ImplicitIntegrator) Counters() map[string]float64 {
-	if cs := ii.counterSource(); cs != nil {
-		return cs.Counters()
-	}
-	return nil
-}
+func (ii *ImplicitIntegrator) Counters() map[string]float64 { return ii.integrator().Counters() }
 
-// RestoreCounters implements CounterSource.
+// RestoreCounters implements CellChemistryPort.
 func (ii *ImplicitIntegrator) RestoreCounters(m map[string]float64) {
-	if cs := ii.counterSource(); cs != nil {
-		cs.RestoreCounters(m)
-	}
+	ii.integrator().RestoreCounters(m)
 }
 
 // cellRHS is the constant-pressure chemistry RHS over y = [T, Y...].
@@ -112,7 +94,7 @@ func (cr cellRHS) Eval(_ float64, y, ydot []float64) {
 	ydot[0] = chemPort.ConstPressure(T, cr.ii.p0, y[1:1+n], ydot[1:1+n])
 }
 
-// JacFn implements JacobianRHSPort: the generated kernel's exact
+// JacFn implements RHSPort: the generated kernel's exact
 // constant-pressure Jacobian at the adaptor's fixed pressure. The kernel
 // call is stateless, so the same closure shape is handed to every
 // per-worker solver.
@@ -155,7 +137,7 @@ func appendLevelCells(cells []cellRef, d *field.DataObject, level int) []cellRef
 // column of the field) and dt is level-uniform, so the cells of every
 // level are flattened into one list and fan out over the execution
 // pool in a single epoch: the list is chunked contiguously, each worker
-// slot gets a private integrator (WorkerIntegratorPort) and scratch
+// slot gets a private integrator (WorkerIntegrator) and scratch
 // vector, and cvode.Solver.Init fully resets solver state per cell — so
 // the result of every cell is bit-for-bit the serial result regardless
 // of width, and fine levels with few cells never serialize the pool.
@@ -169,33 +151,16 @@ func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, dt fl
 		cells = appendLevelCells(cells, d, l)
 	}
 	ii.cells = cells
-	ip, err := ii.svc.GetPort("integrator")
-	if err != nil {
-		return 0, err
-	}
-	ii.svc.ReleasePort("integrator")
-	integ := ip.(ImplicitIntegratorPort)
+	integ := ii.integrator()
 	mech := ii.chemistry().Mechanism() // also pre-fetches the chemistry port
 	nsp := mech.NumSpecies()
-	ii.nsp = nsp
 
 	pool := optionalPool(ii.svc)
-	width := pool.Width()
-	wip, canFanOut := integ.(WorkerIntegratorPort)
-	if width > len(cells) {
-		width = len(cells)
-	}
+	width := min(pool.Width(), len(cells))
 	ints := make([]ImplicitIntegratorPort, width)
 	for w := range ints {
-		if canFanOut && width > 1 {
-			// Created serially here, used exclusively by slot w below.
-			ints[w] = wip.WorkerIntegrator(w, width)
-		} else {
-			ints[w] = integ
-		}
-	}
-	if !canFanOut {
-		pool = nil // provider cannot hand out private integrators: stay serial
+		// Created serially here, used exclusively by slot w below.
+		ints[w] = integ.WorkerIntegrator(w, width)
 	}
 
 	ys := make([][]float64, len(ints))
@@ -232,13 +197,7 @@ func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, dt fl
 			c.pd.Set(1+k, c.i, c.j, y[1+k])
 		}
 	}
-	if pool == nil {
-		for idx := range cells {
-			body(0, idx)
-		}
-	} else {
-		pool.ForEach(len(cells), body)
-	}
+	pool.ForEach(len(cells), body)
 	if failErr != nil {
 		return failIdx, failErr
 	}

@@ -22,19 +22,14 @@ import (
 // measured per wire instead of in a dedicated micro-benchmark.
 //
 // Proxies are hand-written because Go cannot implement an arbitrary
-// interface at runtime. Each must preserve every capability callers
-// probe for:
-//
-//   - the RHS proxy forwards the analytic Jacobian (JacobianRHSPort),
-//     timing its builds under the "Jac" method;
-//   - the implicit-integrator proxy comes in two variants, chosen at
-//     wrap time, so a WorkerIntegratorPort assertion on the wire stays
-//     truthful, and per-worker integrators are wrapped into the same
-//     histogram (their calls run on pool goroutines; histograms are
-//     atomic);
-//   - MeshPort is deliberately NOT wrapped: drivers downcast it to the
-//     concrete *GrACEComponent for framework-internal fast paths, and
-//     a proxy would break that (and the identity of the mesh object).
+// interface at runtime. Two forward more than a timed call: the RHS
+// proxy wraps the analytic Jacobian evaluator so its builds land under
+// the "Jac" method, and the implicit-integrator proxy wraps each
+// per-worker integrator into the wire's own IntegrateTo histogram
+// (their calls run on pool goroutines; histograms are atomic).
+// MeshPort is deliberately NOT wrapped: drivers downcast it to the
+// concrete *GrACEComponent for framework-internal fast paths, and a
+// proxy would break that (and the identity of the mesh object).
 //
 // Registration happens in init, from this package, because the port
 // interfaces live here — the CCA "user community" owns both the types
@@ -85,16 +80,11 @@ func (p *iRHS) Eval(t float64, y, ydot []float64) {
 	p.inner.Eval(t, y, ydot)
 }
 
-// JacFn forwards the optional JacobianRHSPort capability truthfully: a
-// nil evaluator when the wrapped RHS has none, otherwise the inner
-// evaluator wrapped so analytic Jacobian builds land in the histogram
-// alongside Eval.
+// JacFn passes a nil evaluator through (the integrator then keeps its
+// finite-difference Jacobian) and otherwise wraps the inner evaluator
+// so analytic Jacobian builds land in the histogram alongside Eval.
 func (p *iRHS) JacFn() cvode.Jac {
-	jp, ok := p.inner.(JacobianRHSPort)
-	if !ok {
-		return nil
-	}
-	fn := jp.JacFn()
+	fn := p.inner.JacFn()
 	if fn == nil {
 		return nil
 	}
@@ -113,10 +103,9 @@ func (p *iPatchRHS) EvalRegion(pd, out *field.PatchData, region amr.Box, dx, dy 
 	p.inner.EvalRegion(pd, out, region, dx, dy)
 }
 
-// iImplicit instruments ode.ImplicitIntegratorPort; iWorkerImplicit
-// additionally forwards WorkerIntegratorPort, wrapping each per-worker
-// integrator so fan-out cell integrations record into the same
-// histogram.
+// iImplicit instruments ode.ImplicitIntegratorPort. Per-worker
+// integrators are wrapped into the same histogram, so fan-out cell
+// integrations record alongside direct calls.
 type iImplicit proxy[ImplicitIntegratorPort]
 
 func (p *iImplicit) IntegrateTo(t0, t1 float64, y []float64) (cvode.Stats, error) {
@@ -124,35 +113,15 @@ func (p *iImplicit) IntegrateTo(t0, t1 float64, y []float64) (cvode.Stats, error
 	return p.inner.IntegrateTo(t0, t1, y)
 }
 
-// Counters/RestoreCounters forward the optional CounterSource
-// capability (checkpointed solver statistics) through the proxy. A nil
-// map from Counters means the wrapped component has no counters to
-// save.
-func (p *iImplicit) Counters() map[string]float64 { return forwardCounters(p.inner) }
-
-func (p *iImplicit) RestoreCounters(m map[string]float64) { forwardRestore(p.inner, m) }
-
-func forwardCounters(inner any) map[string]float64 {
-	if cs, ok := inner.(CounterSource); ok {
-		return cs.Counters()
-	}
-	return nil
+func (p *iImplicit) WorkerIntegrator(w, width int) ImplicitIntegratorPort {
+	return &iImplicit{inner: p.inner.WorkerIntegrator(w, width), h: p.h}
 }
 
-func forwardRestore(inner any, m map[string]float64) {
-	if cs, ok := inner.(CounterSource); ok {
-		cs.RestoreCounters(m)
-	}
-}
+// Counters and RestoreCounters are forwarded untimed: checkpoint
+// plumbing, called once per save or restore.
+func (p *iImplicit) Counters() map[string]float64 { return p.inner.Counters() }
 
-type iWorkerImplicit struct {
-	iImplicit
-	wip WorkerIntegratorPort
-}
-
-func (p *iWorkerImplicit) WorkerIntegrator(w, width int) ImplicitIntegratorPort {
-	return &iImplicit{inner: p.wip.WorkerIntegrator(w, width), h: p.h}
-}
+func (p *iImplicit) RestoreCounters(m map[string]float64) { p.inner.RestoreCounters(m) }
 
 // iChemistry instruments chem.SourceTermPort.
 type iChemistry struct {
@@ -219,9 +188,8 @@ func (p *iExplicit) AdvanceLevel(mesh MeshPort, name string, level int, t0, t1 f
 	return p.inner.AdvanceLevel(mesh, name, level, t0, t1)
 }
 
-// iCellChem instruments samr.CellChemistryPort. Counters/RestoreCounters
-// forward CounterSource across the wire (the ImplicitIntegrator adaptor
-// delegates them to its wired integrator).
+// iCellChem instruments samr.CellChemistryPort; Counters and
+// RestoreCounters are forwarded untimed, as on iImplicit.
 type iCellChem proxy[CellChemistryPort]
 
 func (p *iCellChem) AdvanceChemistry(mesh MeshPort, name string, dt float64) (int, error) {
@@ -229,9 +197,9 @@ func (p *iCellChem) AdvanceChemistry(mesh MeshPort, name string, dt float64) (in
 	return p.inner.AdvanceChemistry(mesh, name, dt)
 }
 
-func (p *iCellChem) Counters() map[string]float64 { return forwardCounters(p.inner) }
+func (p *iCellChem) Counters() map[string]float64 { return p.inner.Counters() }
 
-func (p *iCellChem) RestoreCounters(m map[string]float64) { forwardRestore(p.inner, m) }
+func (p *iCellChem) RestoreCounters(m map[string]float64) { p.inner.RestoreCounters(m) }
 
 // iFlux instruments hydro.FluxPort.
 type iFlux proxy[FluxPort]
@@ -347,32 +315,6 @@ func (p *iProlongRestrict) FillCoarseFine(mesh MeshPort, name string, level int)
 	p.inner.FillCoarseFine(mesh, name, level)
 }
 
-// iData instruments samr.DataObjectPort.
-type iData struct {
-	inner              DataPort
-	exch, cfg, res, pr *obs.PortCall
-}
-
-func (p *iData) ExchangeGhosts(name string, level int) {
-	defer p.exch.ObserveSince(time.Now())
-	p.inner.ExchangeGhosts(name, level)
-}
-
-func (p *iData) FillCoarseFineGhosts(name string, level int) {
-	defer p.cfg.ObserveSince(time.Now())
-	p.inner.FillCoarseFineGhosts(name, level)
-}
-
-func (p *iData) Restrict(name string, level int) {
-	defer p.res.ObserveSince(time.Now())
-	p.inner.Restrict(name, level)
-}
-
-func (p *iData) ProlongNewLevel(name string, level int) {
-	defer p.pr.ObserveSince(time.Now())
-	p.inner.ProlongNewLevel(name, level)
-}
-
 func init() {
 	wrap(RHSPortType, func(r RHSPort, h func(string) *obs.PortCall) cca.Port {
 		return &iRHS{inner: r, dim: h("Dim"), eval: h("Eval"), jacf: h("Jac")}
@@ -381,11 +323,7 @@ func init() {
 		return &iPatchRHS{inner: r, h: h("EvalRegion")}
 	})
 	wrap(ImplicitIntegratorType, func(r ImplicitIntegratorPort, h func(string) *obs.PortCall) cca.Port {
-		base := iImplicit{inner: r, h: h("IntegrateTo")}
-		if wip, ok := r.(WorkerIntegratorPort); ok {
-			return &iWorkerImplicit{iImplicit: base, wip: wip}
-		}
-		return &base
+		return &iImplicit{inner: r, h: h("IntegrateTo")}
 	})
 	wrap(ChemistryPortType, func(r ChemistryPort, h func(string) *obs.PortCall) cca.Port {
 		return &iChemistry{inner: r, cp: h("ConstPressure"), cv: h("ConstVolume"), mech: h("Mechanism")}
@@ -434,10 +372,6 @@ func init() {
 	})
 	wrap(ProlongRestrictPortType, func(r ProlongRestrictPort, h func(string) *obs.PortCall) cca.Port {
 		return &iProlongRestrict{inner: r, pro: h("Prolong"), res: h("Restrict"), cf: h("FillCoarseFine")}
-	})
-	wrap(DataPortType, func(r DataPort, h func(string) *obs.PortCall) cca.Port {
-		return &iData{inner: r, exch: h("ExchangeGhosts"), cfg: h("FillCoarseFineGhosts"),
-			res: h("Restrict"), pr: h("ProlongNewLevel")}
 	})
 	// Deliberately unwrapped: MeshPort (concrete downcasts),
 	// ExecutionPort (identity of the pool matters), CheckpointPort and

@@ -14,8 +14,8 @@ import (
 // The interceptor is the one way a port is timed. These tests pin its
 // measurement contract on real and synthetic wires: counts equal the
 // calls the provider received, latency covers the provider's busy time,
-// optional capabilities survive wrapping, and attaching a session never
-// changes results.
+// calls through per-worker integrators land in the wire's histogram,
+// and attaching a session never changes results.
 
 func must(t *testing.T, err error) {
 	t.Helper()
@@ -44,17 +44,8 @@ func (c *countingRHS) Eval(_ float64, y, ydot []float64) {
 	ydot[0], ydot[1] = y[1], -y[0]
 }
 
-// serialIntegrator provides ImplicitIntegratorPort without the
-// per-worker extension.
-type serialIntegrator struct{}
-
-func (serialIntegrator) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(serialIntegrator{}, "integrator", components.ImplicitIntegratorType)
-}
-
-func (serialIntegrator) IntegrateTo(_, _ float64, _ []float64) (cvode.Stats, error) {
-	return cvode.Stats{}, nil
-}
+// JacFn offers no analytic Jacobian.
+func (c *countingRHS) JacFn() cvode.Jac { return nil }
 
 // probe is a using-side component with one uses port per (name, type)
 // pair; fetching through it goes through the framework, so an attached
@@ -151,9 +142,7 @@ func TestInterceptorCountAndLatencyInvariants(t *testing.T) {
 	if minBusy := float64(n) * 0.0002; h.SumSeconds < minBusy {
 		t.Errorf("recorded %.6fs < inner busy time %.6fs", h.SumSeconds, minBusy)
 	}
-	if _, ok := rhs.(components.JacobianRHSPort); !ok {
-		t.Error("RHS proxy must offer JacFn")
-	} else if rhs.(components.JacobianRHSPort).JacFn() != nil {
+	if rhs.JacFn() != nil {
 		t.Error("JacFn must be nil when the provider has no analytic Jacobian")
 	}
 }
@@ -193,12 +182,12 @@ func TestInterceptorTracedIgnition(t *testing.T) {
 
 // TestInterceptorTracedFlame: a traced small flame records region
 // evaluations on the patch-RHS wire and whole-hierarchy chemistry
-// advances, and the wrapped cvode wire still asserts to
-// WorkerIntegratorPort, so cell integrations keep fanning out.
+// advances, and the integrator wire counts exactly one IntegrateTo per
+// advanced cell — the cells integrate through per-worker integrators,
+// whose calls must land in the wire's own histogram.
 func TestInterceptorTracedFlame(t *testing.T) {
-	repo := core.Repo()
 	g := obs.NewGroup(1)
-	f := cca.NewFramework(repo, nil)
+	f := cca.NewFramework(core.Repo(), nil)
 	f.SetObservability(g.Rank(0))
 	must(t, core.AssembleRequest(f, core.RunRequest{Problem: "flame", Params: params(
 		"grace", "nx", "16", "grace", "ny", "16", "grace", "maxLevels", "2",
@@ -213,29 +202,13 @@ func TestInterceptorTracedFlame(t *testing.T) {
 		t.Error("no AdvanceChemistry calls recorded on driver/cellChemistry")
 	}
 
-	p := addProbe(t, repo, f, [2]string{"integrator", components.ImplicitIntegratorType})
-	must(t, f.Connect("probe", "integrator", "cvode", "integrator"))
-	if _, ok := p.port(t, "integrator").(components.WorkerIntegratorPort); !ok {
-		t.Error("wrapped cvode wire lost WorkerIntegratorPort")
+	comp, err := f.Lookup("driver")
+	must(t, err)
+	cells := 0
+	for _, n := range comp.(*components.RDDriver).CellsPerStep {
+		cells += n
 	}
-}
-
-// TestInterceptorWorkerCapabilityTruthful: a provider without
-// per-worker integrators is wrapped by the serial variant, so a plain
-// type assertion on the wire answers for the provider.
-func TestInterceptorWorkerCapabilityTruthful(t *testing.T) {
-	repo := components.NewRepository()
-	repo.Register("SerialIntegrator", func() cca.Component { return serialIntegrator{} })
-	f := cca.NewFramework(repo, nil)
-	f.SetObservability(obs.NewGroup(1).Rank(0))
-	must(t, f.Instantiate("SerialIntegrator", "serial"))
-	p := addProbe(t, repo, f, [2]string{"integrator", components.ImplicitIntegratorType})
-	must(t, f.Connect("probe", "integrator", "serial", "integrator"))
-	port := p.port(t, "integrator")
-	if _, ok := port.(serialIntegrator); ok {
-		t.Fatal("wire was not wrapped with a session attached")
-	}
-	if _, ok := port.(components.WorkerIntegratorPort); ok {
-		t.Error("proxy claims WorkerIntegratorPort for a provider without it")
+	if n := hist(g, "implicit", "integrator", "IntegrateTo").Count; cells == 0 || n != uint64(cells) {
+		t.Errorf("implicit/integrator/IntegrateTo calls = %d, want one per advanced cell (%d)", n, cells)
 	}
 }

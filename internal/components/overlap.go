@@ -67,17 +67,50 @@ func (sp *stripPlan) ensure(patches []*field.PatchData, ghost int) {
 	}
 }
 
+// ghostFill is the one ghost protocol for one level of a field:
+//
+//	coarse BCs        physical BCs on level-1 (its ghosts feed the
+//	                  interpolation)
+//	coarse–fine fill  interpolate ghosts from the coarser level
+//	exchange          same-level copies, overriding interpolated
+//	                  ghosts wherever a real neighbor exists
+//	level BCs         physical BCs on the level; they read seam
+//	                  ghosts, so they follow the exchange
+//
+// start and finish split it around the exchange so callers can compute
+// while seam messages are in flight; fill runs it blocking. Every
+// stage is collective, so callers run it on the calling goroutine.
+type ghostFill struct {
+	d     *field.DataObject
+	bc    BCPort
+	name  string
+	level int
+}
+
+func (g ghostFill) start() *field.GhostExchange {
+	if g.level > 0 {
+		g.bc.Apply(g.name, g.level-1)
+		g.d.FillCoarseFineGhosts(g.level, field.ProlongLinear)
+	}
+	return g.d.ExchangeGhostsStart(g.level)
+}
+
+func (g ghostFill) finish(ex *field.GhostExchange) {
+	ex.Finish()
+	g.bc.Apply(g.name, g.level)
+}
+
+func (g ghostFill) fill() { g.finish(g.start()) }
+
 // evalLevelOverlapped runs the ghost protocol for one level and writes
 // the RHS of every local patch into out, overlapping the same-level
 // exchange with compute:
 //
-//	preExchange              coarse-level BCs + coarse–fine fill
-//	ExchangeGhostsStart      seam messages go into flight
+//	gf.start                 coarse-level fill; seam messages go into
+//	                         flight
 //	evaluate inner regions   interior.Grow(-Ghost): reads never leave
 //	                         the interior (stencil ≤ Ghost)
-//	Finish                   drain the exchange
-//	applyBC                  physical BC fills read seam ghosts, so
-//	                         they must follow Finish
+//	gf.finish                drain the exchange, apply the level's BCs
 //	evaluate boundary strips one pool epoch over the interleaved
 //	                         cross-patch strip plan
 //
@@ -85,16 +118,14 @@ func (sp *stripPlan) ensure(patches []*field.PatchData, ghost int) {
 // so every configuration exercises identical arithmetic; PatchRHSPort
 // providers guarantee disjoint regions reproduce a whole-interior
 // evaluation bit for bit.
-func evalLevelOverlapped(d *field.DataObject, level int, patches, out []*field.PatchData,
-	dx, dy float64, pool *exec.Pool, rhs PatchRHSPort, sp *stripPlan, preExchange, applyBC func()) {
-	preExchange()
-	sp.ensure(patches, d.Ghost)
-	ex := d.ExchangeGhostsStart(level)
+func evalLevelOverlapped(gf ghostFill, patches, out []*field.PatchData,
+	dx, dy float64, pool *exec.Pool, rhs PatchRHSPort, sp *stripPlan) {
+	sp.ensure(patches, gf.d.Ghost)
+	ex := gf.start()
 	pool.ForEach(len(patches), func(_, i int) {
 		rhs.EvalRegion(patches[i], out[i], sp.inner[i], dx, dy)
 	})
-	ex.Finish()
-	applyBC()
+	gf.finish(ex)
 	pool.ForEach(len(sp.items), func(_, k int) {
 		it := sp.items[k]
 		rhs.EvalRegion(patches[it.pi], out[it.pi], it.box, dx, dy)

@@ -24,7 +24,6 @@ import (
 // Port type strings. Connections require exact matches.
 const (
 	MeshPortType            = "samr.MeshPort"
-	DataPortType            = "samr.DataObjectPort"
 	BCPortType              = "samr.BoundaryConditionPort"
 	ICFieldPortType         = "samr.InitialConditionPort"
 	RegridPortType          = "samr.RegridPort"
@@ -50,7 +49,10 @@ const (
 
 // MeshPort is the paper's type (a) port: geometric manipulation of the
 // domain, declaration of fields, and domain-decomposition queries. The
-// GrACEComponent provides it.
+// GrACEComponent provides it. The Data Object subsystem (paper type
+// (b): ghost exchange, coarse–fine fill, restriction, prolongation) is
+// reached through Field, as methods of the returned DataObject, not
+// through a port of its own.
 type MeshPort interface {
 	Hierarchy() *amr.Hierarchy
 	// Declare creates (or returns the existing) named DataObject with
@@ -63,16 +65,6 @@ type MeshPort interface {
 	Regrid(flags []*amr.FlagField, opt amr.RegridOptions)
 	// Spacing returns the physical mesh spacing on a level.
 	Spacing(level int) (dx, dy float64)
-}
-
-// DataPort is the abstract Data Object interface (paper type (b)):
-// movement/copying of data between patches, packing/unpacking around
-// message passing.
-type DataPort interface {
-	ExchangeGhosts(name string, level int)
-	FillCoarseFineGhosts(name string, level int)
-	Restrict(name string, level int)
-	ProlongNewLevel(name string, level int)
 }
 
 // BCPort applies physical boundary conditions patch by patch.
@@ -119,19 +111,12 @@ type KeyValuePort interface {
 type RHSPort interface {
 	Dim() int
 	Eval(t float64, y, ydot []float64)
-}
-
-// JacobianRHSPort is an optional extension of RHSPort: providers whose
-// chemistry has a generated kernel can hand the integrator an analytic
-// Jacobian, replacing the finite-difference sweep (Dim+1 RHS
-// evaluations per build) with one closed-form evaluation. Integrator
-// components probe for it with a type assertion on the wire.
-type JacobianRHSPort interface {
 	// JacFn returns a fresh evaluator filling the row-major Dim x Dim
-	// Jacobian df/dy, or nil when no analytic form is available for the
-	// current configuration (callers then keep the FD fallback). Each
-	// call returns an independent closure with private scratch, so
-	// per-worker solvers may evaluate theirs concurrently.
+	// Jacobian df/dy, or nil when no analytic form is available (the
+	// integrator then builds it by finite differences, Dim+1 RHS
+	// evaluations per build). Each call returns an independent closure
+	// with private scratch, so per-worker solvers may evaluate theirs
+	// concurrently.
 	JacFn() cvode.Jac
 }
 
@@ -142,6 +127,17 @@ type ImplicitIntegratorPort interface {
 	// IntegrateTo advances y in place from t0 to t1 and reports solver
 	// statistics.
 	IntegrateTo(t0, t1 float64, y []float64) (cvode.Stats, error)
+	// WorkerIntegrator returns a private integrator for worker slot w of
+	// a pool of the given width, so cell integrations can proceed
+	// concurrently. Call it serially, before the parallel loop;
+	// instances persist across calls with the same width.
+	WorkerIntegrator(w, width int) ImplicitIntegratorPort
+	// Counters returns the cumulative solver statistics by name — the
+	// totals (feeding Table 4) a checkpoint must carry so a restored run
+	// reports the same numbers as an uninterrupted one.
+	Counters() map[string]float64
+	// RestoreCounters reinstates previously checkpointed statistics.
+	RestoreCounters(map[string]float64)
 }
 
 // SpectralRadiusPort bounds the dominant eigenvalue of a patch operator
@@ -217,6 +213,11 @@ type ExplicitIntegratorPort interface {
 // advance the whole hierarchy in one pool epoch.
 type CellChemistryPort interface {
 	AdvanceChemistry(mesh MeshPort, name string, dt float64) (cells int, err error)
+	// Counters and RestoreCounters carry the cumulative statistics of
+	// the integrator behind the port through a checkpoint (see
+	// ImplicitIntegratorPort).
+	Counters() map[string]float64
+	RestoreCounters(map[string]float64)
 }
 
 // FluxPort computes an interface flux from reconstructed left/right
@@ -250,20 +251,6 @@ type ExecutionPort interface {
 	Pool() *exec.Pool
 }
 
-// WorkerIntegratorPort is an optional extension of an implicit
-// integrator provider: per-worker integrator instances so cell
-// integrations can proceed concurrently. CvodeComponent implements it;
-// ImplicitIntegrator probes for it with a type assertion on the wire
-// and stays serial without it. The interceptor picks its proxy variant
-// at wrap time, so the assertion answers for the provider on a
-// wrapped wire too.
-type WorkerIntegratorPort interface {
-	// WorkerIntegrator returns a private integrator for worker slot w of
-	// a pool of the given width. Instances are created on first use and
-	// reused across calls with the same width.
-	WorkerIntegrator(w, width int) ImplicitIntegratorPort
-}
-
 // ProlongRestrictPort performs the cell-centered interpolations between
 // levels (the paper's ProlongRestrict component).
 type ProlongRestrictPort interface {
@@ -289,15 +276,4 @@ type CheckpointPort interface {
 	// Flush blocks until all in-flight checkpoint writes are durable
 	// and returns the first write error.
 	Flush() error
-}
-
-// CounterSource is an optional capability of solver components whose
-// cumulative statistics must survive a checkpoint/restore cycle (the
-// CVODE step/RHS/Jacobian/Newton totals feeding Table 4). Probed by
-// the checkpointing drivers with a type assertion on the wire.
-type CounterSource interface {
-	// Counters returns the solver's cumulative statistics by name.
-	Counters() map[string]float64
-	// RestoreCounters reinstates previously checkpointed statistics.
-	RestoreCounters(map[string]float64)
 }

@@ -147,8 +147,8 @@ func (dr *RDDriver) run() error {
 	if restored != nil {
 		t = restored.Time
 		step0 = restored.Step + 1
-		if cs, ok := cellChem.(CounterSource); ok && restored.Counters != nil {
-			cs.RestoreCounters(restored.Counters)
+		if cellChem != nil && restored.Counters != nil {
+			cellChem.RestoreCounters(restored.Counters)
 		}
 		// Reinstate the per-step history (it rides in Meta.Series), and
 		// replay it into the statistics port so a resumed run's series —
@@ -220,8 +220,8 @@ func (dr *RDDriver) run() error {
 			}
 			meta := ckpt.Meta{Driver: rdDriverName, Step: step, Time: t,
 				Series: map[string][]float64{"stepSeconds": dr.StepSeconds, "cells": cells}}
-			if cs, ok := cellChem.(CounterSource); ok {
-				meta.Counters = cs.Counters()
+			if cellChem != nil {
+				meta.Counters = cellChem.Counters()
 			}
 			if err := ck.SaveIfDue(meta); err != nil {
 				return err

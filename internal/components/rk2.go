@@ -1,8 +1,6 @@
 package components
 
 import (
-	"fmt"
-
 	"ccahydro/internal/cca"
 	"ccahydro/internal/field"
 )
@@ -39,32 +37,6 @@ func (rk *ExplicitIntegratorRK2) SetServices(svc cca.Services) error {
 	return rk2Spec.register(svc, rk)
 }
 
-func (rk *ExplicitIntegratorRK2) ports() (PatchRHSPort, BCPort) {
-	rp, err := rk.svc.GetPort("patchRHS")
-	if err != nil {
-		panic(fmt.Sprintf("ExplicitIntegratorRK2: %v", err))
-	}
-	rk.svc.ReleasePort("patchRHS")
-	bp, err := rk.svc.GetPort("bc")
-	if err != nil {
-		panic(fmt.Sprintf("ExplicitIntegratorRK2: %v", err))
-	}
-	rk.svc.ReleasePort("bc")
-	return rp.(PatchRHSPort), bp.(BCPort)
-}
-
-// fillGhosts runs the full ghost protocol for one level with the
-// problem-specific BC component (not GrACE's default).
-func (rk *ExplicitIntegratorRK2) fillGhosts(mesh MeshPort, bc BCPort, name string, level int) {
-	d := mesh.Field(name)
-	if level > 0 {
-		bc.Apply(name, level-1)
-		d.FillCoarseFineGhosts(level, field.ProlongLinear)
-	}
-	d.ExchangeGhosts(level)
-	bc.Apply(name, level)
-}
-
 // AdvanceLevel implements ExplicitIntegratorPort: one Heun step of size
 // t1-t0 over the level (the caller supplies a CFL-stable interval).
 // The ghost protocol between stages is collective and stays serial;
@@ -75,7 +47,8 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 	if o := rk.svc.Observability(); o != nil {
 		defer o.Span("hydro", obsLevelName("rk2.advance", level))()
 	}
-	rhsPort, bc := rk.ports()
+	rhsPort := rk2Spec.port(rk.svc, "patchRHS").(PatchRHSPort)
+	bc := rk2Spec.port(rk.svc, "bc").(BCPort)
 	d := mesh.Field(name)
 	dx, dy := mesh.Spacing(level)
 	dt := t1 - t0
@@ -104,19 +77,12 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 	})
 
 	// The flux evaluation of each stage overlaps the seam exchange with
-	// interior compute (evalLevelOverlapped): coarse-level fills precede
-	// the exchange, the level's physical BCs follow its completion.
-	preExchange := func() {
-		if level > 0 {
-			bc.Apply(name, level-1)
-			d.FillCoarseFineGhosts(level, field.ProlongLinear)
-		}
-	}
-	applyBC := func() { bc.Apply(name, level) }
+	// interior compute (evalLevelOverlapped), with the problem's BC
+	// component (not GrACE's default) in the ghost protocol.
+	gf := ghostFill{d: d, bc: bc, name: name, level: level}
 
 	// Stage 1: U1 = U + dt L(U).
-	evalLevelOverlapped(d, level, patches, rhs, dx, dy, pool, rhsPort,
-		&lc.strips, preExchange, applyBC)
+	evalLevelOverlapped(gf, patches, rhs, dx, dy, pool, rhsPort, &lc.strips)
 	pool.ForEach(len(patches), func(_, i int) {
 		pd := patches[i]
 		b := pd.Interior()
@@ -130,8 +96,7 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 	})
 
 	// Stage 2: U^{n+1} = (U + U1 + dt L(U1)) / 2.
-	evalLevelOverlapped(d, level, patches, rhs, dx, dy, pool, rhsPort,
-		&lc.strips, preExchange, applyBC)
+	evalLevelOverlapped(gf, patches, rhs, dx, dy, pool, rhsPort, &lc.strips)
 	pool.ForEach(len(patches), func(_, i int) {
 		pd := patches[i]
 		b := pd.Interior()
@@ -145,6 +110,6 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 			}
 		}
 	})
-	rk.fillGhosts(mesh, bc, name, level)
+	gf.fill()
 	return nil
 }

@@ -229,13 +229,8 @@ func (sd *ShockDriver) compositeCirculation(mesh MeshPort, name string, gamma fl
 	var total float64
 	for l := 0; l < h.NumLevels(); l++ {
 		dx, dy := mesh.Spacing(l)
-		// Ghosts must be valid for the vorticity stencil (collective:
-		// stays on the calling goroutine).
-		if l > 0 {
-			d.FillCoarseFineGhosts(l, field.ProlongLinear)
-		}
-		d.ExchangeGhosts(l)
-		bc.Apply(name, l)
+		// Ghosts must be valid for the vorticity stencil.
+		ghostFill{d: d, bc: bc, name: name, level: l}.fill()
 		var finer []amr.Box
 		if l+1 < h.NumLevels() {
 			for _, fp := range h.Level(l + 1).Patches {

@@ -206,7 +206,7 @@ func (pm *ProblemModeler) Eval(t float64, y, ydot []float64) {
 	ydot[1+n] = pm.dpdt.DPDt(rho, T, dT, Y, pm.dY)
 }
 
-// JacFn implements JacobianRHSPort: the analytic Jacobian of Eval over
+// JacFn implements RHSPort: the analytic Jacobian of Eval over
 // z = [T, Y..., P] from the chemistry's generated kernel
 // (chem.RigidVesselJac does the density and pressure-row chain rules).
 // Each call returns a closure with private scratch.

@@ -10,7 +10,9 @@ import (
 	"ccahydro/internal/ckpt"
 	"ccahydro/internal/components"
 	"ccahydro/internal/cvode"
+	"ccahydro/internal/exec"
 	"ccahydro/internal/mpi"
+	"ccahydro/internal/obs"
 )
 
 // Checkpoint/restart acceptance tests: a run checkpointed at step k and
@@ -70,10 +72,14 @@ func assertSameField(t *testing.T, label string, ref, got []float64) {
 
 // runFlameCkpt assembles the flame with a CheckpointComponent wired in
 // and runs it, returning the driver, the final field and the CVODE
-// totals.
-func runFlameCkpt(t *testing.T, dir, restore string, every int, params []Param) (*components.RDDriver, []float64, cvode.Stats) {
+// totals. A non-nil session is attached before assembly, so every wire
+// is fetched through its interceptor proxy.
+func runFlameCkpt(t *testing.T, session *obs.Obs, dir, restore string, every int, params []Param) (*components.RDDriver, []float64, cvode.Stats) {
 	t.Helper()
 	f := cca.NewFramework(Repo(), nil)
+	if session != nil {
+		f.SetObservability(session)
+	}
 	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: params}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func TestFlameRestoreBitForBitEveryStep(t *testing.T) {
 	// Write run: checkpoint after every step. Wiring the component must
 	// not perturb the physics.
 	dir := t.TempDir()
-	drW, wrote, stW := runFlameCkpt(t, dir, "", 1, params)
+	drW, wrote, stW := runFlameCkpt(t, nil, dir, "", 1, params)
 	assertSameField(t, "ckpt-wired run vs reference", ref, wrote)
 	if drW.TMax != drRef.TMax || drW.TMin != drRef.TMin {
 		t.Fatalf("ckpt-wired extrema (%v,%v) != reference (%v,%v)", drW.TMax, drW.TMin, drRef.TMax, drRef.TMin)
@@ -126,7 +132,7 @@ func TestFlameRestoreBitForBitEveryStep(t *testing.T) {
 
 	for k := 0; k < steps; k++ {
 		manifest := filepath.Join(dir, ckpt.ManifestFileName(k))
-		dr, got, st := runFlameCkpt(t, t.TempDir(), manifest, 0, params)
+		dr, got, st := runFlameCkpt(t, nil, t.TempDir(), manifest, 0, params)
 		assertSameField(t, fmt.Sprintf("restore from step %d", k), ref, got)
 		if dr.TMax != drRef.TMax || dr.TMin != drRef.TMin {
 			t.Fatalf("restore from step %d: extrema (%v,%v) != reference (%v,%v)",
@@ -135,6 +141,50 @@ func TestFlameRestoreBitForBitEveryStep(t *testing.T) {
 		if st != stW {
 			t.Fatalf("restore from step %d: CVODE totals %+v, uninterrupted %+v", k, st, stW)
 		}
+	}
+}
+
+// TestFlameRestoreObservedCounters repeats the restore check with an
+// observability session attached to both runs, so the driver reaches
+// the chemistry, and the chemistry the integrator, through interceptor
+// proxies: the checkpointed CVODE totals must cross both proxies on
+// save and on restore, and the continuation must end on the
+// uninterrupted run's totals, error-test failures included. A width-4
+// pool makes the cells integrate through the proxied per-worker
+// integrators.
+func TestFlameRestoreObservedCounters(t *testing.T) {
+	restoreDefaultPool(t)
+	exec.SetDefaultWidth(4)
+	params := append(flameCkptParams(), Param{"driver", "dt", "1e-6"})
+
+	// proxied fails the test unless the run's integrator wire recorded
+	// calls through its proxy.
+	proxied := func(g *obs.Group) {
+		t.Helper()
+		name := obs.PortCallName("implicit", "integrator", "IntegrateTo")
+		for _, h := range g.MergedSnapshot().Histograms {
+			if h.Name == name && h.Count > 0 {
+				return
+			}
+		}
+		t.Fatalf("no %s observations: the integrator wire was not proxied", name)
+	}
+
+	dir := t.TempDir()
+	gW := obs.NewGroup(1)
+	_, ref, stW := runFlameCkpt(t, gW.Rank(0), dir, "", 1, params)
+	proxied(gW)
+	if stW.ErrTestFails == 0 {
+		t.Fatal("the flame recorded no CVODE error-test failures; the totals check would be vacuous")
+	}
+
+	manifest := filepath.Join(dir, ckpt.ManifestFileName(1))
+	gR := obs.NewGroup(1)
+	_, got, st := runFlameCkpt(t, gR.Rank(0), t.TempDir(), manifest, 0, params)
+	proxied(gR)
+	assertSameField(t, "observed restore from step 1", ref, got)
+	if st != stW {
+		t.Fatalf("observed restore: CVODE totals %+v, uninterrupted %+v", st, stW)
 	}
 }
 

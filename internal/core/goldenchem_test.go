@@ -181,8 +181,8 @@ func cvodeStats(t *testing.T, f *cca.Framework) cvode.Stats {
 // TestFlameGoldenKernels4Ranks runs the flame on a 4-rank simulated
 // cluster: the decomposed run must reproduce the
 // serial TMax bit for bit and every rank must be FD-free (worker
-// integrators resolve the analytic Jacobian through the same port
-// probe as the serial solver).
+// integrators take the analytic Jacobian from the same RHSPort.JacFn
+// as the serial solver).
 func TestFlameGoldenKernels4Ranks(t *testing.T) {
 	serial, _, err := RunReactionDiffusion(nil, rdParams()...)
 	if err != nil {

@@ -112,10 +112,8 @@ func (s *Scheduler) attempt(spec Spec, key string, ranks int, hub *telemetry.Hub
 			if err != nil {
 				continue
 			}
-			if cs, ok := comp.(interface{ Counters() map[string]float64 }); ok {
-				for k, v := range cs.Counters() {
-					counters[k] += v
-				}
+			for k, v := range comp.(*components.CvodeComponent).Counters() {
+				counters[k] += v
 			}
 		}
 		if comm.Rank() == 0 {

@@ -22,11 +22,14 @@
 # preempt/elastic-resume scenario end to end). After vet, a grep
 # holds every component to one port-registration path: only the
 # Spec.register helper in internal/components/spec.go may call
-# RegisterUsesPort or AddProvidesPort; a second grep keeps the
-# optional region/multi-level port extensions and their capability
-# probes (RegionRHSPort, MultiLevelChemistryPort, SupportsRegion,
-# SupportsMultiLevel) out of non-test Go. After the test suite the
-# instrumented example runs once, so it cannot rot unbuilt. The
+# RegisterUsesPort or AddProvidesPort; a second grep keeps every
+# optional port extension and its capability probe out of Go code
+# (RegionRHSPort, MultiLevelChemistryPort, SupportsRegion,
+# SupportsMultiLevel, JacobianRHSPort, WorkerIntegratorPort,
+# CounterSource — each port is one contract), along with the deleted
+# DataPort/DataPortType and the second ghost protocol FillAllGhosts.
+# After the test suite the three remaining examples (instrumented,
+# quickstart, checkpoint) each run once, so none rots unbuilt. The
 # scenario gate parse-validates every file in scenarios/ against the component
 # specs (each class's declared ports and parameters), replays the hand-built fuzz corpus through the parser (the
 # seeds run even without a fuzzing budget), and holds the golden claim:
@@ -74,10 +77,10 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
-echo "== one instrumentation path (no optional region/multi-level port extensions or their probes)"
-probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel' -- '*.go' ':!*_test.go' || true)
+echo "== one contract per port (no optional port extensions, capability probes or second ghost protocol)"
+probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts' -- '*.go' ':!*_test.go' || true)
 if [ -n "$probes" ]; then
-	echo "optional-capability probes are back; extend PatchRHSPort/CellChemistryPort instead:" >&2
+	echo "optional-capability probes are back; add the method to the port itself (or use ghostFill) instead:" >&2
 	echo "$probes" >&2
 	exit 1
 fi
@@ -88,8 +91,10 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== instrumented example smoke (interceptor call table on the 0D ignition, 4-rank flame stats)"
+echo "== example smoke (instrumented call table, quickstart wiring, checkpoint restart verified)"
 go run ./examples/instrumented >/dev/null
+go run ./examples/quickstart >/dev/null
+go run ./examples/checkpoint >/dev/null
 
 echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
