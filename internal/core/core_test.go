@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,30 @@ func TestReactionDiffusionEndToEnd(t *testing.T) {
 	}
 	if len(dr.StepSeconds) != 2 {
 		t.Errorf("step records = %d", len(dr.StepSeconds))
+	}
+}
+
+// flame16 runs the flame built-in on a 16×16 coarse mesh at macro step dt.
+func flame16(t *testing.T, dt float64) {
+	t.Helper()
+	_, _, err := RunReactionDiffusion(nil,
+		Param{"grace", "nx", "16"}, Param{"grace", "ny", "16"},
+		Param{"driver", "dt", strconv.FormatFloat(dt, 'g', -1, 64)})
+	if err != nil {
+		t.Fatalf("dt = %v: %v", dt, err)
+	}
+}
+
+// At dt = 1.02e-7 a cell's CVODE integration ends one ulp short of the
+// macro step, a remainder below the step floor; the run must complete.
+func TestFlameStopTimeSliver(t *testing.T) { flame16(t, 1.02e-7) }
+
+// Sub-floor remainders are common across the dt band 1.001e-7…1.047e-7
+// (every value below but the two end points hits one): each run must
+// complete.
+func TestFlameStopTimeSliverSweep(t *testing.T) {
+	for _, dt := range []float64{1.001e-7, 1.006e-7, 1.013e-7, 1.017e-7, 1.024e-7, 1.031e-7, 1.038e-7, 1.047e-7} {
+		t.Run(strconv.FormatFloat(dt, 'g', -1, 64), func(t *testing.T) { flame16(t, dt) })
 	}
 }
 

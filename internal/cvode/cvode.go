@@ -502,15 +502,21 @@ converged:
 	return errNorm, nil
 }
 
+// minStep is the step floor at the current time: Options.MinStep when
+// set, else 1e4 unit roundoffs of |t|.
+func (s *Solver) minStep() float64 {
+	if s.opt.MinStep > 0 {
+		return s.opt.MinStep
+	}
+	return 1e4 * 2.22e-16 * math.Max(math.Abs(s.t), 1e-30)
+}
+
 // Step advances one internal step with error control.
 func (s *Solver) Step() error {
 	if s.h == 0 {
 		s.h = s.initialStep()
 	}
-	minStep := s.opt.MinStep
-	if minStep <= 0 {
-		minStep = 1e4 * 2.22e-16 * math.Max(math.Abs(s.t), 1e-30)
-	}
+	minStep := s.minStep()
 	s.errWeights()
 	for try := 0; try < 30; try++ {
 		if s.opt.MaxStep > 0 && s.h > s.opt.MaxStep {
@@ -671,6 +677,15 @@ func (s *Solver) Integrate(tEnd float64) error {
 			return err
 		}
 		steps++
+		// An accepted step can stop short of tEnd by less than the step
+		// floor (t + (tEnd−t) rounds one ulp low), and no step can cover
+		// that remainder: stretch the step onto tEnd, as SUNDIALS does
+		// at tstop. Only a step after which Step would fail with
+		// ErrStepTooSmall takes this branch, so no other result moves.
+		if r := tEnd - s.t; r > 0 && r < s.minStep() {
+			s.t = tEnd
+			s.ts[0] = tEnd
+		}
 	}
 	return nil
 }

@@ -252,6 +252,32 @@ func TestIntegrateStopsExactlyAtTEnd(t *testing.T) {
 	}
 }
 
+// A last step clamped to tEnd−t whose sum t+h rounds one ulp short of
+// tEnd leaves a remainder below the step floor; the step is stretched
+// onto tEnd instead of failing with ErrStepTooSmall on the remainder.
+func TestIntegrateStretchesStopTimeSliver(t *testing.T) {
+	t0, tEnd := 3.9866413605677226e-08, 1.02e-07
+	if t0+(tEnd-t0) >= tEnd {
+		t.Fatal("fixture no longer rounds short of tEnd")
+	}
+	s := New(1, func(_ float64, y, ydot []float64) { ydot[0] = -y[0] },
+		Options{RelTol: 1e-6, AbsTol: 1e-9, InitialStep: 1e-6})
+	s.Init(t0, []float64{1})
+	if err := s.Integrate(tEnd); err != nil {
+		t.Fatal(err)
+	}
+	if s.T() != tEnd || s.Stats().Steps != 1 {
+		t.Errorf("t = %v after %d steps, want %v after 1", s.T(), s.Stats().Steps, tEnd)
+	}
+	// The history agrees with the stretched time: integrating on works.
+	if err := s.Integrate(2 * tEnd); err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Exp(-(2*tEnd - t0)); !almost(s.Y()[0], want, 1e-9) {
+		t.Errorf("y = %v, want %v", s.Y()[0], want)
+	}
+}
+
 func TestIntegrateBackwardRejected(t *testing.T) {
 	s := New(1, func(_ float64, y, ydot []float64) { ydot[0] = 1 }, Options{})
 	s.Init(1, []float64{0})

@@ -40,6 +40,9 @@ var ljData = map[string]struct {
 	"HO2":  {3.458, 107.4},
 	"H2O2": {3.458, 107.4},
 	"N2":   {3.621, 97.53},
+	"CO":   {3.650, 98.1},
+	"CO2":  {3.763, 244.0},
+	"HCO":  {3.590, 498.0},
 }
 
 // Model evaluates transport properties for one mechanism.
@@ -145,21 +148,40 @@ func (t *Model) Conductivity(k int, T float64) float64 {
 //
 // For a species that is essentially the whole mixture the self-limit
 // D_ii is used. X is mole fractions.
+//
+// Each unordered pair is evaluated once: D_ij is symmetric bit for bit
+// (the pair tables are built from commutative +, * and sqrt(a*b)), and
+// the T-only factor (kB T)^3 is hoisted out of the loop, so every D_ij
+// is the same expression BinaryDiffusion evaluates. D itself is the
+// accumulator. Pairs i < j run with i ascending outside and j ascending
+// inside, so every D_i still receives its terms in ascending partner
+// order, skipping i — the order of the per-row sum Σ_{j≠i} — and the
+// result is bit-identical to summing BinaryDiffusion row by row. D must
+// not alias X or Y.
 func (t *Model) MixtureDiffusion(T, P float64, X, Y, D []float64) {
 	n := t.mech.NumSpecies()
+	kT3 := math.Pow(kB*T, 3)
+	pPi := P * math.Pi
+	D = D[:n]
+	for i := range D {
+		D[i] = 0
+	}
 	for i := 0; i < n; i++ {
-		var sum float64
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			sum += X[j] / t.BinaryDiffusion(i, j, T, P)
+		sigma, eps, m := t.sigmaJK[i], t.epsJK[i], t.mJK[i]
+		for j := i + 1; j < n; j++ {
+			s := sigma[j]
+			num := 3.0 / 16.0 * math.Sqrt(2*math.Pi*kT3/m[j])
+			dij := num / (pPi * s * s * omega11(T/eps[j]))
+			D[i] += X[j] / dij
+			D[j] += X[i] / dij
 		}
-		if sum < 1e-300 {
+		// Every partner of i has now contributed: j > i above, j < i
+		// on the earlier rows.
+		if D[i] < 1e-300 {
 			D[i] = t.BinaryDiffusion(i, i, T, P)
 			continue
 		}
-		D[i] = (1 - Y[i]) / sum
+		D[i] = (1 - Y[i]) / D[i]
 	}
 }
 

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -197,3 +200,194 @@ func TestTransportMonotoneInT(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// perRowMixtureDiffusion is the reference formula: each row i sums
+// X_j / D_ij over j ≠ i in ascending j, calling BinaryDiffusion for
+// every ordered pair. It returns how many rows took the self-limit.
+func perRowMixtureDiffusion(tr *Model, T, P float64, X, Y, D []float64) (selfLimits int) {
+	n := tr.Mechanism().NumSpecies()
+	for i := 0; i < n; i++ {
+		var sum float64
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			sum += X[j] / tr.BinaryDiffusion(i, j, T, P)
+		}
+		if sum < 1e-300 {
+			D[i] = tr.BinaryDiffusion(i, i, T, P)
+			selfLimits++
+			continue
+		}
+		D[i] = (1 - Y[i]) / sum
+	}
+	return selfLimits
+}
+
+// mixtureCases returns the compositions the oracle tests sweep: random
+// normalised Y, random Y with some species zeroed, and every pure
+// species (the self-limit branch).
+func mixtureCases(n int, rng *rand.Rand) [][]float64 {
+	var cases [][]float64
+	normalise := func(Y []float64) []float64 {
+		var s float64
+		for _, y := range Y {
+			s += y
+		}
+		for k := range Y {
+			Y[k] /= s
+		}
+		return Y
+	}
+	for c := 0; c < 6; c++ {
+		Y := make([]float64, n)
+		for k := range Y {
+			Y[k] = rng.Float64()
+		}
+		cases = append(cases, normalise(Y))
+	}
+	for c := 0; c < 6; c++ {
+		Y := make([]float64, n)
+		for k := range Y {
+			if rng.Intn(2) == 0 {
+				Y[k] = rng.Float64()
+			}
+		}
+		Y[rng.Intn(n)] = 0.5 // never all zero
+		cases = append(cases, normalise(Y))
+	}
+	for k := 0; k < n; k++ {
+		Y := make([]float64, n)
+		Y[k] = 1
+		cases = append(cases, Y)
+	}
+	return cases
+}
+
+var (
+	oracleTemps     = []float64{150, 300, 600, 1000, 1500, 2000, 2500, 3000, 3500}
+	oraclePressures = []float64{0.5 * chem.PAtm, chem.PAtm, 4 * chem.PAtm}
+)
+
+// MixtureDiffusion evaluates each pair once; it must reproduce the
+// per-row BinaryDiffusion sum bit for bit on every registered mechanism
+// (the ones the components' "mech" parameter offers).
+func TestMixtureDiffusionMatchesPerPairOracle(t *testing.T) {
+	for _, m := range chem.AllMechanisms() {
+		tr := New(m)
+		n := m.NumSpecies()
+		rng := rand.New(rand.NewSource(7))
+		X := make([]float64, n)
+		got := make([]float64, n)
+		want := make([]float64, n)
+		selfLimits := 0
+		for _, Y := range mixtureCases(n, rng) {
+			m.MoleFractions(Y, X)
+			for _, T := range oracleTemps {
+				for _, P := range oraclePressures {
+					selfLimits += perRowMixtureDiffusion(tr, T, P, X, Y, want)
+					tr.MixtureDiffusion(T, P, X, Y, got)
+					for k := range got {
+						if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("%s T=%v P=%v Y=%v: D[%d] = %v, per-pair formula %v",
+								m.Name, T, P, Y, k, got[k], want[k])
+						}
+					}
+				}
+			}
+		}
+		if selfLimits == 0 {
+			t.Errorf("%s: no case reached the self-limit branch", m.Name)
+		}
+	}
+}
+
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	m := chem.H2Air()
+	tr := New(m)
+	Y := m.StoichiometricH2Air()
+	X := make([]float64, m.NumSpecies())
+	D := make([]float64, m.NumSpecies())
+	if a := testing.AllocsPerRun(100, func() { tr.Evaluate(1500, chem.PAtm, Y, X, D) }); a != 0 {
+		t.Errorf("Evaluate allocates %v times per call", a)
+	}
+}
+
+// One Model serves many goroutines at once (DRFMComponent answers every
+// pool worker): its results must not depend on who else is evaluating.
+func TestEvaluateConcurrent(t *testing.T) {
+	m := chem.H2Air()
+	tr := New(m)
+	n := m.NumSpecies()
+	cases := mixtureCases(n, rand.New(rand.NewSource(11)))
+	type result struct {
+		D           []float64
+		lambda, rho float64
+	}
+	evalAll := func() []result {
+		X := make([]float64, n)
+		var out []result
+		for _, Y := range cases {
+			for _, T := range oracleTemps {
+				D := make([]float64, n)
+				lam, rho := tr.Evaluate(T, chem.PAtm, Y, X, D)
+				out = append(out, result{D, lam, rho})
+			}
+		}
+		return out
+	}
+	serial := evalAll()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 2 {
+		workers = 2
+	}
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r, res := range evalAll() {
+				ok := same(res.lambda, serial[r].lambda) && same(res.rho, serial[r].rho)
+				for k := range res.D {
+					ok = ok && same(res.D[k], serial[r].D[k])
+				}
+				if !ok {
+					errs <- fmt.Sprintf("goroutine %d: result %d differs from the serial run", w, r)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// Every species of every registered mechanism has its own Lennard-Jones
+// entry; New's N2 fallback is for unknown species only.
+func TestLJDataCoversEveryMechanism(t *testing.T) {
+	for _, m := range chem.AllMechanisms() {
+		for _, sp := range m.Species {
+			if _, ok := ljData[sp.Name]; !ok {
+				t.Errorf("%s: species %s has no transport data", m.Name, sp.Name)
+			}
+		}
+	}
+}
+
+func BenchmarkEvaluate(b *testing.B) {
+	m := chem.H2Air()
+	tr := New(m)
+	Y := m.StoichiometricH2Air()
+	X := make([]float64, m.NumSpecies())
+	D := make([]float64, m.NumSpecies())
+	for i := 0; i < b.N; i++ {
+		sinkLambda, _ = tr.Evaluate(1500, chem.PAtm, Y, X, D)
+	}
+}
+
+var sinkLambda float64

@@ -11,9 +11,12 @@
 # delta-chain crash torture tests. internal/exec also asserts the
 # steady-state epoch handoff allocates nothing (TestEpochHandoffZeroAlloc).
 # The race list includes internal/telemetry (lock-free flight ring,
-# hub fan-out) and internal/serve (the multi-tenant run server:
+# hub fan-out), internal/serve (the multi-tenant run server:
 # concurrent jobs over one pool, checkpoint-boundary preemption,
-# elastic resume, content-addressed dedup). Two smoke passes close it
+# elastic resume, content-addressed dedup) and internal/transport (one
+# transport Model serves every pool worker at once;
+# TestEvaluateConcurrent keeps per-call scratch out of the shared
+# Model). Two smoke passes close it
 # out: the live telemetry endpoints against a real 4-rank run
 # (TestTelemetryEndpointsLiveFlame) and the live run server
 # (TestServeLiveSmoke boots ccaserve's scheduler+HTTP stack, submits
@@ -96,11 +99,11 @@ go run ./examples/instrumented >/dev/null
 go run ./examples/quickstart >/dev/null
 go run ./examples/checkpoint >/dev/null
 
-echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint)"
+echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint + transport)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
 	./internal/mpi/... ./internal/field/... ./internal/obs/... ./internal/cca/... \
 	./internal/ckpt/... ./internal/chem/... ./internal/rkc/... ./internal/telemetry/... \
-	./internal/serve/... ./internal/scenario/...
+	./internal/serve/... ./internal/scenario/... ./internal/transport/...
 
 echo "== scenario gate (library parse-validates, fuzz corpus replays, built-ins reproduce frozen fingerprints)"
 go test -run 'TestScenarioLibraryCompiles|FuzzParseScenario|TestGolden' -count=1 ./internal/scenario/
