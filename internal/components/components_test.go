@@ -2,6 +2,7 @@ package components
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ccahydro/internal/amr"
@@ -414,22 +415,76 @@ func TestStatesComponentLimiterParameter(t *testing.T) {
 			}
 		}
 	}
-	l, r := st.Pair(g, pd, 4, 4, 0)
-	if l.Rho != 1 || r.Rho != 2 {
-		t.Errorf("first-order states = %v, %v", l.Rho, r.Rho)
+	// One row of x faces across the jump: faces 0..4 lie between
+	// cells 1..5 and the cells to their left; the jump is face 3.
+	l, r := make([]euler.Primitive, 5), make([]euler.Primitive, 5)
+	st.Row(g, pd, 1, 4, 0, l, r)
+	for f := range l {
+		wantL, wantR := 1.0, 1.0
+		if f >= 3 {
+			wantR = 2
+		}
+		if f >= 4 {
+			wantL = 2
+		}
+		if l[f].Rho != wantL || r[f].Rho != wantR {
+			t.Errorf("first-order states at face %d = %v, %v; want %v, %v", f, l[f].Rho, r[f].Rho, wantL, wantR)
+		}
 	}
 }
 
 func TestFluxComponentsAgreeOnSmooth(t *testing.T) {
-	gf := &GodunovFluxComp{}
-	ef := &EFMFluxComp{}
 	g := euler.Gas{Gamma: 1.4}
-	w := euler.Primitive{Rho: 1.2, U: 0.3, V: -0.1, P: 2, Zeta: 0.5}
-	fg := gf.Flux(g, w, w)
-	fe := ef.Flux(g, w, w)
-	for k := 0; k < euler.NumComp; k++ {
-		if math.Abs(fg[k]-fe[k]) > 1e-9*math.Max(1, math.Abs(fg[k])) {
-			t.Errorf("flux[%d]: godunov %v, efm %v", k, fg[k], fe[k])
+	w := []euler.Primitive{
+		{Rho: 1.2, U: 0.3, V: -0.1, P: 2, Zeta: 0.5},
+		{Rho: 0.7, U: -0.4, V: 0.2, P: 1.1, Zeta: 0.1},
+	}
+	fg, fe := make([]euler.Conserved, len(w)), make([]euler.Conserved, len(w))
+	(&GodunovFluxComp{}).Row(g, w, w, fg)
+	(&EFMFluxComp{}).Row(g, w, w, fe)
+	for f := range w {
+		for k := 0; k < euler.NumComp; k++ {
+			if math.Abs(fg[f][k]-fe[f][k]) > 1e-9*math.Max(1, math.Abs(fg[f][k])) {
+				t.Errorf("face %d flux[%d]: godunov %v, efm %v", f, k, fg[f][k], fe[f][k])
+			}
+		}
+	}
+}
+
+// TestRowFluxMatchesKernels: each flux component's Row is its per-face
+// kernel applied face by face, bit for bit, on random states.
+func TestRowFluxMatchesKernels(t *testing.T) {
+	g := euler.Gas{Gamma: 1.4}
+	rng := rand.New(rand.NewSource(3))
+	const n = 64
+	l, r := make([]euler.Primitive, n), make([]euler.Primitive, n)
+	random := func() euler.Primitive {
+		return euler.Primitive{
+			Rho: 0.05 + 5*rng.Float64(), U: 6*rng.Float64() - 3, V: 6*rng.Float64() - 3,
+			P: 0.05 + 10*rng.Float64(), Zeta: rng.Float64(),
+		}
+	}
+	for f := range l {
+		l[f], r[f] = random(), random()
+	}
+	for _, c := range []struct {
+		name   string
+		port   FluxPort
+		kernel euler.FluxFunc
+	}{
+		{"GodunovFlux", &GodunovFluxComp{}, euler.GodunovFlux},
+		{"HLLCFlux", &HLLCFluxComp{}, euler.HLLCFlux},
+		{"EFMFlux", &EFMFluxComp{}, euler.EFMFlux},
+	} {
+		got := make([]euler.Conserved, n)
+		c.port.Row(g, l, r, got)
+		for f := range got {
+			want := c.kernel(g, l[f], r[f])
+			for k := range want {
+				if math.Float64bits(got[f][k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s face %d flux[%d]: row %v, kernel %v", c.name, f, k, got[f][k], want[k])
+				}
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // States reconstructs limited left/right face states (paper Sec. 4.3).
 // Parameter "limiter" selects mc, minmod or first.
 type States struct {
-	fn euler.StatesFunc
+	row euler.StatesRow
 }
 
 var statesSpec = &Spec{
@@ -34,14 +34,22 @@ func (st *States) SetServices(svc cca.Services) error {
 	default:
 		lim = euler.MC
 	}
-	st.fn = euler.MUSCLStates(lim)
+	st.row = euler.MUSCLRow(lim)
 	return statesSpec.register(svc, st)
 }
 
-// Pair implements StatesPort.
-func (st *States) Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.Primitive, euler.Primitive) {
-	return st.fn(g, pd, i, j, dir)
+// Row implements StatesPort.
+func (st *States) Row(g euler.Gas, pd *field.PatchData, i0, j0, dir int, l, r []euler.Primitive) {
+	st.row(g, pd, i0, j0, dir, l, r)
 }
+
+// The flux components lift the per-face kernels of package euler onto
+// rows of faces.
+var (
+	godunovRow = euler.RowFlux(euler.GodunovFlux)
+	hllcRow    = euler.RowFlux(euler.HLLCFlux)
+	efmRow     = euler.RowFlux(euler.EFMFlux)
+)
 
 // GodunovFluxComp provides the exact-Riemann Godunov flux.
 type GodunovFluxComp struct{}
@@ -56,9 +64,9 @@ func (gf *GodunovFluxComp) SetServices(svc cca.Services) error {
 	return godunovFluxSpec.register(svc, gf)
 }
 
-// Flux implements FluxPort.
-func (gf *GodunovFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
-	return euler.GodunovFlux(g, l, r)
+// Row implements FluxPort.
+func (gf *GodunovFluxComp) Row(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
+	godunovRow(g, l, r, f)
 }
 
 // HLLCFluxComp provides the HLLC approximate Riemann flux — a third
@@ -76,9 +84,9 @@ func (hf *HLLCFluxComp) SetServices(svc cca.Services) error {
 	return hllcFluxSpec.register(svc, hf)
 }
 
-// Flux implements FluxPort.
-func (hf *HLLCFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
-	return euler.HLLCFlux(g, l, r)
+// Row implements FluxPort.
+func (hf *HLLCFluxComp) Row(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
+	hllcRow(g, l, r, f)
 }
 
 // EFMFluxComp provides Pullin's Equilibrium Flux Method — the paper's
@@ -95,15 +103,17 @@ func (ef *EFMFluxComp) SetServices(svc cca.Services) error {
 	return efmFluxSpec.register(svc, ef)
 }
 
-// Flux implements FluxPort.
-func (ef *EFMFluxComp) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
-	return euler.EFMFlux(g, l, r)
+// Row implements FluxPort.
+func (ef *EFMFluxComp) Row(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
+	efmRow(g, l, r, f)
 }
 
 // InviscidFlux is the adaptor that supplies the right-hand side of the
 // Euler equations patch by patch: it uses a States component to set up
-// the Riemann problem at each cell interface and passes it to the
-// connected flux component for the solution (paper Sec. 4.3).
+// the Riemann problems along a row of cell interfaces and passes the
+// row to the connected flux component for the solution (paper Sec.
+// 4.3). Both ports are crossed once per row or column, at the paper's
+// patch-array granularity.
 type InviscidFlux struct {
 	svc cca.Services
 	// The assembled solver resolves once: ports are interface values
@@ -151,8 +161,8 @@ func (iv *InviscidFlux) solver() *euler.Solver {
 		}
 		iv.solved = euler.Solver{
 			Gas:    euler.Gas{Gamma: gamma},
-			Flux:   fp.(FluxPort).Flux,
-			States: sp.(StatesPort).Pair,
+			Flux:   fp.(FluxPort).Row,
+			States: sp.(StatesPort).Row,
 			// Nested parallelism: the integrator fans patches out, and
 			// within a patch the solver fans rows out on the same pool
 			// (caller participation makes the nesting deadlock-free).

@@ -204,17 +204,17 @@ func (p *iCellChem) RestoreCounters(m map[string]float64) { p.inner.RestoreCount
 // iFlux instruments hydro.FluxPort.
 type iFlux proxy[FluxPort]
 
-func (p *iFlux) Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved {
+func (p *iFlux) Row(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved) {
 	defer p.h.ObserveSince(time.Now())
-	return p.inner.Flux(g, l, r)
+	p.inner.Row(g, l, r, f)
 }
 
 // iStates instruments hydro.StatesPort.
 type iStates proxy[StatesPort]
 
-func (p *iStates) Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.Primitive, euler.Primitive) {
+func (p *iStates) Row(g euler.Gas, pd *field.PatchData, i0, j0, dir int, l, r []euler.Primitive) {
 	defer p.h.ObserveSince(time.Now())
-	return p.inner.Pair(g, pd, i, j, dir)
+	p.inner.Row(g, pd, i0, j0, dir, l, r)
 }
 
 // iCharacteristics instruments hydro.CharacteristicsPort.
@@ -344,10 +344,10 @@ func init() {
 		return &iCellChem{inner: r, h: h("AdvanceChemistry")}
 	})
 	wrap(FluxPortType, func(r FluxPort, h func(string) *obs.PortCall) cca.Port {
-		return &iFlux{inner: r, h: h("Flux")}
+		return &iFlux{inner: r, h: h("Row")}
 	})
 	wrap(StatesPortType, func(r StatesPort, h func(string) *obs.PortCall) cca.Port {
-		return &iStates{inner: r, h: h("Pair")}
+		return &iStates{inner: r, h: h("Row")}
 	})
 	wrap(CharacteristicsPortType, func(r CharacteristicsPort, h func(string) *obs.PortCall) cca.Port {
 		return &iCharacteristics{inner: r, h: h("StableDt")}

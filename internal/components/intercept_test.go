@@ -1,13 +1,17 @@
 package components_test
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ccahydro/internal/amr"
 	"ccahydro/internal/cca"
 	"ccahydro/internal/components"
 	"ccahydro/internal/core"
 	"ccahydro/internal/cvode"
+	"ccahydro/internal/field"
 	"ccahydro/internal/obs"
 )
 
@@ -210,5 +214,80 @@ func TestInterceptorTracedFlame(t *testing.T) {
 	}
 	if n := hist(g, "implicit", "integrator", "IntegrateTo").Count; cells == 0 || n != uint64(cells) {
 		t.Errorf("implicit/integrator/IntegrateTo calls = %d, want one per advanced cell (%d)", n, cells)
+	}
+}
+
+// regionTally sits on the patch-RHS wire between the integrator and
+// InviscidFlux and forwards every region, summing the rows plus
+// columns the inviscid sweeps cross over the non-empty ones.
+type regionTally struct {
+	svc   cca.Services
+	once  sync.Once
+	inner components.PatchRHSPort
+	mu    sync.Mutex
+	lines int
+}
+
+func (rt *regionTally) SetServices(svc cca.Services) error {
+	rt.svc = svc
+	if err := svc.RegisterUsesPort("inner", components.PatchRHSPortType); err != nil {
+		return err
+	}
+	return svc.AddProvidesPort(rt, "patchRHS", components.PatchRHSPortType)
+}
+
+func (rt *regionTally) EvalRegion(pd, out *field.PatchData, region amr.Box, dx, dy float64) {
+	rt.once.Do(func() {
+		p, err := rt.svc.GetPort("inner")
+		if err != nil {
+			panic(err)
+		}
+		rt.svc.ReleasePort("inner")
+		rt.inner = p.(components.PatchRHSPort)
+	})
+	if !region.Empty() {
+		nx, ny := region.Size()
+		rt.mu.Lock()
+		rt.lines += nx + ny
+		rt.mu.Unlock()
+	}
+	rt.inner.EvalRegion(pd, out, region, dx, dy)
+}
+
+// TestInterceptorShockPortGranularity: a traced shock crosses the
+// states and flux wires once per row of the x sweep and once per
+// column of the y sweep — the paper's patch-array granularity — so
+// each wire records only Row, exactly as many times as the evaluated
+// regions have rows plus columns, not once per face.
+func TestInterceptorShockPortGranularity(t *testing.T) {
+	repo := core.Repo()
+	tally := &regionTally{}
+	repo.Register("RegionTally", func() cca.Component { return tally })
+	g := obs.NewGroup(1)
+	f := cca.NewFramework(repo, nil)
+	f.SetObservability(g.Rank(0))
+	must(t, core.AssembleRequest(f, core.RunRequest{Problem: "shock", Params: params(
+		"grace", "nx", "32", "grace", "ny", "16", "grace", "lx", "2.0", "grace", "ly", "1.0",
+		"grace", "maxLevels", "2", "driver", "maxSteps", "4", "driver", "regridEvery", "2",
+	)}))
+	must(t, f.Instantiate("RegionTally", "tally"))
+	must(t, f.Disconnect("rk2", "patchRHS"))
+	must(t, f.Connect("rk2", "patchRHS", "tally", "patchRHS"))
+	must(t, f.Connect("tally", "inner", "inviscid", "patchRHS"))
+	must(t, f.Go("driver", "go"))
+
+	if tally.lines == 0 {
+		t.Fatal("no region reached InviscidFlux")
+	}
+	for _, port := range []string{"states", "flux"} {
+		wire := `instance="inviscid",port="` + port + `"`
+		for _, h := range g.MergedSnapshot().Histograms {
+			if strings.Contains(h.Name, wire) && h.Name != obs.PortCallName("inviscid", port, "Row") {
+				t.Errorf("%s recorded a method other than Row: %s", port, h.Name)
+			}
+		}
+		if n := hist(g, "inviscid", port, "Row").Count; n != uint64(tally.lines) {
+			t.Errorf("inviscid/%s/Row calls = %d, want one per swept row and column (%d)", port, n, tally.lines)
+		}
 	}
 }

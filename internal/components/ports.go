@@ -220,18 +220,22 @@ type CellChemistryPort interface {
 	RestoreCounters(map[string]float64)
 }
 
-// FluxPort computes an interface flux from reconstructed left/right
-// states — the seam where GodunovFlux and EFMFlux interchange.
+// FluxPort computes interface fluxes from reconstructed left/right
+// states — the seam where GodunovFlux and EFMFlux interchange, crossed
+// once per row of faces.
 type FluxPort interface {
-	Flux(g euler.Gas, l, r euler.Primitive) euler.Conserved
+	// Row sets f[k] to the flux between l[k] and r[k] for every face
+	// of the row.
+	Row(g euler.Gas, l, r []euler.Primitive, f []euler.Conserved)
 }
 
 // StatesPort reconstructs limited left/right states (the paper's
-// States component).
+// States component), a row of faces per crossing.
 type StatesPort interface {
-	// Pair returns the face states between cells (i-1,j)-(i,j) (dir 0)
-	// or (i,j-1)-(i,j) (dir 1).
-	Pair(g euler.Gas, pd *field.PatchData, i, j, dir int) (euler.Primitive, euler.Primitive)
+	// Row fills l and r for faces f = 0..len(l)-1, face f lying
+	// between cells c0+f-1 and c0+f along dir (0: i, 1: j, with u and
+	// v swapped), where c0 = (i0, j0).
+	Row(g euler.Gas, pd *field.PatchData, i0, j0, dir int, l, r []euler.Primitive)
 }
 
 // CharacteristicsPort reports characteristic speeds for time-step

@@ -47,11 +47,26 @@ func MC(a, b float64) float64 {
 // FirstOrder disables reconstruction (piecewise-constant states).
 func FirstOrder(a, b float64) float64 { return 0 }
 
-// StatesFunc reconstructs the (left, right) face states between cells
-// (i-1, j) and (i, j) for dir 0, or (i, j-1) and (i, j) for dir 1 (with
-// u/v swapped so the x-flux machinery applies) — the paper's States
-// component seam.
-type StatesFunc func(g Gas, pd *field.PatchData, i, j, dir int) (Primitive, Primitive)
+// StatesRow reconstructs the (left, right) states of a row of faces —
+// the paper's States component seam, crossed once per row. Face
+// f = 0..len(l)-1 lies between cells c0+f-1 and c0+f along dir, where
+// c0 = (i0, j0): dir 0 walks i, dir 1 walks j (with u/v swapped so the
+// x-flux machinery applies). l and r have equal length. Must be safe
+// for concurrent calls on distinct output slices.
+type StatesRow func(g Gas, pd *field.PatchData, i0, j0, dir int, l, r []Primitive)
+
+// FluxRow computes f[k] = flux(l[k], r[k]) for a row of faces — the
+// flux component seam, crossed once per row.
+type FluxRow func(g Gas, l, r []Primitive, f []Conserved)
+
+// RowFlux lifts a per-face flux kernel onto a row of faces.
+func RowFlux(flux FluxFunc) FluxRow {
+	return func(g Gas, l, r []Primitive, f []Conserved) {
+		for k := range f {
+			f[k] = flux(g, l[k], r[k])
+		}
+	}
+}
 
 // Solver advances the 2D Euler system on AMR patches. A Solver value
 // with a nil or width-1 Pool is strictly serial; all methods are
@@ -59,10 +74,10 @@ type StatesFunc func(g Gas, pd *field.PatchData, i, j, dir int) (Primitive, Prim
 // RHSPatch calls on different patches.
 type Solver struct {
 	Gas  Gas
-	Flux FluxFunc
-	// States reconstructs face states; defaults to MUSCL with the
+	Flux FluxRow
+	// States reconstructs face states; defaults to MUSCLRow with the
 	// Limiter field when nil. Must be safe for concurrent calls.
-	States  StatesFunc
+	States  StatesRow
 	Limiter Limiter
 	// CFL is the Courant number (default 0.45 when zero).
 	CFL float64
@@ -73,19 +88,88 @@ type Solver struct {
 	Pool *exec.Pool
 }
 
-// NewSolver builds a second-order Godunov solver with MC limiting.
+// NewSolver builds a second-order Godunov solver with MC limiting
+// around a per-face flux kernel.
 func NewSolver(gamma float64, flux FluxFunc) *Solver {
-	return &Solver{Gas: Gas{Gamma: gamma}, Flux: flux, Limiter: MC, CFL: 0.45}
+	return &Solver{Gas: Gas{Gamma: gamma}, Flux: RowFlux(flux), Limiter: MC, CFL: 0.45}
 }
 
-// MUSCLStates returns a StatesFunc doing primitive-variable MUSCL
-// reconstruction with the given limiter. The closure holds no mutable
-// state, so it is safe for concurrent sweeps.
-func MUSCLStates(lim Limiter) StatesFunc {
-	return func(g Gas, pd *field.PatchData, i, j, dir int) (Primitive, Primitive) {
-		s := Solver{Gas: g, Limiter: lim}
-		return s.limitedPair(pd, i, j, dir)
+// MUSCLRow returns a StatesRow doing primitive-variable MUSCL
+// reconstruction with the given limiter. It slides a four-cell window
+// along the row, so each cell's primitive state and limited slopes are
+// computed once and shared by the two faces beside it. The left state
+// of a face is the left cell's value plus half its slope, the right
+// state the right cell's value minus half its slope, each floored at
+// 1e-12 in density and pressure. The closure holds no mutable state,
+// so it is safe for concurrent sweeps.
+func MUSCLRow(lim Limiter) StatesRow {
+	return func(g Gas, pd *field.PatchData, i0, j0, dir int, l, r []Primitive) {
+		// load reads the primitive state of cell c0+o straight from the
+		// component planes, where it sits at offset at+o*step.
+		var plane [NumComp][]float64
+		for k := range plane {
+			plane[k] = pd.Comp(k)
+		}
+		at, step := pd.Offset(i0, j0), 1
+		if dir == 1 {
+			step = pd.Stride()
+		}
+		load := func(o int) Primitive {
+			n := at + o*step
+			w := g.ToPrimitive(Conserved{plane[IRho][n], plane[IMx][n], plane[IMy][n], plane[IE][n], plane[IZeta][n]})
+			if dir == 1 {
+				w = swapUV(w)
+			}
+			return w
+		}
+		// Face f sits between wm1 (cell f-1) and w0 (cell f); sm1 is
+		// the slope of wm1, computed at the previous face.
+		wm2, wm1, w0 := load(-2), load(-1), load(0)
+		sm1 := slopes(lim, wm2, wm1, w0)
+		for f := range l {
+			wp1 := load(f + 1)
+			s0 := slopes(lim, wm1, w0, wp1)
+			l[f] = floorRhoP(Primitive{
+				Rho:  wm1.Rho + 0.5*sm1.Rho,
+				U:    wm1.U + 0.5*sm1.U,
+				V:    wm1.V + 0.5*sm1.V,
+				P:    wm1.P + 0.5*sm1.P,
+				Zeta: wm1.Zeta + 0.5*sm1.Zeta,
+			})
+			r[f] = floorRhoP(Primitive{
+				Rho:  w0.Rho - 0.5*s0.Rho,
+				U:    w0.U - 0.5*s0.U,
+				V:    w0.V - 0.5*s0.V,
+				P:    w0.P - 0.5*s0.P,
+				Zeta: w0.Zeta - 0.5*s0.Zeta,
+			})
+			wm1, w0, sm1 = w0, wp1, s0
+		}
 	}
+}
+
+// slopes returns the limited slope of cell b between neighbours a and
+// c, per primitive component.
+func slopes(lim Limiter, a, b, c Primitive) Primitive {
+	return Primitive{
+		Rho:  lim(b.Rho-a.Rho, c.Rho-b.Rho),
+		U:    lim(b.U-a.U, c.U-b.U),
+		V:    lim(b.V-a.V, c.V-b.V),
+		P:    lim(b.P-a.P, c.P-b.P),
+		Zeta: lim(b.Zeta-a.Zeta, c.Zeta-b.Zeta),
+	}
+}
+
+// floorRhoP floors a reconstructed state's density and pressure at
+// 1e-12.
+func floorRhoP(w Primitive) Primitive {
+	if w.Rho < 1e-12 {
+		w.Rho = 1e-12
+	}
+	if w.P < 1e-12 {
+		w.P = 1e-12
+	}
+	return w
 }
 
 // primAt loads the primitive state at cell (i, j) of a conserved-data
@@ -98,68 +182,32 @@ func (s *Solver) primAt(pd *field.PatchData, i, j int) Primitive {
 	return s.Gas.ToPrimitive(u)
 }
 
-// limitedPair reconstructs the (left-of-face, right-of-face) states at
-// the face between cells (i-1, j) and (i, j) of an x-sweep, using
-// primitive-variable MUSCL with the solver's limiter. dir selects the
-// sweep direction: 0 for x, 1 for y (j varies then).
-func (s *Solver) limitedPair(pd *field.PatchData, i, j, dir int) (Primitive, Primitive) {
-	get := func(o int) Primitive {
-		if dir == 0 {
-			return s.primAt(pd, i+o, j)
-		}
-		return swapUV(s.primAt(pd, i, j+o))
-	}
-	wm2, wm1, w0, wp1 := get(-2), get(-1), get(0), get(1)
-	slope := func(a, b, c float64) float64 { return s.Limiter(b-a, c-b) }
-	l := Primitive{
-		Rho:  wm1.Rho + 0.5*slope(wm2.Rho, wm1.Rho, w0.Rho),
-		U:    wm1.U + 0.5*slope(wm2.U, wm1.U, w0.U),
-		V:    wm1.V + 0.5*slope(wm2.V, wm1.V, w0.V),
-		P:    wm1.P + 0.5*slope(wm2.P, wm1.P, w0.P),
-		Zeta: wm1.Zeta + 0.5*slope(wm2.Zeta, wm1.Zeta, w0.Zeta),
-	}
-	r := Primitive{
-		Rho:  w0.Rho - 0.5*slope(wm1.Rho, w0.Rho, wp1.Rho),
-		U:    w0.U - 0.5*slope(wm1.U, w0.U, wp1.U),
-		V:    w0.V - 0.5*slope(wm1.V, w0.V, wp1.V),
-		P:    w0.P - 0.5*slope(wm1.P, w0.P, wp1.P),
-		Zeta: w0.Zeta - 0.5*slope(wm1.Zeta, w0.Zeta, wp1.Zeta),
-	}
-	if l.Rho < 1e-12 {
-		l.Rho = 1e-12
-	}
-	if r.Rho < 1e-12 {
-		r.Rho = 1e-12
-	}
-	if l.P < 1e-12 {
-		l.P = 1e-12
-	}
-	if r.P < 1e-12 {
-		r.P = 1e-12
-	}
-	return l, r
-}
-
 // serialPool backs RHSPatch when the Solver has no Pool: width 1, so
 // ForEachChunk degenerates to an inline loop.
 var serialPool = exec.NewPool(1)
 
-// sweepPool recycles flux-line buffers across RHSPatch calls. A
-// sync.Pool (rather than solver-held scratch) keeps Solver values
-// copyable and the kernel safe under nested parallelism, where one
-// shared Solver serves several concurrent patch evaluations.
-var sweepPool sync.Pool
-
-func getSweep(n int) []Conserved {
-	if v := sweepPool.Get(); v != nil {
-		if s := *v.(*[]Conserved); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]Conserved, n)
+// sweep is the scratch of one row or column: its face states and
+// fluxes.
+type sweep struct {
+	l, r []Primitive
+	f    []Conserved
 }
 
-func putSweep(s []Conserved) { sweepPool.Put(&s) }
+// sweepPool recycles sweep scratch across RHSPatch calls. A sync.Pool
+// (rather than solver-held scratch) keeps Solver values copyable and
+// the kernel safe under nested parallelism, where one shared Solver
+// serves several concurrent patch evaluations.
+var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
+
+// getSweep returns pooled scratch for n faces.
+func getSweep(n int) *sweep {
+	sw := sweepPool.Get().(*sweep)
+	if cap(sw.f) < n {
+		sw.l, sw.r, sw.f = make([]Primitive, n), make([]Primitive, n), make([]Conserved, n)
+	}
+	sw.l, sw.r, sw.f = sw.l[:n], sw.r[:n], sw.f[:n]
+	return sw
+}
 
 // RHSPatch writes dU/dt = -dF/dx - dG/dy into out over the interior of
 // pd. The patch's ghost cells (2 layers) must be filled beforehand.
@@ -188,23 +236,22 @@ func (s *Solver) RHSRegion(pd, out *field.PatchData, region amr.Box, dx, dy floa
 
 	states := s.States
 	if states == nil {
-		states = MUSCLStates(s.Limiter)
+		states = MUSCLRow(s.Limiter)
 	}
 	pool := s.Pool
 	if pool == nil {
 		pool = serialPool
 	}
 
-	// X sweep: fluxes at nx+1 faces per row; rows fan out.
+	// X sweep: one states and one flux crossing per row, nx+1 faces
+	// each; rows fan out.
 	pool.ForEachChunk(ny, func(_, lo, hi int) {
-		fx := getSweep(nx + 1)
+		sw := getSweep(nx + 1)
+		fx := sw.f
 		for jj := lo; jj < hi; jj++ {
 			j := b.Lo[1] + jj
-			for fi := 0; fi <= nx; fi++ {
-				i := b.Lo[0] + fi
-				l, r := states(s.Gas, pd, i, j, 0)
-				fx[fi] = s.Flux(s.Gas, l, r)
-			}
+			states(s.Gas, pd, b.Lo[0], j, 0, sw.l, sw.r)
+			s.Flux(s.Gas, sw.l, sw.r, fx)
 			for ii := 0; ii < nx; ii++ {
 				i := b.Lo[0] + ii
 				for k := 0; k < NumComp; k++ {
@@ -212,18 +259,19 @@ func (s *Solver) RHSRegion(pd, out *field.PatchData, region amr.Box, dx, dy floa
 				}
 			}
 		}
-		putSweep(fx)
+		sweepPool.Put(sw)
 	})
 
-	// Y sweep: columns fan out.
+	// Y sweep: one crossing each per column; columns fan out.
 	pool.ForEachChunk(nx, func(_, lo, hi int) {
-		fy := getSweep(ny + 1)
+		sw := getSweep(ny + 1)
+		fy := sw.f
 		for ii := lo; ii < hi; ii++ {
 			i := b.Lo[0] + ii
-			for fj := 0; fj <= ny; fj++ {
-				j := b.Lo[1] + fj
-				l, r := states(s.Gas, pd, i, j, 1)
-				fy[fj] = swapFlux(s.Flux(s.Gas, l, r))
+			states(s.Gas, pd, i, b.Lo[1], 1, sw.l, sw.r)
+			s.Flux(s.Gas, sw.l, sw.r, fy)
+			for f := range fy {
+				fy[f] = swapFlux(fy[f])
 			}
 			for jj := 0; jj < ny; jj++ {
 				j := b.Lo[1] + jj
@@ -232,7 +280,7 @@ func (s *Solver) RHSRegion(pd, out *field.PatchData, region amr.Box, dx, dy floa
 				}
 			}
 		}
-		putSweep(fy)
+		sweepPool.Put(sw)
 	})
 }
 

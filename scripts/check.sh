@@ -16,7 +16,8 @@
 # elastic resume, content-addressed dedup) and internal/transport (one
 # transport Model serves every pool worker at once;
 # TestEvaluateConcurrent keeps per-call scratch out of the shared
-# Model). Two smoke passes close it
+# Model) and internal/euler (row sweeps share pooled scratch under
+# nested pool parallelism). Two smoke passes close it
 # out: the live telemetry endpoints against a real 4-rank run
 # (TestTelemetryEndpointsLiveFlame) and the live run server
 # (TestServeLiveSmoke boots ccaserve's scheduler+HTTP stack, submits
@@ -30,7 +31,9 @@
 # (RegionRHSPort, MultiLevelChemistryPort, SupportsRegion,
 # SupportsMultiLevel, JacobianRHSPort, WorkerIntegratorPort,
 # CounterSource — each port is one contract), along with the deleted
-# DataPort/DataPortType and the second ghost protocol FillAllGhosts.
+# DataPort/DataPortType, the second ghost protocol FillAllGhosts and
+# the per-face states seam (StatesFunc, MUSCLStates: the States and
+# Flux ports are crossed once per row).
 # After the test suite the three remaining examples (instrumented,
 # quickstart, checkpoint) each run once, so none rots unbuilt. The
 # scenario gate parse-validates every file in scenarios/ against the component
@@ -80,10 +83,10 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
-echo "== one contract per port (no optional port extensions, capability probes or second ghost protocol)"
-probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts' -- '*.go' ':!*_test.go' || true)
+echo "== one contract per port (no optional port extensions, capability probes, second ghost protocol or per-face states seam)"
+probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates' -- '*.go' ':!*_test.go' || true)
 if [ -n "$probes" ]; then
-	echo "optional-capability probes are back; add the method to the port itself (or use ghostFill) instead:" >&2
+	echo "optional-capability probes or the per-face states seam are back; add the method to the port itself (or use ghostFill, or StatesRow) instead:" >&2
 	echo "$probes" >&2
 	exit 1
 fi
@@ -99,11 +102,12 @@ go run ./examples/instrumented >/dev/null
 go run ./examples/quickstart >/dev/null
 go run ./examples/checkpoint >/dev/null
 
-echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint + transport)"
+echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint + transport + euler)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
 	./internal/mpi/... ./internal/field/... ./internal/obs/... ./internal/cca/... \
 	./internal/ckpt/... ./internal/chem/... ./internal/rkc/... ./internal/telemetry/... \
-	./internal/serve/... ./internal/scenario/... ./internal/transport/...
+	./internal/serve/... ./internal/scenario/... ./internal/transport/... \
+	./internal/euler/...
 
 echo "== scenario gate (library parse-validates, fuzz corpus replays, built-ins reproduce frozen fingerprints)"
 go test -run 'TestScenarioLibraryCompiles|FuzzParseScenario|TestGolden' -count=1 ./internal/scenario/
