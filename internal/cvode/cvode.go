@@ -68,6 +68,11 @@ type Stats struct {
 var (
 	ErrTooMuchWork  = errors.New("cvode: maximum step count exceeded")
 	ErrStepTooSmall = errors.New("cvode: step size underflow")
+
+	// Nonlinear-iteration failures stay inside Step, which retries
+	// with a smaller step.
+	errDivergence    = errors.New("cvode: nonlinear divergence")
+	errNoConvergence = errors.New("cvode: nonlinear iteration failed to converge")
 )
 
 const maxHistory = 7 // up to order 5 needs 7 points for order-raise test
@@ -83,9 +88,11 @@ type Solver struct {
 	t float64
 	y []float64
 
-	// History ring: ts[0], ys[0] is the most recent accepted point.
-	ts    []float64
-	ys    [][]float64
+	// History ring: ts[0], ys[0] is the most recent accepted point;
+	// entries past nHist are stale. The rows are solver-owned:
+	// pushHistory rotates the row headers and recycles the oldest row.
+	ts    [maxHistory]float64
+	ys    [maxHistory][]float64
 	nHist int
 
 	order int
@@ -105,15 +112,19 @@ type Solver struct {
 	// nonlinear failures that caused them).
 	cleanStreak int
 
-	// Newton machinery.
-	jac      *Dense
-	lu       *LU
-	gammaJac float64 // gamma at last Jacobian build
-	haveJac  bool
+	// Newton machinery. newton holds the iteration matrix refactor
+	// forms; it is factored into luSpare, which is swapped with lu only
+	// on success, so a singular refactor leaves lu intact.
+	jac, newton *Dense
+	lu, luSpare *LU
+	gammaJac    float64 // gamma at last Jacobian build
+	haveJac     bool
 
 	// Scratch.
 	ytmp, ftmp, delta, pred, beta []float64
 	ewt                           []float64
+	fdBase, fdY                   []float64 // finite-difference Jacobian
+	nodes, coef                   [maxHistory]float64
 
 	stats Stats
 }
@@ -134,16 +145,23 @@ func New(n int, f RHS, opt Options) *Solver {
 	}
 	s := &Solver{
 		n: n, f: f, opt: opt,
-		stiff: opt.Stiff == nil || *opt.Stiff,
-		ts:    make([]float64, 0, maxHistory),
-		ys:    make([][]float64, 0, maxHistory),
-		ytmp:  make([]float64, n),
-		ftmp:  make([]float64, n),
-		delta: make([]float64, n),
-		pred:  make([]float64, n),
-		beta:  make([]float64, n),
-		ewt:   make([]float64, n),
-		jac:   NewDense(n),
+		stiff:   opt.Stiff == nil || *opt.Stiff,
+		ytmp:    make([]float64, n),
+		ftmp:    make([]float64, n),
+		delta:   make([]float64, n),
+		pred:    make([]float64, n),
+		beta:    make([]float64, n),
+		ewt:     make([]float64, n),
+		fdBase:  make([]float64, n),
+		fdY:     make([]float64, n),
+		jac:     NewDense(n),
+		newton:  NewDense(n),
+		lu:      newLU(n),
+		luSpare: newLU(n),
+	}
+	rows := make([]float64, maxHistory*n)
+	for i := range s.ys {
+		s.ys[i] = rows[i*n : (i+1)*n : (i+1)*n]
 	}
 	return s
 }
@@ -155,9 +173,8 @@ func (s *Solver) Init(t0 float64, y0 []float64) {
 	}
 	s.t = t0
 	s.y = append(s.y[:0], y0...)
-	s.ts = append(s.ts[:0], t0)
-	y := append([]float64(nil), y0...)
-	s.ys = append(s.ys[:0], y)
+	s.ts[0] = t0
+	copy(s.ys[0], y0)
 	s.nHist = 1
 	s.order = 1
 	s.h = 0
@@ -216,16 +233,16 @@ func (s *Solver) initialStep() float64 {
 	return h
 }
 
-// pushHistory records an accepted step.
+// pushHistory records an accepted step in the recycled oldest row.
 func (s *Solver) pushHistory(t float64, y []float64) {
-	cp := append([]float64(nil), y...)
-	s.ts = append([]float64{t}, s.ts...)
-	s.ys = append([][]float64{cp}, s.ys...)
-	if len(s.ts) > maxHistory {
-		s.ts = s.ts[:maxHistory]
-		s.ys = s.ys[:maxHistory]
+	oldest := s.ys[maxHistory-1]
+	copy(s.ys[1:], s.ys[:maxHistory-1])
+	copy(s.ts[1:], s.ts[:maxHistory-1])
+	s.ys[0], s.ts[0] = oldest, t
+	copy(oldest, y)
+	if s.nHist < maxHistory {
+		s.nHist++
 	}
-	s.nHist = len(s.ts)
 }
 
 // lagrangeDeriv computes the coefficients c_j = L_j'(tn) of the
@@ -305,8 +322,10 @@ func (s *Solver) buildJacobian(tn float64, y []float64, gamma float64) error {
 	}
 	s.f(tn, y, s.ftmp)
 	s.stats.RHSEvals++
-	base := append([]float64(nil), s.ftmp...)
-	yp := append([]float64(nil), y...)
+	base := s.fdBase
+	copy(base, s.ftmp)
+	yp := s.fdY
+	copy(yp, y)
 	uround := 2.22e-16
 	srur := math.Sqrt(uround)
 	for j := 0; j < s.n; j++ {
@@ -346,21 +365,24 @@ func (s *Solver) buildJacobian(tn float64, y []float64, gamma float64) error {
 // weighted space all components are tolerance-comparable and partial
 // pivoting is reliable.
 func (s *Solver) refactor(gamma float64) error {
-	m := NewDense(s.n)
-	for i := 0; i < s.n; i++ {
-		for j := 0; j < s.n; j++ {
-			v := -gamma * s.ewt[i] * s.jac.At(i, j) / s.ewt[j]
+	n := s.n
+	ewt := s.ewt[:n]
+	for i := 0; i < n; i++ {
+		jrow := s.jac.A[i*n : i*n+n]
+		mrow := s.newton.A[i*n : i*n+n]
+		wi := ewt[i]
+		for j, jij := range jrow {
+			v := -gamma * wi * jij / ewt[j]
 			if i == j {
 				v += 1
 			}
-			m.Set(i, j, v)
+			mrow[j] = v
 		}
 	}
-	lu, err := Factor(m)
-	if err != nil {
+	if err := factorInto(s.luSpare, s.newton); err != nil {
 		return err
 	}
-	s.lu = lu
+	s.lu, s.luSpare = s.luSpare, s.lu
 	s.gammaJac = gamma
 	return nil
 }
@@ -416,10 +438,10 @@ func (s *Solver) solveNonlinear(tn, gamma float64) error {
 		if iter == 0 {
 			firstNorm = norm
 		} else if norm > 50*firstNorm && norm > 1 {
-			return errors.New("cvode: nonlinear divergence")
+			return errDivergence
 		}
 	}
-	return errors.New("cvode: nonlinear iteration failed to converge")
+	return errNoConvergence
 }
 
 // attemptStep tries one step of the given order and size. On success it
@@ -427,12 +449,12 @@ func (s *Solver) solveNonlinear(tn, gamma float64) error {
 // estimate; on nonlinear failure it returns convErr.
 func (s *Solver) attemptStep(order int, h float64) (errNorm float64, err error) {
 	tn := s.t + h
-	nodes := make([]float64, order+1)
+	nodes := s.nodes[:order+1]
 	nodes[0] = tn
 	for j := 1; j <= order; j++ {
 		nodes[j] = s.ts[j-1]
 	}
-	coef := make([]float64, order+1)
+	coef := s.coef[:order+1]
 	lagrangeDeriv(nodes, coef)
 	gamma := 1 / coef[0]
 	// beta = -(1/c0) Σ_{j>=1} c_j y_{n-j}

@@ -17,7 +17,11 @@
 # transport Model serves every pool worker at once;
 # TestEvaluateConcurrent keeps per-call scratch out of the shared
 # Model) and internal/euler (row sweeps share pooled scratch under
-# nested pool parallelism). Two smoke passes close it
+# nested pool parallelism) and internal/cvode (every worker owns a
+# solver whose history rows, Newton matrix and LU buffers are reused
+# across cells; TestConcurrentSolversMatchSerial keeps that scratch out
+# of package scope, TestWarmSolverAllocFree asserts a warm solver
+# allocates nothing). Two smoke passes close it
 # out: the live telemetry endpoints against a real 4-rank run
 # (TestTelemetryEndpointsLiveFlame) and the live run server
 # (TestServeLiveSmoke boots ccaserve's scheduler+HTTP stack, submits
@@ -102,12 +106,12 @@ go run ./examples/instrumented >/dev/null
 go run ./examples/quickstart >/dev/null
 go run ./examples/checkpoint >/dev/null
 
-echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint + transport + euler)"
+echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint + transport + euler + cvode)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
 	./internal/mpi/... ./internal/field/... ./internal/obs/... ./internal/cca/... \
 	./internal/ckpt/... ./internal/chem/... ./internal/rkc/... ./internal/telemetry/... \
 	./internal/serve/... ./internal/scenario/... ./internal/transport/... \
-	./internal/euler/...
+	./internal/euler/... ./internal/cvode/...
 
 echo "== scenario gate (library parse-validates, fuzz corpus replays, built-ins reproduce frozen fingerprints)"
 go test -run 'TestScenarioLibraryCompiles|FuzzParseScenario|TestGolden' -count=1 ./internal/scenario/
