@@ -232,24 +232,28 @@ func TestGoldenShockScenario4Rank(t *testing.T) {
 
 // Frozen fingerprints of the built-ins under the golden parameters,
 // recorded from the Go-coded assemblies the embedded scenarios replaced.
+// The ignition FinalY/Pressures/Temps and the flame phi fields were
+// re-pinned when the dense LU solve began applying every row swap
+// before forward substitution, as its whole-row-swap factorization
+// requires.
 var (
 	goldenIgnition = map[string]string{
-		"FinalY": "90a7b394fa450649", "IgnitionDelay": "0e82d61c80d991f4", "Pressures": "d8f3a72eb9e55cd6",
-		"Temps": "0234a47cec718d8c", "Times": "4f0813f4c6d4ac08",
+		"FinalY": "e9c309c575ee68c8", "IgnitionDelay": "0e82d61c80d991f4", "Pressures": "3c0c1764fc1b97ac",
+		"Temps": "7b614eaf96893b6d", "Times": "4f0813f4c6d4ac08",
 	}
 	goldenFlame = map[string]string{
 		"Tmax": "1575e320377ecb4a", "Tmin": "6350f5f287c11de6", "cells": "cdd22dbd98c0a147",
-		"extrema": "f41f3aa341667ceb", "phi": "fea9ad361e102d24",
+		"extrema": "f41f3aa341667ceb", "phi": "bcde034c17c42db0",
 	}
 	goldenShock = map[string]string{
 		"Circulations": "579760a9337517cd", "U": "d244ba013700c276", "circulation": "579760a9337517cd",
 		"dt": "98fd171e79f04728", "t": "5a71ba1028428be8",
 	}
 	goldenFlame4Rank = map[string]string{
-		"rank0/Tmax": "1575e320377ecb4a", "rank0/Tmin": "6350f5f287c11de6", "rank0/cells": "cdd22dbd98c0a147", "rank0/phi": "bf4cbc3d69f3b92c",
-		"rank1/Tmax": "fe55eb257297956f", "rank1/Tmin": "6abb17571ecac57b", "rank1/cells": "cdd22dbd98c0a147", "rank1/phi": "0c38757ff9826d92",
-		"rank2/Tmax": "4c8ceea4f3c7311d", "rank2/Tmin": "d9f7ca34a32a856d", "rank2/cells": "cdd22dbd98c0a147", "rank2/phi": "e1bf822236ebed3f",
-		"rank3/Tmax": "4bba59ebc624f995", "rank3/Tmin": "6350f5f287c11de6", "rank3/cells": "cdd22dbd98c0a147", "rank3/phi": "1b151e69b6767926",
+		"rank0/Tmax": "1575e320377ecb4a", "rank0/Tmin": "6350f5f287c11de6", "rank0/cells": "cdd22dbd98c0a147", "rank0/phi": "2bd3d4981568a85c",
+		"rank1/Tmax": "fe55eb257297956f", "rank1/Tmin": "6abb17571ecac57b", "rank1/cells": "cdd22dbd98c0a147", "rank1/phi": "9801c26926c974ef",
+		"rank2/Tmax": "4c8ceea4f3c7311d", "rank2/Tmin": "d9f7ca34a32a856d", "rank2/cells": "cdd22dbd98c0a147", "rank2/phi": "d35ae6fab1fd7643",
+		"rank3/Tmax": "4bba59ebc624f995", "rank3/Tmin": "6350f5f287c11de6", "rank3/cells": "cdd22dbd98c0a147", "rank3/phi": "916f0381dd469d83",
 	}
 	goldenShock4Rank = map[string]string{
 		"rank0/U": "65814e0614aabd94", "rank0/dt": "98fd171e79f04728", "rank0/t": "5a71ba1028428be8",
