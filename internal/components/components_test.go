@@ -89,9 +89,6 @@ func modelFixture(t *testing.T) (*cca.Framework, *ProblemModeler) {
 
 func TestProblemModelerRHS(t *testing.T) {
 	_, pm := modelFixture(t)
-	if pm.Dim() != 11 { // T + 9 species + P
-		t.Errorf("dim = %d", pm.Dim())
-	}
 	mech := chem.H2Air()
 	y := make([]float64, 11)
 	y[0] = 1600
@@ -100,8 +97,16 @@ func TestProblemModelerRHS(t *testing.T) {
 	y[1+mech.SpeciesIndex("OH")] = 1e-2
 	chem.NormalizeY(y[1:10])
 	y[10] = chem.PAtm
-	ydot := make([]float64, 11)
+	ydot := make([]float64, 11) // T + 9 species + P, every entry written
+	for i := range ydot {
+		ydot[i] = math.NaN()
+	}
 	pm.Eval(0, y, ydot)
+	for i, v := range ydot {
+		if math.IsNaN(v) {
+			t.Errorf("ydot[%d] not written", i)
+		}
+	}
 	if ydot[0] <= 0 {
 		t.Errorf("dT/dt = %v, want positive for OH-seeded mixture", ydot[0])
 	}
@@ -519,7 +524,6 @@ type vecRHS struct{}
 func (vecRHS) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(vecRHS{}, "rhs", RHSPortType)
 }
-func (vecRHS) Dim() int { return 1 }
 func (vecRHS) Eval(_ float64, y, ydot []float64) {
 	ydot[0] = -2 * y[0]
 }

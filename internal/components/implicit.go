@@ -78,11 +78,6 @@ func (ii *ImplicitIntegrator) RestoreCounters(m map[string]float64) {
 // cellRHS is the constant-pressure chemistry RHS over y = [T, Y...].
 type cellRHS struct{ ii *ImplicitIntegrator }
 
-// Dim implements RHSPort.
-func (cr cellRHS) Dim() int {
-	return cr.ii.chemistry().Mechanism().NumSpecies() + 1
-}
-
 // Eval implements RHSPort.
 func (cr cellRHS) Eval(_ float64, y, ydot []float64) {
 	chemPort := cr.ii.chemistry()

@@ -66,13 +66,8 @@ type proxy[P any] struct {
 
 // iRHS instruments ode.RHSPort.
 type iRHS struct {
-	inner           RHSPort
-	dim, eval, jacf *obs.PortCall
-}
-
-func (p *iRHS) Dim() int {
-	defer p.dim.ObserveSince(time.Now())
-	return p.inner.Dim()
+	inner      RHSPort
+	eval, jacf *obs.PortCall
 }
 
 func (p *iRHS) Eval(t float64, y, ydot []float64) {
@@ -317,7 +312,7 @@ func (p *iProlongRestrict) FillCoarseFine(mesh MeshPort, name string, level int)
 
 func init() {
 	wrap(RHSPortType, func(r RHSPort, h func(string) *obs.PortCall) cca.Port {
-		return &iRHS{inner: r, dim: h("Dim"), eval: h("Eval"), jacf: h("Jac")}
+		return &iRHS{inner: r, eval: h("Eval"), jacf: h("Jac")}
 	})
 	wrap(PatchRHSPortType, func(r PatchRHSPort, h func(string) *obs.PortCall) cca.Port {
 		return &iPatchRHS{inner: r, h: h("EvalRegion")}

@@ -38,8 +38,6 @@ func (c *countingRHS) SetServices(svc cca.Services) error {
 	return svc.AddProvidesPort(c, "rhs", components.RHSPortType)
 }
 
-func (c *countingRHS) Dim() int { return 2 }
-
 func (c *countingRHS) Eval(_ float64, y, ydot []float64) {
 	c.calls++
 	if c.delay > 0 {
@@ -127,9 +125,6 @@ func TestInterceptorCountAndLatencyInvariants(t *testing.T) {
 	rhs := p.port(t, "rhs").(components.RHSPort)
 	if rhs == components.RHSPort(inner) {
 		t.Fatal("wire was not wrapped with a session attached")
-	}
-	if rhs.Dim() != 2 {
-		t.Fatal("Dim not delegated")
 	}
 	const n = 10
 	y, ydot := []float64{1, 0}, make([]float64, 2)

@@ -170,11 +170,6 @@ func (pm *ProblemModeler) chemistry() ChemistryPort {
 	return pm.chem
 }
 
-// Dim implements RHSPort: T + all species + P.
-func (pm *ProblemModeler) Dim() int {
-	return pm.chemistry().Mechanism().NumSpecies() + 2
-}
-
 // Eval implements RHSPort for y = [T, Y_0..Y_{n-1}, P]. The density of
 // the rigid vessel is recovered from the instantaneous state (it is a
 // constant of the motion under these equations).
