@@ -663,3 +663,27 @@ func TestSpecAccessorPanicsOnUndeclaredKey(t *testing.T) {
 		t.Errorf("unset dt read as %g, want the declared default", got)
 	}
 }
+
+// ---- DRFMComponent --------------------------------------------------------
+
+// MaxDiffusivity runs on every sampled cell at every RKC step (the
+// MaxDiffCoeffEvaluator's CFL bound): once its scratch pool is warm it
+// must not allocate.
+func TestDRFMMaxDiffusivityAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	f := harness(t, func(f *cca.Framework) {
+		mustDo(t, f.Instantiate("DRFMComponent", "drfm"))
+	})
+	comp, _ := f.Lookup("drfm")
+	dc := comp.(*DRFMComponent)
+	Y := chem.H2Air().StoichiometricH2Air()
+	var d float64
+	if a := testing.AllocsPerRun(100, func() { d = dc.MaxDiffusivity(1500, chem.PAtm, Y) }); a != 0 {
+		t.Errorf("warm MaxDiffusivity allocates %v times per call", a)
+	}
+	if d <= 0 {
+		t.Errorf("MaxDiffusivity = %v", d)
+	}
+}

@@ -7,6 +7,7 @@
 package transport
 
 import (
+	"fmt"
 	"math"
 
 	"ccahydro/internal/chem"
@@ -45,7 +46,17 @@ var ljData = map[string]struct {
 	"HCO":  {3.590, 498.0},
 }
 
-// Model evaluates transport properties for one mechanism.
+// maxSpecies bounds the species count of a Model: the per-call
+// collision-integral buffers live on the stack at this size. New panics
+// above it.
+const maxSpecies = 16
+
+// maxPairs is the number of unordered species pairs j < k at maxSpecies,
+// the most pair classes a Model can have.
+const maxPairs = maxSpecies * (maxSpecies - 1) / 2
+
+// Model evaluates transport properties for one mechanism. It is
+// read-only after New, so one Model serves any number of goroutines.
 type Model struct {
 	mech *chem.Mechanism
 	lj   []LJ
@@ -55,12 +66,42 @@ type Model struct {
 	sigmaJK [][]float64
 	epsJK   [][]float64
 	mJK     [][]float64 // reduced mass
+
+	// Collision-integral classes: pairs j < k in MixtureDiffusion's
+	// loop order (j ascending, then k ascending) by ε_jk for Ω(1,1),
+	// species by ε_k for Ω(2,2).
+	pairs, species classes
+}
+
+// classes groups values by exact float64 equality. The reduced
+// collision integrals are pure functions of T/ε, so one evaluation per
+// class gives every member the very bits its own evaluation would.
+type classes struct {
+	eps []float64 // the distinct values, in order of first appearance
+	of  []int     // of[i] indexes eps for member i
+}
+
+// add appends a member with value eps.
+func (c *classes) add(eps float64) {
+	for i, e := range c.eps {
+		if e == eps {
+			c.of = append(c.of, i)
+			return
+		}
+	}
+	c.of = append(c.of, len(c.eps))
+	c.eps = append(c.eps, eps)
 }
 
 // New builds a transport model; unknown species fall back to N2-like
-// parameters.
+// parameters. It panics if the mechanism has more than maxSpecies
+// species.
 func New(m *chem.Mechanism) *Model {
 	n := m.NumSpecies()
+	if n > maxSpecies {
+		panic(fmt.Sprintf("transport: mechanism %s has %d species, more than maxSpecies = %d",
+			m.Name, n, maxSpecies))
+	}
 	t := &Model{
 		mech: m,
 		lj:   make([]LJ, n),
@@ -86,6 +127,17 @@ func New(m *chem.Mechanism) *Model {
 			t.epsJK[j][k] = math.Sqrt(t.lj[j].EpsOverK * t.lj[k].EpsOverK)
 			t.mJK[j][k] = t.mass[j] * t.mass[k] / (t.mass[j] + t.mass[k])
 		}
+	}
+	nPairs := n * (n - 1) / 2
+	t.pairs = classes{make([]float64, 0, nPairs), make([]int, 0, nPairs)}
+	t.species = classes{make([]float64, 0, n), make([]int, 0, n)}
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			t.pairs.add(t.epsJK[j][k])
+		}
+	}
+	for k := 0; k < n; k++ {
+		t.species.add(t.lj[k].EpsOverK)
 	}
 	return t
 }
@@ -126,9 +178,13 @@ func (t *Model) BinaryDiffusion(j, k int, T, P float64) float64 {
 //
 //	mu_k = 5/16 * sqrt(pi m_k kB T) / (pi sigma_k^2 Omega22)
 func (t *Model) Viscosity(k int, T float64) float64 {
-	tStar := T / t.lj[k].EpsOverK
+	return t.viscosity(k, T, omega22(T/t.lj[k].EpsOverK))
+}
+
+// viscosity is Viscosity's formula given om22 = Omega22(T/eps_k).
+func (t *Model) viscosity(k int, T, om22 float64) float64 {
 	s := t.lj[k].Sigma
-	return 5.0 / 16.0 * math.Sqrt(math.Pi*t.mass[k]*kB*T) / (math.Pi * s * s * omega22(tStar))
+	return 5.0 / 16.0 * math.Sqrt(math.Pi*t.mass[k]*kB*T) / (math.Pi * s * s * om22)
 }
 
 // Conductivity returns the pure-species thermal conductivity in
@@ -136,9 +192,13 @@ func (t *Model) Viscosity(k int, T float64) float64 {
 //
 //	lambda_k = mu_k (cp_k + 5/4 R/W_k)
 func (t *Model) Conductivity(k int, T float64) float64 {
-	mu := t.Viscosity(k, T)
+	return t.conductivity(k, T, omega22(T/t.lj[k].EpsOverK))
+}
+
+// conductivity is Conductivity's formula given om22 = Omega22(T/eps_k).
+func (t *Model) conductivity(k int, T, om22 float64) float64 {
 	sp := &t.mech.Species[k]
-	return mu * (sp.CpMass(T) + 1.25*chem.R/sp.W)
+	return t.viscosity(k, T, om22) * (sp.CpMass(T) + 1.25*chem.R/sp.W)
 }
 
 // MixtureDiffusion fills D (length NumSpecies) with mixture-averaged
@@ -158,20 +218,32 @@ func (t *Model) Conductivity(k int, T float64) float64 {
 // order, skipping i — the order of the per-row sum Σ_{j≠i} — and the
 // result is bit-identical to summing BinaryDiffusion row by row. D must
 // not alias X or Y.
+//
+// Omega11 is evaluated once per pair class, not once per pair: it is a
+// pure function of T/ε_ij, and the pairs of a class share ε_ij bit for
+// bit, so each pair reads the very value its own call would return
+// (h2air: 17 evaluations for 36 pairs).
 func (t *Model) MixtureDiffusion(T, P float64, X, Y, D []float64) {
 	n := t.mech.NumSpecies()
+	var omBuf [maxPairs]float64
+	om := omBuf[:len(t.pairs.eps)]
+	for c, eps := range t.pairs.eps {
+		om[c] = omega11(T / eps)
+	}
 	kT3 := math.Pow(kB*T, 3)
 	pPi := P * math.Pi
 	D = D[:n]
 	for i := range D {
 		D[i] = 0
 	}
+	p := 0 // index of pair (i, j) in pairs.of
 	for i := 0; i < n; i++ {
-		sigma, eps, m := t.sigmaJK[i], t.epsJK[i], t.mJK[i]
+		sigma, m := t.sigmaJK[i], t.mJK[i]
 		for j := i + 1; j < n; j++ {
 			s := sigma[j]
 			num := 3.0 / 16.0 * math.Sqrt(2*math.Pi*kT3/m[j])
-			dij := num / (pPi * s * s * omega11(T/eps[j]))
+			dij := num / (pPi * s * s * om[t.pairs.of[p]])
+			p++
 			D[i] += X[j] / dij
 			D[j] += X[i] / dij
 		}
@@ -186,14 +258,19 @@ func (t *Model) MixtureDiffusion(T, P float64, X, Y, D []float64) {
 }
 
 // MixtureConductivity returns the mixture thermal conductivity from the
-// Mathur combination rule: lambda = (Σ X λ + 1/Σ(X/λ)) / 2.
+// Mathur combination rule: lambda = (Σ X λ + 1/Σ(X/λ)) / 2. Omega22 is
+// evaluated once per species class, as in MixtureDiffusion.
 func (t *Model) MixtureConductivity(T float64, X []float64) float64 {
+	var om [maxSpecies]float64
+	for c, eps := range t.species.eps {
+		om[c] = omega22(T / eps)
+	}
 	var s1, s2 float64
 	for k := range X {
 		if X[k] <= 0 {
 			continue
 		}
-		lam := t.Conductivity(k, T)
+		lam := t.conductivity(k, T, om[t.species.of[k]])
 		s1 += X[k] * lam
 		s2 += X[k] / lam
 	}
@@ -204,11 +281,15 @@ func (t *Model) MixtureConductivity(T float64, X []float64) float64 {
 }
 
 // MixtureViscosity returns the mixture viscosity from Wilke's rule.
+// Omega22 is evaluated once per species class, as in MixtureDiffusion.
 func (t *Model) MixtureViscosity(T float64, X []float64) float64 {
 	n := t.mech.NumSpecies()
-	mus := make([]float64, n)
+	var om, mus [maxSpecies]float64
+	for c, eps := range t.species.eps {
+		om[c] = omega22(T / eps)
+	}
 	for k := 0; k < n; k++ {
-		mus[k] = t.Viscosity(k, T)
+		mus[k] = t.viscosity(k, T, om[t.species.of[k]])
 	}
 	var out float64
 	for i := 0; i < n; i++ {

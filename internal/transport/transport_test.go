@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,144 @@ func TestMixtureDiffusionMatchesPerPairOracle(t *testing.T) {
 	}
 }
 
+// perSpeciesMixtureConductivity is the Mathur rule built from the
+// per-species Conductivity, in MixtureConductivity's order.
+func perSpeciesMixtureConductivity(tr *Model, T float64, X []float64) float64 {
+	var s1, s2 float64
+	for k := range X {
+		if X[k] <= 0 {
+			continue
+		}
+		lam := tr.Conductivity(k, T)
+		s1 += X[k] * lam
+		s2 += X[k] / lam
+	}
+	if s2 == 0 {
+		return 0
+	}
+	return 0.5 * (s1 + 1/s2)
+}
+
+// perSpeciesMixtureViscosity is Wilke's rule built from the per-species
+// Viscosity, in MixtureViscosity's order.
+func perSpeciesMixtureViscosity(tr *Model, T float64, X []float64) float64 {
+	m := tr.Mechanism()
+	var out float64
+	for i := range X {
+		if X[i] <= 0 {
+			continue
+		}
+		var denom float64
+		for j := range X {
+			if X[j] <= 0 {
+				continue
+			}
+			wi, wj := m.Species[i].W, m.Species[j].W
+			phi := math.Pow(1+math.Sqrt(tr.Viscosity(i, T)/tr.Viscosity(j, T))*math.Pow(wj/wi, 0.25), 2) /
+				math.Sqrt(8*(1+wi/wj))
+			denom += X[j] * phi
+		}
+		out += X[i] * tr.Viscosity(i, T) / denom
+	}
+	return out
+}
+
+// MixtureConductivity and MixtureViscosity evaluate Omega22 once per
+// species class; they must reproduce the mixing rules built from the
+// per-species Conductivity and Viscosity bit for bit.
+func TestMixtureConductivityAndViscosityMatchPerSpeciesOracle(t *testing.T) {
+	for _, m := range chem.AllMechanisms() {
+		tr := New(m)
+		n := m.NumSpecies()
+		rng := rand.New(rand.NewSource(7))
+		X := make([]float64, n)
+		for _, Y := range mixtureCases(n, rng) {
+			m.MoleFractions(Y, X)
+			for _, T := range oracleTemps {
+				got, want := tr.MixtureConductivity(T, X), perSpeciesMixtureConductivity(tr, T, X)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s T=%v Y=%v: lambda = %v, per-species formula %v", m.Name, T, Y, got, want)
+				}
+				got, want = tr.MixtureViscosity(T, X), perSpeciesMixtureViscosity(tr, T, X)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s T=%v Y=%v: mu = %v, per-species formula %v", m.Name, T, Y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The collision-integral classes: every pair and every species reads a
+// class whose ε is bitwise its own, and no two classes share an ε. The
+// counts pin how much sharing ljData gives each mechanism, so an edit
+// that changes it shows up here.
+func TestCollisionIntegralClasses(t *testing.T) {
+	want := map[string]struct{ pairs, species int }{
+		"h2air-9sp-19rx":      {17, 6},
+		"h2air-lite-8sp-5rx":  {17, 6},
+		"co-h2-air-12sp-28rx": {38, 9},
+	}
+	distinct := func(vals []float64) bool {
+		seen := map[uint64]bool{}
+		for _, v := range vals {
+			if seen[math.Float64bits(v)] {
+				return false
+			}
+			seen[math.Float64bits(v)] = true
+		}
+		return true
+	}
+	for _, m := range chem.AllMechanisms() {
+		tr := New(m)
+		n := m.NumSpecies()
+		if len(tr.pairs.of) != n*(n-1)/2 || len(tr.species.of) != n {
+			t.Fatalf("%s: %d pair and %d species class indices for %d species",
+				m.Name, len(tr.pairs.of), len(tr.species.of), n)
+		}
+		p := 0
+		for j := 0; j < n; j++ {
+			for k := j + 1; k < n; k++ {
+				if e := tr.pairs.eps[tr.pairs.of[p]]; math.Float64bits(e) != math.Float64bits(tr.epsJK[j][k]) {
+					t.Errorf("%s: pair (%d,%d) class eps %v, own eps %v", m.Name, j, k, e, tr.epsJK[j][k])
+				}
+				p++
+			}
+		}
+		for k := 0; k < n; k++ {
+			if e := tr.species.eps[tr.species.of[k]]; math.Float64bits(e) != math.Float64bits(tr.lj[k].EpsOverK) {
+				t.Errorf("%s: species %d class eps %v, own eps %v", m.Name, k, e, tr.lj[k].EpsOverK)
+			}
+		}
+		if !distinct(tr.pairs.eps) || !distinct(tr.species.eps) {
+			t.Errorf("%s: repeated class eps: pairs %v, species %v", m.Name, tr.pairs.eps, tr.species.eps)
+		}
+		w, ok := want[m.Name]
+		if !ok {
+			t.Errorf("%s: no expected class counts; add them", m.Name)
+			continue
+		}
+		if len(tr.pairs.eps) != w.pairs || len(tr.species.eps) != w.species {
+			t.Errorf("%s: %d of %d pair classes and %d of %d species classes, want %d and %d",
+				m.Name, len(tr.pairs.eps), n*(n-1)/2, len(tr.species.eps), n, w.pairs, w.species)
+		}
+	}
+}
+
+func TestNewPanicsAboveMaxSpecies(t *testing.T) {
+	base := chem.H2Air()
+	big := *base
+	big.Species = nil
+	for len(big.Species) <= maxSpecies {
+		big.Species = append(big.Species, base.Species...)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "maxSpecies") {
+			t.Errorf("New on %d species (maxSpecies = %d) panicked with %q", len(big.Species), maxSpecies, msg)
+		}
+	}()
+	New(&big)
+}
+
 func TestEvaluateAllocatesNothing(t *testing.T) {
 	m := chem.H2Air()
 	tr := New(m)
@@ -311,12 +450,21 @@ func TestEvaluateAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { tr.Evaluate(1500, chem.PAtm, Y, X, D) }); a != 0 {
 		t.Errorf("Evaluate allocates %v times per call", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { sinkLambda = tr.MixtureViscosity(1500, X) }); a != 0 {
+		t.Errorf("MixtureViscosity allocates %v times per call", a)
+	}
 }
 
 // One Model serves many goroutines at once (DRFMComponent answers every
 // pool worker): its results must not depend on who else is evaluating.
+// The class tables are shared too; New is their only writer.
 func TestEvaluateConcurrent(t *testing.T) {
-	m := chem.H2Air()
+	for _, m := range chem.AllMechanisms() {
+		t.Run(m.Name, func(t *testing.T) { testEvaluateConcurrent(t, m) })
+	}
+}
+
+func testEvaluateConcurrent(t *testing.T, m *chem.Mechanism) {
 	tr := New(m)
 	n := m.NumSpecies()
 	cases := mixtureCases(n, rand.New(rand.NewSource(11)))
@@ -380,13 +528,17 @@ func TestLJDataCoversEveryMechanism(t *testing.T) {
 }
 
 func BenchmarkEvaluate(b *testing.B) {
-	m := chem.H2Air()
-	tr := New(m)
-	Y := m.StoichiometricH2Air()
-	X := make([]float64, m.NumSpecies())
-	D := make([]float64, m.NumSpecies())
-	for i := 0; i < b.N; i++ {
-		sinkLambda, _ = tr.Evaluate(1500, chem.PAtm, Y, X, D)
+	for _, m := range chem.AllMechanisms() {
+		b.Run(m.Name, func(b *testing.B) {
+			tr := New(m)
+			Y := m.StoichiometricH2Air()
+			X := make([]float64, m.NumSpecies())
+			D := make([]float64, m.NumSpecies())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkLambda, _ = tr.Evaluate(1500, chem.PAtm, Y, X, D)
+			}
+		})
 	}
 }
 

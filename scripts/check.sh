@@ -15,8 +15,9 @@
 # concurrent jobs over one pool, checkpoint-boundary preemption,
 # elastic resume, content-addressed dedup) and internal/transport (one
 # transport Model serves every pool worker at once;
-# TestEvaluateConcurrent keeps per-call scratch out of the shared
-# Model) and internal/euler (row sweeps share pooled scratch under
+# TestEvaluateConcurrent, run on every mechanism, keeps per-call
+# scratch out of the shared Model, whose collision-integral class
+# tables are read-only after New) and internal/euler (row sweeps share pooled scratch under
 # nested pool parallelism) and internal/cvode (every worker owns a
 # solver whose history rows, Newton matrix and LU buffers are reused
 # across cells; TestConcurrentSolversMatchSerial keeps that scratch out
