@@ -1,12 +1,13 @@
-// Package ccahydro's root benchmark harness: one testing.B benchmark
-// per table and figure of the paper's evaluation, plus ablation
-// benches for the design choices called out in DESIGN.md. Run with
+// Package ccahydro's root benchmark harness: work-unit benches for the
+// paper's flame and shock figures, plus ablation benches for the design
+// choices called out in DESIGN.md. Run with
 //
 //	go test -bench=. -benchmem
 //
-// The full parameter sweeps (and the printed tables that mirror the
-// paper's) live in cmd/experiments; these benches exercise the same
-// code paths at benchmark-friendly sizes.
+// Table 4 (port call vs direct call) is the benchmark's ignition_cells
+// workload, whose cca.port_call_ns and cca.direct_call_ns probes time
+// the dispatch itself; the scaling tables and figures live in
+// cmd/experiments.
 package ccahydro
 
 import (
@@ -14,10 +15,7 @@ import (
 	"testing"
 
 	"ccahydro/internal/amr"
-	"ccahydro/internal/bench"
-	"ccahydro/internal/cca"
 	"ccahydro/internal/chem"
-	"ccahydro/internal/components"
 	"ccahydro/internal/core"
 	"ccahydro/internal/cvode"
 	"ccahydro/internal/euler"
@@ -25,128 +23,6 @@ import (
 	"ccahydro/internal/mpi"
 	"ccahydro/internal/rkc"
 )
-
-// ---- Table 4: component vs direct-call serial performance ------------------
-
-// BenchmarkTable4Component times the component-assembled 0D code: the
-// integrator reaches the chemistry through CCA ports. Compare directly
-// against BenchmarkTable4Direct (identical algorithm, concrete calls).
-func BenchmarkTable4Component(b *testing.B) {
-	repo := components.NewRepository()
-	f := cca.NewFramework(repo, nil)
-	for _, p := range [][3]string{{"chem", "mech", "h2air-lite"}} {
-		if err := f.SetParameter(p[0], p[1], p[2]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, inst := range [][2]string{
-		{"ThermoChemistry", "chem"}, {"DPDt", "dpdt"},
-		{"ProblemModeler", "model"}, {"CvodeComponent", "cvode"},
-	} {
-		if err := f.Instantiate(inst[0], inst[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, w := range [][4]string{
-		{"dpdt", "chemistry", "chem", "chemistry"},
-		{"model", "chemistry", "chem", "chemistry"},
-		{"model", "dpdt", "dpdt", "dpdt"},
-		{"cvode", "rhs", "model", "rhs"},
-	} {
-		if err := f.Connect(w[0], w[1], w[2], w[3]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	comp, _ := f.Lookup("cvode")
-	integ := comp.(*components.CvodeComponent)
-	chemComp, _ := f.Lookup("chem")
-	mech := chemComp.(*components.ThermoChemistry).Mechanism()
-	n := mech.NumSpecies()
-	y0 := make([]float64, n+2)
-	y0[0] = 1000
-	copy(y0[1:1+n], mech.StoichiometricH2Air())
-	y0[1+n] = chem.PAtm
-	y := make([]float64, len(y0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := 0; c < 50; c++ {
-			copy(y, y0)
-			if _, err := integ.IntegrateTo(0, 2e-6, y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// table4DirectRHS is the direct-call ("C-code") configuration.
-func table4Direct(b *testing.B, cells int) {
-	mech := chem.H2AirLite()
-	ws := chem.NewSourceWorkspace(mech)
-	n := mech.NumSpecies()
-	rhs := func(_ float64, y, ydot []float64) {
-		T := y[0]
-		if T < 200 {
-			T = 200
-		}
-		rho := mech.Density(y[1+n], T, y[1:1+n])
-		ydot[0] = mech.ConstVolumeSource(T, rho, y[1:1+n], ydot[1:1+n], ws)
-		ydot[1+n] = mech.DPDt(rho, T, ydot[0], y[1:1+n], ydot[1:1+n])
-	}
-	s := cvode.New(n+2, rhs, cvode.Options{RelTol: 1e-8, AbsTol: 1e-12})
-	y0 := make([]float64, n+2)
-	y0[0] = 1000
-	copy(y0[1:1+n], mech.StoichiometricH2Air())
-	y0[1+n] = chem.PAtm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := 0; c < cells; c++ {
-			s.Init(0, y0)
-			if err := s.Integrate(2e-6); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkTable4Direct is the baseline the paper calls the "C-code".
-func BenchmarkTable4Direct(b *testing.B) { table4Direct(b, 50) }
-
-// ---- Table 5 / Fig 8: weak scaling on the simulated cluster ----------------
-
-var benchCosts = bench.CellCosts{ColdChem: 5e-5, HotChem: 1.3e-4, DiffStage: 8e-6, DMax: 3e-3, HotT: 800}
-
-func weakScaling(b *testing.B, perProc int) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := bench.RunScaling(bench.ScalingConfig{P: 8, PerProcN: perProc, Costs: benchCosts})
-		if r.Time <= 0 {
-			b.Fatal("no virtual time")
-		}
-	}
-}
-
-// BenchmarkTable5Weak50 etc. run the constant-per-processor-workload
-// configuration (paper Table 5 rows) at P=8.
-func BenchmarkTable5Weak50(b *testing.B)  { weakScaling(b, 50) }
-func BenchmarkTable5Weak100(b *testing.B) { weakScaling(b, 100) }
-func BenchmarkTable5Weak175(b *testing.B) { weakScaling(b, 175) }
-
-// ---- Fig 9: strong scaling ---------------------------------------------------
-
-func strongScaling(b *testing.B, global, p int) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := bench.RunScaling(bench.ScalingConfig{P: p, GlobalNx: global, GlobalNy: global, Costs: benchCosts})
-		if r.Time <= 0 {
-			b.Fatal("no virtual time")
-		}
-	}
-}
-
-// BenchmarkFig9Strong200P16 and friends are points on the paper's
-// constant-global-size curves.
-func BenchmarkFig9Strong200P16(b *testing.B) { strongScaling(b, 200, 16) }
-func BenchmarkFig9Strong350P16(b *testing.B) { strongScaling(b, 350, 16) }
 
 // ---- Fig 3 / Fig 4: one flame macro step ------------------------------------
 
@@ -189,83 +65,6 @@ func BenchmarkFig7ShockRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ---- Ablation: port dispatch vs direct call ----------------------------------
-//
-// Isolates the mechanism Table 4 measures: the cost of one method
-// invocation through a connected CCA port vs a direct concrete call vs
-// a closure call.
-
-type adderPort interface{ Add(a, b float64) float64 }
-
-type adderComp struct{}
-
-func (a *adderComp) SetServices(svc cca.Services) error {
-	return svc.AddProvidesPort(a, "sum", "bench.AdderPort")
-}
-
-//go:noinline
-func (a *adderComp) Add(x, y float64) float64 { return x + y }
-
-type adderUser struct {
-	svc  cca.Services
-	port adderPort
-}
-
-func (u *adderUser) SetServices(svc cca.Services) error {
-	u.svc = svc
-	return svc.RegisterUsesPort("calc", "bench.AdderPort")
-}
-
-func BenchmarkAblationPortDispatch(b *testing.B) {
-	repo := cca.NewRepository()
-	repo.Register("Adder", func() cca.Component { return &adderComp{} })
-	repo.Register("User", func() cca.Component { return &adderUser{} })
-	f := cca.NewFramework(repo, nil)
-	if err := f.Instantiate("Adder", "a"); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Instantiate("User", "u"); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Connect("u", "calc", "a", "sum"); err != nil {
-		b.Fatal(err)
-	}
-	comp, _ := f.Lookup("u")
-	u := comp.(*adderUser)
-	p, err := u.svc.GetPort("calc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	u.port = p.(adderPort)
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc = u.port.Add(acc, 1)
-	}
-	sink = acc
-}
-
-func BenchmarkAblationDirectCall(b *testing.B) {
-	a := &adderComp{}
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc = a.Add(acc, 1)
-	}
-	sink = acc
-}
-
-func BenchmarkAblationClosureCall(b *testing.B) {
-	a := &adderComp{}
-	fn := func(x, y float64) float64 { return a.Add(x, y) }
-	var acc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc = fn(acc, 1)
-	}
-	sink = acc
 }
 
 var sink float64
@@ -497,5 +296,3 @@ func BenchmarkIgnition0DFull(b *testing.B) {
 		sink = dr.Temps[len(dr.Temps)-1]
 	}
 }
-
-var _ = components.NewRepository // keep the import for palette parity checks

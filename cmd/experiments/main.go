@@ -1,7 +1,7 @@
-// Command experiments regenerates every table and figure of the
-// paper's evaluation section:
+// Command experiments regenerates the tables and figures of the paper's
+// evaluation section. Table 4, the component-overhead measurement, is
+// the benchmark's ignition_cells workload instead (benchmark/).
 //
-//	experiments -exp table4         # serial component-overhead study
 //	experiments -exp table5         # weak-scaling statistics
 //	experiments -exp fig3           # flame temperature evolution
 //	experiments -exp fig4           # AMR patch census
@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table4, table5, fig3, fig4, fig6, fig7, fig8, fig9, netsweep, comm, ckpt, all")
+	exp := flag.String("exp", "all", "experiment id: table5, fig3, fig4, fig6, fig7, fig8, fig9, netsweep, comm, ckpt, all")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
 	dump := flag.String("dump", "", "directory for CSV/PGM field dumps (fig3, fig4, fig6)")
 	commJSON := flag.String("commjson", "", "path for the comm study JSON artifact (exp comm)")
@@ -100,19 +100,6 @@ func main() {
 		sizes = []int{50, 100}
 		strongs = []int{100}
 	}
-
-	run("table4", func() error {
-		cfg := bench.DefaultTable4Config
-		if *quick {
-			cfg.Cells = []int{200, 1000}
-		}
-		rows, err := bench.RunTable4(cfg)
-		if err != nil {
-			return err
-		}
-		bench.PrintTable4(os.Stdout, rows)
-		return nil
-	})
 
 	run("table5", func() error {
 		if err := needCosts(); err != nil {

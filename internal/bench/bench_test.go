@@ -119,29 +119,6 @@ func TestFactorPair(t *testing.T) {
 	}
 }
 
-func TestTable4RowsBalanced(t *testing.T) {
-	cfg := DefaultTable4Config
-	cfg.BaseTEnd = 5e-6
-	cfg.Cells = []int{300}
-	cfg.DtFactors = []int{1, 4}
-	// RunTable4 itself fails unless the component and direct loops do
-	// identical solver work (equal RHS evals per cell) — the deterministic
-	// half of the paper's claim. The timing half is the benchmark's
-	// cca.port_overhead_pct.
-	rows, err := RunTable4(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Longer horizon costs more RHS evaluations per cell (paper's
-	// 150 vs 424 pattern).
-	if rows[0].NFE <= 0 || rows[1].NFE <= rows[0].NFE {
-		t.Errorf("NFE did not grow with horizon: %d vs %d", rows[0].NFE, rows[1].NFE)
-	}
-}
-
 func TestStatsHelpers(t *testing.T) {
 	mean, median, sigma := stats([]float64{1, 2, 3, 4})
 	if mean != 2.5 || median != 2.5 {
@@ -207,7 +184,6 @@ func TestFig4CensusShape(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var b strings.Builder
-	PrintTable4(&b, []Table4Row{{DtFactor: 1, NCells: 10, NFE: 5, Component: 0.1, CCode: 0.1}})
 	PrintTable5(&b, []Table5Stats{{PerProcN: 50, Times: []float64{1}, Mean: 1, Median: 1}}, []int{1})
 	PrintFig8(&b, []Table5Stats{{PerProcN: 50, Times: []float64{1}}}, []int{1})
 	PrintFig9(&b, map[int][]Fig9Point{200: {{P: 1, Time: 1, Ideal: 1, Efficiency: 1}}})
@@ -216,7 +192,7 @@ func TestPrintersProduceOutput(t *testing.T) {
 	PrintFig6(&b, Fig6Result{Time: 1})
 	PrintFig7(&b, []Fig7Series{{Levels: 1, Times: []float64{0, 1}, Circulations: []float64{0, -0.5}, Knee: -0.5}}, 4)
 	out := b.String()
-	for _, want := range []string{"Table 4", "Table 5", "Fig 8", "Fig 9", "Fig 3", "Fig 4", "Fig 6", "Fig 7"} {
+	for _, want := range []string{"Table 5", "Fig 8", "Fig 9", "Fig 3", "Fig 4", "Fig 6", "Fig 7"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("printer output missing %q", want)
 		}

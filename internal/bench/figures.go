@@ -1,3 +1,9 @@
+// Package bench implements the experiment harness that regenerates the
+// paper's evaluation: the Table 5 / Fig 8 weak-scaling and Fig 9
+// strong-scaling runs on the simulated cluster, the physics figures
+// (Figs 3, 4, 6, 7), and the halo-exchange and checkpoint studies. The
+// Table 4 component-overhead measurement is the benchmark's
+// ignition_cells workload (benchmark/ignition.go).
 package bench
 
 import (

@@ -465,10 +465,14 @@ func TestRunScriptSCMD(t *testing.T) {
 func TestRunScriptSCMDParsesOnce(t *testing.T) {
 	repo := NewRepository()
 	repo.Register("Cohort", func() Component { return &cohortComp{} })
-	res, err := RunScriptSCMD(3, mpi.ZeroModel, repo, "instantiate Cohort w\ngo w go\nquit\n")
+	// One parsed script drives every rank's framework.
+	script, err := ParseScriptString("instantiate Cohort w\ngo w go\nquit\n")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := RunSCMD(3, mpi.ZeroModel, repo, func(f *Framework, _ *mpi.Comm) error {
+		return script.Execute(f)
+	})
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -62,16 +62,3 @@ func RunSCMDOn(w *mpi.World, repo *Repository, assemble func(f *Framework, comm 
 	})
 	return res
 }
-
-// RunScriptSCMD parses the script text once and executes it on P
-// frameworks — the paper's "P instances of the framework, run with the
-// same script" launch mode (mpirun equivalent).
-func RunScriptSCMD(size int, model mpi.NetworkModel, repo *Repository, scriptText string) (*SCMDResult, error) {
-	script, err := ParseScriptString(scriptText)
-	if err != nil {
-		return nil, err
-	}
-	return RunSCMD(size, model, repo, func(f *Framework, _ *mpi.Comm) error {
-		return script.Execute(f)
-	}), nil
-}

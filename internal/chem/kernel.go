@@ -1,9 +1,6 @@
 package chem
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Kernel is a generated, allocation-free chemistry kernel specialized
 // to one mechanism: fully unrolled rate evaluation plus analytic
@@ -65,18 +62,6 @@ func KernelFor(name string) Kernel {
 	kernelMu.RLock()
 	defer kernelMu.RUnlock()
 	return kernelReg[name]
-}
-
-// KernelNames lists registered kernels in sorted order.
-func KernelNames() []string {
-	kernelMu.RLock()
-	defer kernelMu.RUnlock()
-	names := make([]string, 0, len(kernelReg))
-	for n := range kernelReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RigidVesselJac builds an analytic Jacobian evaluator for the 0D

@@ -46,11 +46,6 @@ func (m *Mechanism) HMass(T float64, Y []float64) float64 {
 	return h
 }
 
-// UMass returns the mixture specific internal energy u = h - RT/W.
-func (m *Mechanism) UMass(T float64, Y []float64) float64 {
-	return m.HMass(T, Y) - R*T/m.MeanW(Y)
-}
-
 // MoleFractions converts mass to mole fractions; out may alias Y.
 func (m *Mechanism) MoleFractions(Y, out []float64) {
 	w := m.MeanW(Y)

@@ -237,12 +237,12 @@ type GhostExchange struct {
 }
 
 // ExchangeGhostsStart posts the coalesced exchange for a level and
-// returns without waiting: one Isend per destination rank, one Irecv
-// per source rank, and all rank-local region copies done inline. The
-// returned handle lives on the schedule and is reused by the next
-// exchange of the same level, so steady-state Start/Finish cycles
-// allocate nothing. Collective; every rank must call Start and then
-// Finish before the next Start on the same level.
+// returns without waiting: one IsendBuffered per destination rank, one
+// IrecvInto per source rank, and all rank-local region copies done
+// inline. The returned handle lives on the schedule and is reused by
+// the next exchange of the same level, so steady-state Start/Finish
+// cycles allocate nothing. Collective; every rank must call Start and
+// then Finish before the next Start on the same level.
 func (d *DataObject) ExchangeGhostsStart(level int) *GhostExchange {
 	s := d.ghostScheduleFor(level)
 	if s.exch.active {

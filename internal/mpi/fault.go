@@ -120,8 +120,8 @@ func (w *World) Abort(err error) {
 		w.fault.failure = err
 	}
 	w.fault.mu.Unlock()
-	// Wake every parked rank: mailbox waiters, barrier waiters, and
-	// AnySource arrival waiters all re-check the failure flag.
+	// Wake every parked rank: mailbox and barrier waiters re-check the
+	// failure flag.
 	w.mu.Lock()
 	for _, boxes := range w.mail {
 		for _, b := range boxes {
@@ -134,11 +134,6 @@ func (w *World) Abort(err error) {
 	w.barrier.mu.Lock()
 	w.barrier.cond.Broadcast()
 	w.barrier.mu.Unlock()
-	for r := range w.arrivalCond {
-		w.arrivalMu[r].Lock()
-		w.arrivalCond[r].Broadcast()
-		w.arrivalMu[r].Unlock()
-	}
 }
 
 // Failure returns the error the world was aborted with, or nil.

@@ -50,7 +50,7 @@ func TestFaultKillAtSend(t *testing.T) {
 			// Peer just drains whatever arrives; it unwinds via the
 			// poisoned-world gate in Recv.
 			for i := 0; ; i++ {
-				c.Recv(0, AnyTag)
+				c.Recv(0, i)
 			}
 		}
 		for i := 0; i < 10; i++ {
@@ -96,8 +96,8 @@ func TestFaultKillUnblocksWait(t *testing.T) {
 	var completed atomic.Int32
 	RunOn(w, func(c *Comm) {
 		if c.Rank() == 1 {
-			req := c.Irecv(0, 5)
-			req.Wait() // rank 0 never sends: must unwind, not hang
+			var req Request
+			c.IrecvInto(&req, 0, 5).Wait() // rank 0 never sends: must unwind, not hang
 			completed.Add(1)
 			return
 		}

@@ -2,10 +2,16 @@
 // stands in for MPI-1 in the paper's Ccaffeine/CPlant environment.
 //
 // P ranks execute as goroutines sharing nothing but Comm endpoints.
-// Point-to-point messages travel over per-pair channels with tag
+// Point-to-point messages travel over per-pair mailboxes with tag
 // matching; collectives are built on top of point-to-point so that the
 // communication volume of the simulated run matches what a real MPI
-// job would move.
+// job would move. The surface is what the components use:
+//
+//   - blocking Send, Recv and Sendrecv;
+//   - the buffered nonblocking pair the halo schedules drive:
+//     IsendBuffered, and IrecvInto completed by Request.Wait;
+//   - the collectives Barrier, Bcast, Reduce, Allreduce, Gather and
+//     Allgather.
 //
 // The runtime keeps two clocks per rank:
 //
@@ -15,14 +21,13 @@
 //     time explicitly.
 //
 // The virtual clock is what the scaling experiments (paper Figs 8 and
-// 9, Table 5) report: the reproduction host is a single-CPU container,
-// so wall time cannot exhibit parallel speedup, but the cost model —
-// the same LogP-style model the paper's clusters obey — can.
+// 9, Table 5) report: wall time on the reproduction host says nothing
+// about a cluster's parallel speedup, but the cost model — the same
+// LogP-style model the paper's clusters obey — can.
 package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"ccahydro/internal/obs"
@@ -73,21 +78,12 @@ func (o Op) apply(a, b float64) float64 {
 	panic("mpi: unknown op")
 }
 
-// AnyTag matches any message tag in Recv.
-const AnyTag = -1
-
-// AnySource matches any sending rank in Recv.
-const AnySource = -1
-
 // message is a single point-to-point payload. Data is copied on send so
 // that sender and receiver never alias a buffer, matching MPI semantics.
 type message struct {
 	from, tag int
-	// comm scopes the message to one communicator so traffic on a
-	// split communicator never matches receives on another.
-	comm     uint64
-	data     []float64
-	sendTime float64 // virtual time at which the sender issued the send
+	data      []float64
+	sendTime  float64 // virtual time at which the sender issued the send
 	// flow is the nonzero trace flow id tying this message's send to
 	// its receive when the sender's endpoint has a tracer attached.
 	flow uint64
@@ -138,12 +134,6 @@ type World struct {
 	clocks []*clock
 
 	barrier *barrierState
-
-	// arrivals[r] is bumped (under arrivalMu[r]) whenever a message is
-	// delivered to rank r; AnySource receives park on it.
-	arrivalMu   []sync.Mutex
-	arrivalCond []*sync.Cond
-	arrivals    []int
 
 	// bufs is the free-list of recycled message payload buffers, keyed
 	// by exact length. Sends draw copies from it; receivers that are
@@ -230,12 +220,6 @@ func NewWorld(size int, model NetworkModel) *World {
 	b := &barrierState{}
 	b.cond = sync.NewCond(&b.mu)
 	w.barrier = b
-	w.arrivalMu = make([]sync.Mutex, size)
-	w.arrivalCond = make([]*sync.Cond, size)
-	w.arrivals = make([]int, size)
-	for i := range w.arrivalCond {
-		w.arrivalCond[i] = sync.NewCond(&w.arrivalMu[i])
-	}
 	return w
 }
 
@@ -270,13 +254,6 @@ func (c *Comm) Recycle(buf []float64) {
 	w.bufs.mu.Unlock()
 }
 
-func (w *World) noteArrival(dst int) {
-	w.arrivalMu[dst].Lock()
-	w.arrivals[dst]++
-	w.arrivalCond[dst].Broadcast()
-	w.arrivalMu[dst].Unlock()
-}
-
 func (w *World) box(dst, src int) *mailbox {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -293,18 +270,7 @@ func (w *World) box(dst, src int) *mailbox {
 // framework's "properly scoped MPI communicator".
 type Comm struct {
 	world *World
-	rank  int // world rank (owns the physical mailboxes)
-
-	// group lists the world ranks composing this communicator in
-	// logical-rank order; nil means the world communicator.
-	group []int
-	// myIdx is this endpoint's logical rank within group.
-	myIdx int
-	// commID scopes message matching; 0 is the world communicator.
-	commID uint64
-	// splitSeq counts collective Split/Dup calls on this communicator
-	// so every member derives identical child IDs.
-	splitSeq uint64
+	rank  int
 
 	// Stats accumulated by this endpoint.
 	sends     int
@@ -325,33 +291,11 @@ type Comm struct {
 	events EventSink
 }
 
-// Rank returns this endpoint's logical rank in [0, Size).
-func (c *Comm) Rank() int {
-	if c.group != nil {
-		return c.myIdx
-	}
-	return c.rank
-}
+// Rank returns this endpoint's rank in [0, Size).
+func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in this communicator.
-func (c *Comm) Size() int {
-	if c.group != nil {
-		return len(c.group)
-	}
-	return c.world.size
-}
-
-// WorldRank returns the underlying world rank (the physical mailbox
-// owner), independent of any Split.
-func (c *Comm) WorldRank() int { return c.rank }
-
-// worldRankOf translates a logical rank to a world rank.
-func (c *Comm) worldRankOf(logical int) int {
-	if c.group != nil {
-		return c.group[logical]
-	}
-	return logical
-}
+// Size returns the number of ranks in the job.
+func (c *Comm) Size() int { return c.world.size }
 
 // VirtualTime returns this rank's simulated elapsed time in seconds.
 func (c *Comm) VirtualTime() float64 { return c.world.clocks[c.rank].now() }
@@ -365,15 +309,6 @@ func (c *Comm) Charge(seconds float64) {
 	c.world.clocks[c.rank].add(seconds)
 }
 
-// SendCount reports how many point-to-point sends this rank issued.
-func (c *Comm) SendCount() int { return c.sends }
-
-// RecvCount reports how many receives this rank completed.
-func (c *Comm) RecvCount() int { return c.recvs }
-
-// WordsSent reports total float64 words sent point-to-point.
-func (c *Comm) WordsSent() int { return c.wordsSent }
-
 // Send delivers a copy of data to rank dst with the given tag. It is
 // buffered (never blocks on the receiver), matching MPI_Bsend semantics,
 // which is how ghost exchange is usually posted.
@@ -383,99 +318,64 @@ func (c *Comm) Send(dst int, tag int, data []float64) {
 	}
 	c.world.failGate()
 	c.noteSend(c.sends + 1)
-	wdst := c.worldRankOf(dst)
-	cp := c.world.takeBuf(len(data))
-	copy(cp, data)
 	cost := c.world.model.Cost(len(data))
 	sendT := c.world.clocks[c.rank].add(cost)
+	c.commSeconds += cost
+	c.post(dst, tag, data, sendT, cost)
+}
+
+// post queues a copy of data for dst, stamped with the network
+// completion time sendT of a transfer costing cost.
+func (c *Comm) post(dst, tag int, data []float64, sendT, cost float64) {
+	cp := c.world.takeBuf(len(data))
+	copy(cp, data)
 	c.sends++
 	c.wordsSent += len(data)
-	c.commSeconds += cost
-	m := message{from: c.Rank(), tag: tag, comm: c.commID, data: cp, sendTime: sendT}
-	c.traceSend(&m, wdst, sendT-cost, cost)
-	box := c.world.box(wdst, c.rank)
+	m := message{from: c.rank, tag: tag, data: cp, sendTime: sendT}
+	c.traceSend(&m, dst, sendT-cost, cost)
+	box := c.world.box(dst, c.rank)
 	box.mu.Lock()
 	box.queue = append(box.queue, m)
 	box.cond.Broadcast()
 	box.mu.Unlock()
-	c.world.noteArrival(wdst)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
-// its payload. src may be AnySource and tag may be AnyTag. The
-// receiver's virtual clock advances to at least the sender's send
-// completion time (transport latency is charged on the send side).
+// its payload. The receiver's virtual clock advances to at least the
+// sender's send completion time (transport latency is charged on the
+// send side).
 func (c *Comm) Recv(src int, tag int) ([]float64, Status) {
-	if src == AnySource {
-		return c.recvAny(tag)
-	}
 	if src < 0 || src >= c.Size() {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d (size %d)", src, c.Size()))
 	}
-	wsrc := c.worldRankOf(src)
-	box := c.world.box(c.rank, wsrc)
+	m := c.match(src, tag)
+	// A blocking receive posts and waits at the same instant, so none of
+	// the message's flight time is hidden behind compute.
+	c.finishRecvAt(m, c.world.clocks[c.rank].now())
+	return m.data, m.status()
+}
+
+// match blocks until a message from src with the given tag is queued
+// and removes it from the mailbox.
+func (c *Comm) match(src, tag int) message {
+	box := c.world.box(c.rank, src)
 	box.mu.Lock()
+	defer box.mu.Unlock()
 	for {
 		for i, m := range box.queue {
-			if m.comm == c.commID && (tag == AnyTag || m.tag == tag) {
+			if m.tag == tag {
 				box.queue = append(box.queue[:i], box.queue[i+1:]...)
-				box.mu.Unlock()
-				c.finishRecv(m)
-				return m.data, Status{Source: m.from, Tag: m.tag, Count: len(m.data)}
+				return m
 			}
 		}
-		if err := c.world.Failure(); err != nil {
-			box.mu.Unlock()
-			panic(&abortSignal{err: err})
-		}
+		// The deferred unlock releases box.mu as the signal unwinds.
+		c.world.failGate()
 		box.cond.Wait()
 	}
 }
 
-func (c *Comm) finishRecv(m message) {
-	// A blocking receive posts and waits at the same instant, so none of
-	// the message's flight time is hidden behind compute.
-	c.finishRecvAt(m, c.world.clocks[c.rank].now())
-}
-
-// recvAny scans every inbound mailbox for a matching message; between
-// scans it parks on the per-rank arrival notification, so an AnySource
-// receive costs one scan per delivered message rather than a busy loop.
-func (c *Comm) recvAny(tag int) ([]float64, Status) {
-	w := c.world
-	for {
-		w.arrivalMu[c.rank].Lock()
-		seen := w.arrivals[c.rank]
-		w.arrivalMu[c.rank].Unlock()
-
-		for logical := 0; logical < c.Size(); logical++ {
-			wsrc := c.worldRankOf(logical)
-			if wsrc == c.rank {
-				continue
-			}
-			box := w.box(c.rank, wsrc)
-			box.mu.Lock()
-			for i, m := range box.queue {
-				if m.comm == c.commID && (tag == AnyTag || m.tag == tag) {
-					box.queue = append(box.queue[:i], box.queue[i+1:]...)
-					box.mu.Unlock()
-					c.finishRecv(m)
-					return m.data, Status{Source: m.from, Tag: m.tag, Count: len(m.data)}
-				}
-			}
-			box.mu.Unlock()
-		}
-
-		w.arrivalMu[c.rank].Lock()
-		for w.arrivals[c.rank] == seen {
-			if err := w.Failure(); err != nil {
-				w.arrivalMu[c.rank].Unlock()
-				panic(&abortSignal{err: err})
-			}
-			w.arrivalCond[c.rank].Wait()
-		}
-		w.arrivalMu[c.rank].Unlock()
-	}
+func (m message) status() Status {
+	return Status{Source: m.from, Tag: m.tag, Count: len(m.data)}
 }
 
 // Sendrecv posts a send to dst and then receives from src, the usual
@@ -486,26 +386,11 @@ func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]f
 	return c.Recv(src, recvTag)
 }
 
-// Barrier blocks until all ranks of this communicator have entered it.
-// All ranks leave with their virtual clocks advanced to at least the
-// latest entry time plus one latency (the broadcast release). On a
-// split communicator the barrier is message-based (gather + release),
-// scoped to the group.
+// Barrier blocks until all ranks have entered it. All ranks leave with
+// their virtual clocks advanced to at least the latest entry time plus
+// one latency (the broadcast release).
 func (c *Comm) Barrier() {
 	c.world.failGate()
-	if c.group != nil {
-		// Reduce an empty payload to logical root 0, then broadcast the
-		// release; clock propagation rides the messages.
-		res := c.Reduce(0, OpMax, []float64{0})
-		if c.Rank() != 0 {
-			res = nil
-		}
-		if res == nil {
-			res = []float64{0}
-		}
-		c.Bcast(0, res)
-		return
-	}
 	b := c.world.barrier
 	myT := c.world.clocks[c.rank].now()
 	b.mu.Lock()
@@ -541,8 +426,6 @@ const (
 	tagBcast = -1000 - iota
 	tagReduce
 	tagGather
-	tagScatter
-	tagAlltoall
 	tagAllgatherBase
 )
 
@@ -659,119 +542,11 @@ func (c *Comm) Allgather(data []float64) [][]float64 {
 	return out
 }
 
-// Scatter distributes root's per-rank chunks; every rank returns its own
-// chunk. chunks is only read at root and must have Size entries there.
-func (c *Comm) Scatter(root int, chunks [][]float64) []float64 {
-	if c.Rank() == root {
-		if len(chunks) != c.Size() {
-			panic("mpi: scatter needs one chunk per rank")
-		}
-		for dst := 0; dst < c.Size(); dst++ {
-			if dst == root {
-				continue
-			}
-			c.Send(dst, tagScatter, chunks[dst])
-		}
-		return append([]float64(nil), chunks[root]...)
-	}
-	buf, _ := c.Recv(root, tagScatter)
-	return buf
-}
-
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
 
 // RankTime returns one rank's virtual clock.
 func (w *World) RankTime(r int) float64 { return w.clocks[r].now() }
-
-// Alltoall performs the complete exchange: chunks[i] goes to rank i,
-// and the result holds the chunk received from each rank (the caller's
-// own chunk is copied through). chunks must have Size entries.
-func (c *Comm) Alltoall(chunks [][]float64) [][]float64 {
-	size := c.Size()
-	if len(chunks) != size {
-		panic("mpi: alltoall needs one chunk per rank")
-	}
-	me := c.Rank()
-	out := make([][]float64, size)
-	out[me] = append([]float64(nil), chunks[me]...)
-	for dst := 0; dst < size; dst++ {
-		if dst == me {
-			continue
-		}
-		c.Send(dst, tagAlltoall, chunks[dst])
-	}
-	for src := 0; src < size; src++ {
-		if src == me {
-			continue
-		}
-		buf, _ := c.Recv(src, tagAlltoall)
-		out[src] = buf
-	}
-	return out
-}
-
-// Split partitions this communicator: endpoints passing the same color
-// form a new communicator, ordered by (key, current rank); a negative
-// color opts out and receives nil. Split is collective — every member
-// of this communicator must call it, with matching call sequences, so
-// all members derive the same child communicator identity (MPI_Comm_split
-// semantics).
-func (c *Comm) Split(color, key int) *Comm {
-	c.splitSeq++
-	// Exchange (color, key) among all members via allgather.
-	pairs := c.Allgather([]float64{float64(color), float64(key)})
-	type member struct{ color, key, logical int }
-	var mine []member
-	for logical, p := range pairs {
-		col := int(p[0])
-		if col != color || col < 0 {
-			continue
-		}
-		mine = append(mine, member{color: col, key: int(p[1]), logical: logical})
-	}
-	if color < 0 {
-		return nil
-	}
-	sort.Slice(mine, func(a, b int) bool {
-		if mine[a].key != mine[b].key {
-			return mine[a].key < mine[b].key
-		}
-		return mine[a].logical < mine[b].logical
-	})
-	group := make([]int, len(mine))
-	myIdx := -1
-	for i, m := range mine {
-		group[i] = c.worldRankOf(m.logical)
-		if m.logical == c.Rank() {
-			myIdx = i
-		}
-	}
-	// Deterministic child ID shared by all members of this color.
-	id := c.commID*1000003 + c.splitSeq*1009 + uint64(color)*31 + 1
-	return &Comm{
-		world: c.world, rank: c.rank,
-		group: group, myIdx: myIdx, commID: id,
-	}
-}
-
-// Dup returns a communicator with the same membership but a private
-// message space (MPI_Comm_dup). Collective.
-func (c *Comm) Dup() *Comm {
-	c.splitSeq++
-	group := c.group
-	if group == nil {
-		group = make([]int, c.world.size)
-		for i := range group {
-			group[i] = i
-		}
-	}
-	id := c.commID*1000003 + c.splitSeq*1009 + 7
-	return &Comm{
-		world: c.world, rank: c.rank,
-		group: append([]int(nil), group...), myIdx: c.Rank(), commID: id,
-	}
-}
 
 // MaxVirtualTime returns the maximum virtual clock over all ranks —
 // the simulated job run time.
@@ -820,31 +595,4 @@ func RunOn(w *World, body func(*Comm)) *World {
 	}
 	wg.Wait()
 	return w
-}
-
-// RunCollect launches body on every rank and gathers each rank's
-// result value in rank order.
-func RunCollect[T any](size int, model NetworkModel, body func(*Comm) T) []T {
-	out := make([]T, size)
-	var mu sync.Mutex
-	Run(size, model, func(c *Comm) {
-		v := body(c)
-		mu.Lock()
-		out[c.Rank()] = v
-		mu.Unlock()
-	})
-	return out
-}
-
-// SortedRanksByTime returns rank indices ordered by descending virtual
-// time; handy for load-imbalance diagnostics.
-func (w *World) SortedRanksByTime() []int {
-	idx := make([]int, w.size)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return w.clocks[idx[a]].now() > w.clocks[idx[b]].now()
-	})
-	return idx
 }

@@ -58,40 +58,6 @@ func TestTagMatching(t *testing.T) {
 	})
 }
 
-func TestRecvAnyTag(t *testing.T) {
-	Run(2, ZeroModel, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 99, []float64{5})
-		} else {
-			d, st := c.Recv(0, AnyTag)
-			if d[0] != 5 || st.Tag != 99 {
-				t.Errorf("got %v tag %d", d[0], st.Tag)
-			}
-		}
-	})
-}
-
-func TestRecvAnySource(t *testing.T) {
-	const n = 5
-	Run(n, ZeroModel, func(c *Comm) {
-		if c.Rank() == 0 {
-			seen := map[int]bool{}
-			for i := 0; i < n-1; i++ {
-				d, st := c.Recv(AnySource, 3)
-				if int(d[0]) != st.Source {
-					t.Errorf("payload %v does not match source %d", d[0], st.Source)
-				}
-				if seen[st.Source] {
-					t.Errorf("duplicate source %d", st.Source)
-				}
-				seen[st.Source] = true
-			}
-		} else {
-			c.Send(0, 3, []float64{float64(c.Rank())})
-		}
-	})
-}
-
 func TestBarrierOrdersRanks(t *testing.T) {
 	const n = 8
 	var mu sync.Mutex
@@ -186,23 +152,21 @@ func TestAllgatherRing(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
+func TestGatherRankOrder(t *testing.T) {
 	const n = 5
 	Run(n, ZeroModel, func(c *Comm) {
 		mine := []float64{float64(c.Rank()), float64(c.Rank() * c.Rank())}
 		all := c.Gather(2, mine)
-		var chunks [][]float64
-		if c.Rank() == 2 {
-			for r := 0; r < n; r++ {
-				if all[r][0] != float64(r) {
-					t.Errorf("gather[%d] = %v", r, all[r])
-				}
+		if c.Rank() != 2 {
+			if all != nil {
+				t.Errorf("non-root rank %d got %v", c.Rank(), all)
 			}
-			chunks = all
+			return
 		}
-		back := c.Scatter(2, chunks)
-		if back[0] != float64(c.Rank()) || back[1] != float64(c.Rank()*c.Rank()) {
-			t.Errorf("scatter rank %d got %v", c.Rank(), back)
+		for r := 0; r < n; r++ {
+			if all[r][0] != float64(r) || all[r][1] != float64(r*r) {
+				t.Errorf("gather[%d] = %v", r, all[r])
+			}
 		}
 	})
 }
@@ -282,26 +246,17 @@ func TestStatsCounters(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 7))
 			c.Send(1, 0, make([]float64, 3))
-			if c.SendCount() != 2 || c.WordsSent() != 10 {
-				t.Errorf("sends=%d words=%d", c.SendCount(), c.WordsSent())
+			if st := c.Stats(); st.Sends != 2 || st.WordsSent != 10 {
+				t.Errorf("sends=%d words=%d", st.Sends, st.WordsSent)
 			}
 		} else {
 			c.Recv(0, 0)
 			c.Recv(0, 0)
-			if c.RecvCount() != 2 {
-				t.Errorf("recvs=%d", c.RecvCount())
+			if st := c.Stats(); st.Recvs != 2 {
+				t.Errorf("recvs=%d", st.Recvs)
 			}
 		}
 	})
-}
-
-func TestRunCollect(t *testing.T) {
-	got := RunCollect(4, ZeroModel, func(c *Comm) int { return c.Rank() * 3 })
-	for r, v := range got {
-		if v != r*3 {
-			t.Errorf("got[%d] = %d", r, v)
-		}
-	}
 }
 
 // Property: Allreduce(sum) equals the serial sum for arbitrary inputs
@@ -388,16 +343,6 @@ func TestNetworkModelCost(t *testing.T) {
 	}
 	if CPlantModel.Cost(0) != 60e-6 {
 		t.Errorf("CPlant latency = %v", CPlantModel.Cost(0))
-	}
-}
-
-func TestWorldSortedRanksByTime(t *testing.T) {
-	w := Run(3, ZeroModel, func(c *Comm) {
-		c.Charge(float64(2 - c.Rank())) // rank 0 slowest
-	})
-	order := w.SortedRanksByTime()
-	if order[0] != 0 || order[2] != 2 {
-		t.Errorf("order = %v", order)
 	}
 }
 

@@ -2,216 +2,80 @@ package mpi
 
 import "fmt"
 
-// Nonblocking point-to-point primitives (MPI_Isend/Irecv/Wait/Test) and
-// the virtual-clock accounting that makes compute/communication overlap
-// visible to the simulated-cluster experiments.
+// The buffered nonblocking pair (MPI_Bsend-style send, MPI_Recv_init /
+// MPI_Start-style receive, MPI_Wait) and the virtual-clock accounting
+// that makes compute/communication overlap visible to the
+// simulated-cluster experiments.
 //
 // The clock model: a blocking Send charges alpha + n*beta to the
 // sender's clock inline (the rank sits in the library while the message
-// goes out). An Isend instead stamps the message's network completion
-// time at now + alpha + n*beta and returns without advancing the
-// sender's clock — the transfer proceeds "on the NIC" concurrently with
-// whatever the rank computes next. The receiver's Wait advances its
+// goes out). IsendBuffered instead stamps the message's network
+// completion time at now + alpha + n*beta and returns without advancing
+// the sender's clock — the transfer proceeds "on the NIC" concurrently
+// with whatever the rank computes next. The receiver's Wait advances its
 // clock to max(its own time, the message's completion time), so a
 // message completes at max(post + alpha + n*beta, wait time): compute
-// performed between Irecv and Wait hides message latency, and only the
-// remaining stall is ever paid.
+// performed between IrecvInto and Wait hides message latency, and only
+// the remaining stall is ever paid.
 
-// Request is the handle returned by Isend/Irecv. A send request is
-// complete at creation (sends are buffered); a receive request completes
-// in Wait/Test when a matching message is consumed.
+// Request is a posted receive, filled in by IrecvInto and completed by
+// Wait when a matching message is consumed. Persistent communication
+// schedules own one Request per receive and repost it every exchange.
 type Request struct {
-	c      *Comm
-	isSend bool
-
-	// Receive matching state.
+	c        *Comm
 	src, tag int
-	postTime float64 // receiver's virtual clock when the Irecv was posted
+	postTime float64 // receiver's virtual clock when the receive was posted
 
 	done   bool
 	data   []float64
 	status Status
 }
 
-// Isend posts a buffered nonblocking send. The message's network
-// completion time is stamped at now + Cost(n), but the sender's clock
-// does not advance: the transfer overlaps with subsequent compute. The
-// returned request is already complete (MPI_Bsend semantics).
-func (c *Comm) Isend(dst int, tag int, data []float64) *Request {
-	c.IsendBuffered(dst, tag, data)
-	return &Request{c: c, isSend: true, done: true}
-}
-
-// IsendBuffered is Isend without materializing a Request handle. Send
-// requests are complete at creation, so persistent communication
-// schedules that never wait on their sends use this form to keep the
-// steady-state exchange allocation-free.
+// IsendBuffered posts a buffered nonblocking send. The message's
+// network completion time is stamped at now + Cost(n), but the sender's
+// clock does not advance: the transfer overlaps with subsequent
+// compute. The send is complete on return (MPI_Bsend semantics), so
+// there is no request to wait on and a steady-state exchange stays
+// allocation-free.
 func (c *Comm) IsendBuffered(dst int, tag int, data []float64) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mpi: isend to invalid rank %d (size %d)", dst, c.Size()))
 	}
 	c.world.failGate()
 	c.noteSend(c.sends + 1)
-	wdst := c.worldRankOf(dst)
-	cp := c.world.takeBuf(len(data))
-	copy(cp, data)
 	cost := c.world.model.Cost(len(data))
-	sendT := c.world.clocks[c.rank].now() + cost
-	c.sends++
-	c.wordsSent += len(data)
 	// Relative to a blocking Send, the whole transfer cost is hidden
 	// behind the sender's ongoing compute.
 	c.hiddenSeconds += cost
-	m := message{from: c.Rank(), tag: tag, comm: c.commID, data: cp, sendTime: sendT}
-	c.traceSend(&m, wdst, sendT-cost, cost)
-	box := c.world.box(wdst, c.rank)
-	box.mu.Lock()
-	box.queue = append(box.queue, m)
-	box.cond.Broadcast()
-	box.mu.Unlock()
-	c.world.noteArrival(wdst)
+	c.post(dst, tag, data, c.world.clocks[c.rank].now()+cost, cost)
 }
 
-// Irecv posts a nonblocking receive for (src, tag). src may be
-// AnySource and tag may be AnyTag. The matching message is consumed by
-// Wait or a successful Test; compute charged between the post and the
-// wait counts toward hiding the message's flight time.
-func (c *Comm) Irecv(src int, tag int) *Request {
-	if src != AnySource && (src < 0 || src >= c.Size()) {
-		panic(fmt.Sprintf("mpi: irecv from invalid rank %d (size %d)", src, c.Size()))
-	}
-	return &Request{c: c, src: src, tag: tag, postTime: c.world.clocks[c.rank].now()}
-}
-
-// IrecvInto posts a nonblocking receive reusing a caller-owned Request
-// value, so persistent communication schedules can repost their fixed
-// receive set every exchange without allocating (the MPI_Recv_init /
-// MPI_Start pattern). The previous contents of r are discarded.
+// IrecvInto posts a nonblocking receive for (src, tag) into a
+// caller-owned Request value, so persistent communication schedules can
+// repost their fixed receive set every exchange without allocating (the
+// MPI_Recv_init / MPI_Start pattern). The previous contents of r are
+// discarded. Compute charged between the post and the Wait counts
+// toward hiding the message's flight time.
 func (c *Comm) IrecvInto(r *Request, src int, tag int) *Request {
-	if src != AnySource && (src < 0 || src >= c.Size()) {
+	if src < 0 || src >= c.Size() {
 		panic(fmt.Sprintf("mpi: irecv from invalid rank %d (size %d)", src, c.Size()))
 	}
 	*r = Request{c: c, src: src, tag: tag, postTime: c.world.clocks[c.rank].now()}
 	return r
 }
 
-// Wait blocks until the request completes and returns the payload (nil
-// with a zero Status for send requests).
+// Wait blocks until the request completes and returns the payload.
+// Further calls return the same payload and status.
 func (r *Request) Wait() ([]float64, Status) {
 	if r.done {
 		return r.data, r.status
 	}
-	var m message
-	if r.src == AnySource {
-		m = r.c.matchAny(r.tag)
-	} else {
-		m = r.c.match(r.src, r.tag)
-	}
+	m := r.c.match(r.src, r.tag)
 	r.c.finishRecvAt(m, r.postTime)
 	r.done = true
 	r.data = m.data
-	r.status = Status{Source: m.from, Tag: m.tag, Count: len(m.data)}
+	r.status = m.status()
 	return r.data, r.status
-}
-
-// Test polls the request without blocking. It returns true once the
-// request is complete; payload and status are then available from Wait.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	if r.src == AnySource {
-		panic("mpi: Test on AnySource request not supported")
-	}
-	wsrc := r.c.worldRankOf(r.src)
-	box := r.c.world.box(r.c.rank, wsrc)
-	box.mu.Lock()
-	var m message
-	found := false
-	for i, cand := range box.queue {
-		if cand.comm == r.c.commID && (r.tag == AnyTag || cand.tag == r.tag) {
-			m = cand
-			box.queue = append(box.queue[:i], box.queue[i+1:]...)
-			found = true
-			break
-		}
-	}
-	box.mu.Unlock()
-	if !found {
-		return false
-	}
-	r.c.finishRecvAt(m, r.postTime)
-	r.done = true
-	r.data = m.data
-	r.status = Status{Source: m.from, Tag: m.tag, Count: len(m.data)}
-	return true
-}
-
-// Waitall completes every request in order.
-func Waitall(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
-}
-
-// match blocks until a message matching (src, tag) is available and
-// removes it from the mailbox.
-func (c *Comm) match(src, tag int) message {
-	wsrc := c.worldRankOf(src)
-	box := c.world.box(c.rank, wsrc)
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		for i, m := range box.queue {
-			if m.comm == c.commID && (tag == AnyTag || m.tag == tag) {
-				box.queue = append(box.queue[:i], box.queue[i+1:]...)
-				return m
-			}
-		}
-		// The deferred unlock releases box.mu as the signal unwinds.
-		c.world.failGate()
-		box.cond.Wait()
-	}
-}
-
-// matchAny is match over all sources, parking on the arrival signal
-// between scans (same strategy as recvAny).
-func (c *Comm) matchAny(tag int) message {
-	w := c.world
-	for {
-		w.arrivalMu[c.rank].Lock()
-		seen := w.arrivals[c.rank]
-		w.arrivalMu[c.rank].Unlock()
-
-		for logical := 0; logical < c.Size(); logical++ {
-			wsrc := c.worldRankOf(logical)
-			if wsrc == c.rank {
-				continue
-			}
-			box := w.box(c.rank, wsrc)
-			box.mu.Lock()
-			for i, m := range box.queue {
-				if m.comm == c.commID && (tag == AnyTag || m.tag == tag) {
-					box.queue = append(box.queue[:i], box.queue[i+1:]...)
-					box.mu.Unlock()
-					return m
-				}
-			}
-			box.mu.Unlock()
-		}
-
-		w.arrivalMu[c.rank].Lock()
-		for w.arrivals[c.rank] == seen {
-			if err := w.Failure(); err != nil {
-				w.arrivalMu[c.rank].Unlock()
-				panic(&abortSignal{err: err})
-			}
-			w.arrivalCond[c.rank].Wait()
-		}
-		w.arrivalMu[c.rank].Unlock()
-	}
 }
 
 // finishRecvAt completes a receive posted at postTime: the receiver's
@@ -251,8 +115,8 @@ type CommStats struct {
 	// communication: inline blocking-send charges plus receive stalls.
 	CommSeconds float64
 	// HiddenSeconds is virtual transfer time that never reached the
-	// rank's clock: Isend costs running behind compute plus the
-	// message-flight slices covered between Irecv and Wait.
+	// rank's clock: IsendBuffered costs running behind compute plus the
+	// message-flight slices covered between IrecvInto and Wait.
 	HiddenSeconds float64
 }
 

@@ -8,7 +8,7 @@ import "ccahydro/internal/obs"
 // the timeline view of the clock model in this package's doc comment.
 
 // SetTracer attaches an event tracer to this endpoint. Events are
-// emitted on the virtual-clock track of this endpoint's world rank.
+// emitted on the virtual-clock track of this endpoint's rank.
 // nil (the default) disables emission.
 func (c *Comm) SetTracer(t *obs.Tracer) { c.tracer = t }
 
@@ -32,13 +32,13 @@ func trafficCat(tag int) string {
 // its flight slice and flow start. postT is the sender's virtual clock
 // at the post; cost the modeled transfer time. Returns the flow id (0
 // when tracing is off).
-func (c *Comm) traceSend(m *message, wdst int, postT, cost float64) {
+func (c *Comm) traceSend(m *message, dst int, postT, cost float64) {
 	if c.tracer == nil {
 		return
 	}
 	id := c.tracer.NextFlowID()
 	m.flow = id
-	c.tracer.VirtualSend(id, trafficCat(m.tag), c.rank, wdst, postT, cost, len(m.data))
+	c.tracer.VirtualSend(id, trafficCat(m.tag), c.rank, dst, postT, cost, len(m.data))
 }
 
 // traceRecv closes the flow arrow on the receiver's clock track at the

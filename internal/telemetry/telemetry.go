@@ -530,14 +530,6 @@ type Rank struct {
 	lastGen atomic.Int64
 }
 
-// RankID returns the rank this handle stamps events with.
-func (rk *Rank) RankID() int {
-	if rk == nil {
-		return -1
-	}
-	return rk.rank
-}
-
 // SetClock installs the virtual-clock sampler (typically
 // mpi.Comm.VirtualTime). Install before the run starts.
 func (rk *Rank) SetClock(clock func() float64) {

@@ -280,37 +280,6 @@ func (t *Model) MixtureConductivity(T float64, X []float64) float64 {
 	return 0.5 * (s1 + 1/s2)
 }
 
-// MixtureViscosity returns the mixture viscosity from Wilke's rule.
-// Omega22 is evaluated once per species class, as in MixtureDiffusion.
-func (t *Model) MixtureViscosity(T float64, X []float64) float64 {
-	n := t.mech.NumSpecies()
-	var om, mus [maxSpecies]float64
-	for c, eps := range t.species.eps {
-		om[c] = omega22(T / eps)
-	}
-	for k := 0; k < n; k++ {
-		mus[k] = t.viscosity(k, T, om[t.species.of[k]])
-	}
-	var out float64
-	for i := 0; i < n; i++ {
-		if X[i] <= 0 {
-			continue
-		}
-		var denom float64
-		for j := 0; j < n; j++ {
-			if X[j] <= 0 {
-				continue
-			}
-			wi, wj := t.mech.Species[i].W, t.mech.Species[j].W
-			phi := math.Pow(1+math.Sqrt(mus[i]/mus[j])*math.Pow(wj/wi, 0.25), 2) /
-				math.Sqrt(8*(1+wi/wj))
-			denom += X[j] * phi
-		}
-		out += X[i] * mus[i] / denom
-	}
-	return out
-}
-
 // Evaluate computes everything the flame solver needs at one state:
 // mixture-averaged D_i, conductivity lambda, and density. Y is mass
 // fractions; scratch X must have NumSpecies entries.

@@ -148,19 +148,6 @@ func TestMixtureConductivityBounds(t *testing.T) {
 	}
 }
 
-func TestMixtureViscosityPureLimit(t *testing.T) {
-	m := chem.H2Air()
-	tr := New(m)
-	n := m.NumSpecies()
-	X := make([]float64, n)
-	X[m.SpeciesIndex("N2")] = 1
-	muMix := tr.MixtureViscosity(300, X)
-	muN2 := tr.Viscosity(m.SpeciesIndex("N2"), 300)
-	if !almost(muMix, muN2, 1e-10) {
-		t.Errorf("pure-limit viscosity = %v, want %v", muMix, muN2)
-	}
-}
-
 func TestEvaluate(t *testing.T) {
 	m := chem.H2Air()
 	tr := New(m)
@@ -321,34 +308,10 @@ func perSpeciesMixtureConductivity(tr *Model, T float64, X []float64) float64 {
 	return 0.5 * (s1 + 1/s2)
 }
 
-// perSpeciesMixtureViscosity is Wilke's rule built from the per-species
-// Viscosity, in MixtureViscosity's order.
-func perSpeciesMixtureViscosity(tr *Model, T float64, X []float64) float64 {
-	m := tr.Mechanism()
-	var out float64
-	for i := range X {
-		if X[i] <= 0 {
-			continue
-		}
-		var denom float64
-		for j := range X {
-			if X[j] <= 0 {
-				continue
-			}
-			wi, wj := m.Species[i].W, m.Species[j].W
-			phi := math.Pow(1+math.Sqrt(tr.Viscosity(i, T)/tr.Viscosity(j, T))*math.Pow(wj/wi, 0.25), 2) /
-				math.Sqrt(8*(1+wi/wj))
-			denom += X[j] * phi
-		}
-		out += X[i] * tr.Viscosity(i, T) / denom
-	}
-	return out
-}
-
-// MixtureConductivity and MixtureViscosity evaluate Omega22 once per
-// species class; they must reproduce the mixing rules built from the
-// per-species Conductivity and Viscosity bit for bit.
-func TestMixtureConductivityAndViscosityMatchPerSpeciesOracle(t *testing.T) {
+// MixtureConductivity evaluates Omega22 once per species class; it must
+// reproduce the mixing rule built from the per-species Conductivity bit
+// for bit.
+func TestMixtureConductivityMatchesPerSpeciesOracle(t *testing.T) {
 	for _, m := range chem.AllMechanisms() {
 		tr := New(m)
 		n := m.NumSpecies()
@@ -360,10 +323,6 @@ func TestMixtureConductivityAndViscosityMatchPerSpeciesOracle(t *testing.T) {
 				got, want := tr.MixtureConductivity(T, X), perSpeciesMixtureConductivity(tr, T, X)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s T=%v Y=%v: lambda = %v, per-species formula %v", m.Name, T, Y, got, want)
-				}
-				got, want = tr.MixtureViscosity(T, X), perSpeciesMixtureViscosity(tr, T, X)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s T=%v Y=%v: mu = %v, per-species formula %v", m.Name, T, Y, got, want)
 				}
 			}
 		}
@@ -449,9 +408,6 @@ func TestEvaluateAllocatesNothing(t *testing.T) {
 	D := make([]float64, m.NumSpecies())
 	if a := testing.AllocsPerRun(100, func() { tr.Evaluate(1500, chem.PAtm, Y, X, D) }); a != 0 {
 		t.Errorf("Evaluate allocates %v times per call", a)
-	}
-	if a := testing.AllocsPerRun(100, func() { sinkLambda = tr.MixtureViscosity(1500, X) }); a != 0 {
-		t.Errorf("MixtureViscosity allocates %v times per call", a)
 	}
 }
 

@@ -36,9 +36,17 @@
 # (RegionRHSPort, MultiLevelChemistryPort, SupportsRegion,
 # SupportsMultiLevel, JacobianRHSPort, WorkerIntegratorPort,
 # CounterSource — each port is one contract), along with the deleted
-# DataPort/DataPortType, the second ghost protocol FillAllGhosts and
-# the per-face states seam (StatesFunc, MUSCLStates: the States and
-# Flux ports are crossed once per row).
+# DataPort/DataPortType, the second ghost protocol FillAllGhosts, the
+# per-face states seam (StatesFunc, MUSCLStates: the States and Flux
+# ports are crossed once per row), and the surface no production path
+# reached: the wildcard receives and their matchers (AnySource, AnyTag,
+# recvAny, matchAny), the communicator split (splitSeq), the
+# unbuffered nonblocking calls (Isend, Irecv, Waitall — the whole-word
+# match keeps IsendBuffered and IrecvInto legal), Scatter and Alltoall,
+# the builder service (EnableBuilderService, BuilderServiceType),
+# RunScriptSCMD, the second Table 4 loop (RunTable4), the Wilke
+# MixtureViscosity, KernelNames and UMass. Split and Dup are left out
+# of the pattern because strings.Split would match.
 # After the test suite the three remaining examples (instrumented,
 # quickstart, checkpoint) each run once, so none rots unbuilt. The
 # scenario gate parse-validates every file in scenarios/ against the component
@@ -88,10 +96,10 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
-echo "== one contract per port (no optional port extensions, capability probes, second ghost protocol or per-face states seam)"
-probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates' -- '*.go' ':!*_test.go' || true)
+echo "== deleted names stay deleted (one contract per port; no second ghost protocol, per-face states seam or test-only MPI/builder/Table 4 surface)"
+probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates|AnySource|AnyTag|Alltoall|Scatter|Isend|Irecv|Waitall|recvAny|matchAny|splitSeq|EnableBuilderService|BuilderServiceType|RunScriptSCMD|MixtureViscosity|RunTable4|KernelNames|UMass' -- '*.go' ':!*_test.go' || true)
 if [ -n "$probes" ]; then
-	echo "optional-capability probes or the per-face states seam are back; add the method to the port itself (or use ghostFill, or StatesRow) instead:" >&2
+	echo "deleted names are back; add the method to the port itself (or use ghostFill, StatesRow, IsendBuffered/IrecvInto, or the benchmark's ignition_cells) instead:" >&2
 	echo "$probes" >&2
 	exit 1
 fi
