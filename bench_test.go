@@ -1,13 +1,12 @@
-// Package ccahydro's root benchmark harness: work-unit benches for the
-// paper's flame and shock figures, plus ablation benches for the design
-// choices called out in DESIGN.md. Run with
+// Package ccahydro's root benchmark harness: kernel and ablation benches
+// for the design choices called out in DESIGN.md. Run with
 //
 //	go test -bench=. -benchmem
 //
-// Table 4 (port call vs direct call) is the benchmark's ignition_cells
-// workload, whose cca.port_call_ns and cca.direct_call_ns probes time
-// the dispatch itself; the scaling tables and figures live in
-// cmd/experiments.
+// The whole-run work units (the flame, the shock, the 0D ignition and
+// Table 4's port call vs direct call) are the benchmark's flame_w1,
+// shock_wN and ignition_cells workloads; the scaling tables and
+// figures live in cmd/experiments.
 package ccahydro
 
 import (
@@ -16,56 +15,12 @@ import (
 
 	"ccahydro/internal/amr"
 	"ccahydro/internal/chem"
-	"ccahydro/internal/core"
 	"ccahydro/internal/cvode"
 	"ccahydro/internal/euler"
 	"ccahydro/internal/field"
 	"ccahydro/internal/mpi"
 	"ccahydro/internal/rkc"
 )
-
-// ---- Fig 3 / Fig 4: one flame macro step ------------------------------------
-
-// BenchmarkFig3FlameStep times one operator-split reaction-diffusion
-// macro step (chemistry in every cell + RKC diffusion) on a 24x24
-// 2-level hierarchy — the unit of work behind the paper's flame frames.
-func BenchmarkFig3FlameStep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, err := core.RunReactionDiffusion(nil,
-			core.Param{Instance: "grace", Key: "nx", Value: "24"},
-			core.Param{Instance: "grace", Key: "ny", Value: "24"},
-			core.Param{Instance: "grace", Key: "maxLevels", Value: "2"},
-			core.Param{Instance: "driver", Key: "steps", Value: "1"},
-			core.Param{Instance: "driver", Key: "dt", Value: "1e-7"},
-			core.Param{Instance: "driver", Key: "regridEvery", Value: "1"},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Fig 6 / Fig 7: shock-interface work units --------------------------------
-
-// BenchmarkFig7ShockRun times a short AMR Godunov run with the
-// circulation diagnostic — the work unit behind the Fig 6/7 curves.
-func BenchmarkFig7ShockRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, err := core.RunShockInterface(nil, "GodunovFlux",
-			core.Param{Instance: "grace", Key: "nx", Value: "48"},
-			core.Param{Instance: "grace", Key: "ny", Value: "24"},
-			core.Param{Instance: "grace", Key: "lx", Value: "2.0"},
-			core.Param{Instance: "grace", Key: "ly", Value: "1.0"},
-			core.Param{Instance: "grace", Key: "maxLevels", Value: "2"},
-			core.Param{Instance: "driver", Key: "tEnd", Value: "0.05"},
-			core.Param{Instance: "driver", Key: "maxSteps", Value: "20"},
-			core.Param{Instance: "driver", Key: "regridEvery", Value: "5"},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 var sink float64
 
@@ -278,21 +233,5 @@ func BenchmarkAMRRegrid(b *testing.B) {
 		if h.NumLevels() < 2 {
 			b.Fatal("no refinement")
 		}
-	}
-}
-
-// BenchmarkIgnition0DFull times the complete paper Sec. 4.1 run
-// (assembled code, full mechanism, 1 ms horizon; the paper reports
-// 1.5 s on a 1 GHz Pentium III).
-func BenchmarkIgnition0DFull(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		dr, err := core.RunIgnition0D(
-			core.Param{Instance: "driver", Key: "tEnd", Value: "1e-3"},
-			core.Param{Instance: "driver", Key: "nOut", Value: "10"},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = dr.Temps[len(dr.Temps)-1]
 	}
 }

@@ -78,14 +78,6 @@ func (b Box) Grow(n int) Box {
 	}
 }
 
-// Shift translates the box by (di, dj).
-func (b Box) Shift(di, dj int) Box {
-	return Box{
-		Lo: [2]int{b.Lo[0] + di, b.Lo[1] + dj},
-		Hi: [2]int{b.Hi[0] + di, b.Hi[1] + dj},
-	}
-}
-
 // Refine maps the box to the index space one level finer with the given
 // ratio: each coarse cell becomes ratio×ratio fine cells.
 func (b Box) Refine(ratio int) Box {

@@ -44,16 +44,13 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestGrowShift(t *testing.T) {
+func TestGrow(t *testing.T) {
 	b := NewBox(2, 2, 4, 4)
 	if g := b.Grow(1); g != NewBox(1, 1, 5, 5) {
 		t.Errorf("grow = %v", g)
 	}
 	if g := b.Grow(-1); g != NewBox(3, 3, 3, 3) {
 		t.Errorf("shrink = %v", g)
-	}
-	if s := b.Shift(10, -2); s != NewBox(12, 0, 14, 2) {
-		t.Errorf("shift = %v", s)
 	}
 }
 

@@ -140,18 +140,6 @@ func (h *Hierarchy) Level(l int) *Level {
 	return h.levels[l]
 }
 
-// PatchByID scans for a patch; returns nil if absent.
-func (h *Hierarchy) PatchByID(id int) *Patch {
-	for _, lv := range h.levels {
-		for _, p := range lv.Patches {
-			if p.ID == id {
-				return p
-			}
-		}
-	}
-	return nil
-}
-
 // LocalPatches lists patches on level l owned by the given rank.
 func (h *Hierarchy) LocalPatches(l, rank int) []*Patch {
 	var out []*Patch

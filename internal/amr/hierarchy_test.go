@@ -109,14 +109,19 @@ func TestRegridFamilies(t *testing.T) {
 	if h.NumLevels() != 2 {
 		t.Fatalf("levels = %d", h.NumLevels())
 	}
+	coarse := map[int]*Patch{}
+	for _, p := range h.Level(0).Patches {
+		coarse[p.ID] = p
+	}
 	for _, fp := range h.Level(1).Patches {
 		if len(fp.Parents) == 0 {
 			t.Errorf("fine patch %v has no parents", fp.Box)
 		}
 		for _, pid := range fp.Parents {
-			par := h.PatchByID(pid)
-			if par == nil || par.Level != 0 {
+			par, ok := coarse[pid]
+			if !ok {
 				t.Errorf("bad parent id %d", pid)
+				continue
 			}
 			found := false
 			for _, cid := range par.Children {
@@ -222,17 +227,10 @@ func TestCensusAndString(t *testing.T) {
 	}
 }
 
-func TestTotalCellsAndPatchByID(t *testing.T) {
+func TestTotalCells(t *testing.T) {
 	h := NewHierarchy(NewBox(0, 0, 31, 31), 2, 1, 1)
 	if h.TotalCells() != 1024 {
 		t.Errorf("total = %d", h.TotalCells())
-	}
-	p := h.Level(0).Patches[0]
-	if h.PatchByID(p.ID) != p {
-		t.Error("PatchByID failed")
-	}
-	if h.PatchByID(99999) != nil {
-		t.Error("PatchByID should return nil for unknown id")
 	}
 }
 

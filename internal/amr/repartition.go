@@ -17,10 +17,13 @@ import "fmt"
 //     generally differ from the snapshot's, so the caller must copy
 //     level-0 field data by region, not by patch identity.
 //
-// Patch IDs restart from zero (level 0 first, then each finer level in
-// order), exactly as a native run's would after its construction-and-
-// regrid sequence — IDs never enter the numerics, only identity
-// matching, and every rank computing Repartition from the same
+// Patch IDs follow a native run's numbering: level 0 takes 0..n0-1 as
+// NewHierarchy does, and every saved refined ID, like NextID, moves by
+// the change in level-0 patch count. A native run's refined IDs are the
+// level-0 count plus however many IDs its regrids took, so the shift
+// lands on them after any number of regrids, and at an unchanged rank
+// count it reproduces the saved IDs. IDs never enter the numerics, only
+// identity matching, and every rank computing Repartition from the same
 // replicated snapshot lands on the same IDs.
 
 // Repartition rebuilds a snapshotted hierarchy for a different rank
@@ -46,6 +49,9 @@ func Repartition(s Snapshot, numRanks int, balancer LoadBalancer, work Workload)
 	h.Balancer = balancer
 	h.NestingBuffer = s.NestingBuffer
 	h.Regrids = s.Regrids
+	n0 := len(h.levels[0].Patches)
+	shift := n0 - len(old.Level(0).Patches)
+	h.nextID = old.nextID + shift
 	for l := 1; l < old.NumLevels(); l++ {
 		src := old.Level(l)
 		boxes := make([]Box, len(src.Patches))
@@ -54,8 +60,11 @@ func Repartition(s Snapshot, numRanks int, balancer LoadBalancer, work Workload)
 		}
 		owners := balancer.Assign(boxes, l, numRanks, work)
 		lv := &Level{Index: l, Domain: h.levelDomain(l)}
-		for i, b := range boxes {
-			lv.Patches = append(lv.Patches, &Patch{ID: h.takeID(), Level: l, Box: b, Owner: owners[i]})
+		for i, p := range src.Patches {
+			if p.ID+shift < n0 {
+				return nil, fmt.Errorf("amr: snapshot patch %d on level %d precedes the level-0 IDs", p.ID, l)
+			}
+			lv.Patches = append(lv.Patches, &Patch{ID: p.ID + shift, Level: l, Box: p.Box, Owner: owners[i]})
 		}
 		h.levels = append(h.levels, lv)
 	}

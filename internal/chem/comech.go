@@ -73,24 +73,3 @@ func COH2Air() *Mechanism {
 	)
 	return m
 }
-
-// StoichiometricMoistCOAir returns mass fractions for a stoichiometric
-// moist-CO/air mixture: CO with phi=1 in air plus trace H2 (the classic
-// Yetter–Dryer configuration — dry CO barely burns; the hydrogen
-// radical pool carries the oxidation through CO+OH).
-func (m *Mechanism) StoichiometricMoistCOAir(h2MoleFrac float64) []float64 {
-	X := make([]float64, m.NumSpecies())
-	// CO + 1/2 O2: per mole CO, 0.5 O2 and 1.88 N2.
-	nCO := 1.0
-	nH2 := h2MoleFrac * nCO
-	nO2 := 0.5*nCO + 0.5*nH2
-	nN2 := 3.76 * nO2
-	tot := nCO + nH2 + nO2 + nN2
-	X[m.SpeciesIndex("CO")] = nCO / tot
-	X[m.SpeciesIndex("H2")] = nH2 / tot
-	X[m.SpeciesIndex("O2")] = nO2 / tot
-	X[m.SpeciesIndex("N2")] = nN2 / tot
-	Y := make([]float64, m.NumSpecies())
-	m.MassFractions(X, Y)
-	return Y
-}

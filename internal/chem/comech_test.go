@@ -67,24 +67,6 @@ func TestCOMechanismConservesMassAndElements(t *testing.T) {
 	}
 }
 
-func TestMoistCOMixture(t *testing.T) {
-	m := COH2Air()
-	Y := m.StoichiometricMoistCOAir(0.02)
-	var sum float64
-	for _, v := range Y {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("sum Y = %v", sum)
-	}
-	if Y[m.SpeciesIndex("CO")] < 0.2 {
-		t.Errorf("Y_CO = %v", Y[m.SpeciesIndex("CO")])
-	}
-	if Y[m.SpeciesIndex("H2")] <= 0 || Y[m.SpeciesIndex("H2")] > 0.01 {
-		t.Errorf("Y_H2 = %v", Y[m.SpeciesIndex("H2")])
-	}
-}
-
 // TestMoistCOIgnition integrates moist CO at elevated temperature: CO
 // must oxidize to CO2 with a temperature rise, and the hydrogen trace
 // is the catalyst (the Yetter-Dryer headline observation).
@@ -104,7 +86,14 @@ func TestMoistCOIgnition(t *testing.T) {
 	s := cvode.New(n+2, f, cvode.Options{RelTol: 1e-7, AbsTol: 1e-11})
 	y0 := make([]float64, n+2)
 	y0[0] = 1400
-	copy(y0[1:1+n], m.StoichiometricMoistCOAir(0.05))
+	// Stoichiometric CO/air plus 5 % H2 by mole of CO (the Yetter-Dryer
+	// configuration): moles per mole CO, which MassFractions normalizes.
+	X := make([]float64, n)
+	X[m.SpeciesIndex("CO")] = 1
+	X[m.SpeciesIndex("H2")] = 0.05
+	X[m.SpeciesIndex("O2")] = 0.5 * 1.05
+	X[m.SpeciesIndex("N2")] = 3.76 * 0.5 * 1.05
+	m.MassFractions(X, y0[1:1+n])
 	y0[1+n] = PAtm
 	s.Init(0, y0)
 	if err := s.Integrate(5e-3); err != nil {

@@ -34,11 +34,3 @@ func (g *Gate) Request() {
 func (g *Gate) Requested() bool {
 	return g != nil && g.flag.Load()
 }
-
-// Reset re-arms the gate for the next attempt (the scheduler clears it
-// before resuming a previously preempted job).
-func (g *Gate) Reset() {
-	if g != nil {
-		g.flag.Store(false)
-	}
-}

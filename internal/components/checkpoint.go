@@ -36,14 +36,15 @@ import (
 // replicated counters. Restore materializes the chain base-to-target.
 //
 // Restore path: the manifest's whole delta chain is validated first
-// (ckpt.ResolveChain). When the writing and restoring rank counts
-// match, each rank materializes its own shard chain and restores
-// bit-for-bit including ghosts — no exchange is needed before the first
-// step. When they differ (elastic restart), every rank reads all shards
-// of every link, reassembles the global hierarchy and field state, and
-// re-partitions onto the current cohort through the mesh's own regrid
-// policy — so the restored layout, per-cell data included, is exactly
-// what a native run at the new rank count would be using.
+// (ckpt.ResolveChain). Every rank then reads all shards of every link,
+// reassembles the global hierarchy and field state, and re-partitions
+// it onto the current cohort through the mesh's own regrid policy, so
+// the restored layout is exactly what a native run at the current rank
+// count would be using, whether or not that count is the writer's. A
+// patch whose (level, box) was saved takes its array as-is, ghosts
+// included, so a restore at the writer's rank count needs no exchange
+// before the first step; Restore has the rule for the other patches and
+// mergeMeta the rule for each rank's clock, comm stats and counters.
 type CheckpointComponent struct {
 	svc         cca.Services
 	every       int
@@ -66,8 +67,9 @@ type CheckpointComponent struct {
 	prints          map[patchKey]uint64
 }
 
-// patchKey identifies a patch for dirty tracking. Patch IDs are reused
-// across regrids, so the geometry is part of the identity.
+// patchKey identifies a patch for dirty tracking. A regrid may give an
+// ID a different box (GrACEComponent renumbers each rebuilt hierarchy
+// from zero), so the geometry is part of the identity.
 type patchKey struct {
 	id, level int
 	box       amr.Box
@@ -368,28 +370,37 @@ func (cc *CheckpointComponent) save(meta ckpt.Meta) error {
 // Flush implements CheckpointPort.
 func (cc *CheckpointComponent) Flush() error { return cc.writer.Flush() }
 
-// fieldState is one field's fully materialized global (or per-rank)
-// state after overlaying a delta chain onto its base.
+// fieldState is one field's fully materialized global state after
+// overlaying a delta chain onto its base.
 type fieldState struct {
 	spec  ckpt.FieldShard // Name/NComp/Ghost/Names; Patches unused
 	blobs map[int][]float64
 }
 
-// loadChainState reads the given ranks' shards of every chain link
-// (base first) and materializes field state: base blobs overlaid with
-// each delta's dirty patches. Returns the field states in base field
-// order, the target-link Meta per requested rank, and the target-link
+// blob returns the saved array of patch id.
+func (st *fieldState) blob(id int) ([]float64, error) {
+	b, ok := st.blobs[id]
+	if !ok {
+		return nil, fmt.Errorf("checkpoint: field %q has no data for saved patch %d", st.spec.Name, id)
+	}
+	return b, nil
+}
+
+// loadChainState reads every rank's shard of every chain link (base
+// first) and materializes field state: base blobs overlaid with each
+// delta's dirty patches. Returns the field states in base field order,
+// the target-link Meta of each writing rank, and the target-link
 // hierarchy snapshot.
-func loadChainState(dir string, chain []ckpt.ChainLink, ranks []int) ([]*fieldState, []ckpt.Meta, amr.Snapshot, error) {
+func loadChainState(dir string, chain []ckpt.ChainLink) ([]*fieldState, []ckpt.Meta, amr.Snapshot, error) {
 	var (
 		states []*fieldState
 		byName = map[string]*fieldState{}
-		metas  = make([]ckpt.Meta, len(ranks))
+		metas  = make([]ckpt.Meta, chain[len(chain)-1].Manifest.NumRanks)
 		snap   amr.Snapshot
 	)
 	for li, link := range chain {
 		m := link.Manifest
-		for ri, r := range ranks {
+		for r := range metas {
 			data, err := os.ReadFile(filepath.Join(dir, m.Shards[r].File))
 			if err != nil {
 				return nil, nil, snap, err
@@ -407,8 +418,8 @@ func loadChainState(dir string, chain []ckpt.ChainLink, ranks []int) ([]*fieldSt
 					m.Shards[r].File, shard.Kind, shard.ParentStep, m.Kind, m.ParentStep)
 			}
 			if li == len(chain)-1 {
-				metas[ri] = shard.Meta
-				if ri == 0 {
+				metas[r] = shard.Meta
+				if r == 0 {
 					snap = shard.Snapshot
 				}
 			}
@@ -446,6 +457,25 @@ func loadChainState(dir string, chain []ckpt.ChainLink, ranks []int) ([]*fieldSt
 }
 
 // Restore implements CheckpointPort. Returns (nil, nil) on a cold start.
+//
+// There is one path for every rank count. Every rank reads all P_old
+// shards of the chain, reassembles the global state, and installs it
+// onto the hierarchy amr.Repartition builds for the current cohort —
+// the layout a native run at this rank count would be using. Each
+// local patch then takes its data by one rule:
+//
+//   - a saved patch with the same (level, box) hands over its array
+//     as-is, ghosts included (every patch at P_old = P, and every
+//     refined patch at any P, since refined boxes are P-invariant);
+//   - otherwise (level 0 re-decomposed for a new P) the patch is
+//     stitched by region from the saved level-0 arrays: ghost-included
+//     overlaps first for plausible ghost fill, then saved interiors,
+//     which are authoritative, on top. A coverage check proves no
+//     interior cell was invented.
+//
+// Ghost cells that end up merely plausible cannot leak into the run:
+// every consumer refreshes ghosts before reading them, so continuation
+// stays bit-for-bit with an uninterrupted run at the new rank count.
 func (cc *CheckpointComponent) Restore(driver string) (*ckpt.Meta, error) {
 	if cc.restore == "" {
 		return nil, nil
@@ -466,111 +496,18 @@ func (cc *CheckpointComponent) Restore(driver string) (*ckpt.Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := filepath.Dir(manifestPath)
-	pOld := chain[len(chain)-1].Manifest.NumRanks
-	rank, size := cc.rankInfo()
 	mesh, err := cc.mesh()
 	if err != nil {
 		return nil, err
 	}
-	var meta *ckpt.Meta
-	if pOld == size {
-		meta, err = cc.restoreExact(mesh, dir, chain, driver, rank, size)
-	} else {
-		meta, err = cc.restoreElastic(mesh, dir, chain, driver, rank, size, pOld)
-	}
-	if err != nil {
-		return nil, err
-	}
-	cc.svc.Telemetry().Emit(telemetry.EvCkptRestore, meta.Step, filepath.Base(manifestPath))
-	return meta, nil
-}
-
-// restoreExact is the matching-rank-count path: each rank materializes
-// its own shard chain and restores its exact saved state — hierarchy,
-// per-rank meta, and every local array bit-for-bit including ghosts.
-func (cc *CheckpointComponent) restoreExact(mesh checkpointMesh, dir string, chain []ckpt.ChainLink, driver string, rank, size int) (*ckpt.Meta, error) {
-	states, metas, snap, err := loadChainState(dir, chain, []int{rank})
-	if err != nil {
-		return nil, err
-	}
-	meta := metas[0]
-	if meta.Driver != driver {
-		return nil, fmt.Errorf("checkpoint: written by driver %q, restoring into %q", meta.Driver, driver)
-	}
-	h, err := amr.FromSnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	if cur := mesh.Hierarchy(); cur != nil && !cur.Domain.Equal(h.Domain) {
-		return nil, fmt.Errorf("checkpoint: domain %v does not match assembly domain %v", h.Domain, cur.Domain)
-	}
-	fields := make(map[string]*field.DataObject, len(states))
-	for _, st := range states {
-		d := field.New(st.spec.Name, h, st.spec.NComp, st.spec.Ghost, cc.comm())
-		d.Names = append([]string(nil), st.spec.Names...)
-		d.SetObs(cc.svc.Observability())
-		remaining := len(st.blobs)
-		restoreErr := error(nil)
-		d.ForEachLocal(func(pd *field.PatchData) {
-			blob, ok := st.blobs[pd.Patch.ID]
-			if !ok {
-				if restoreErr == nil {
-					restoreErr = fmt.Errorf("checkpoint: field %q missing patch %d", st.spec.Name, pd.Patch.ID)
-				}
-				return
-			}
-			if err := pd.SetRawData(blob); err != nil && restoreErr == nil {
-				restoreErr = err
-			}
-			remaining--
-		})
-		if restoreErr != nil {
-			return nil, restoreErr
-		}
-		if remaining != 0 {
-			return nil, fmt.Errorf("checkpoint: field %q has %d shard patches not owned by rank %d",
-				st.spec.Name, remaining, rank)
-		}
-		fields[st.spec.Name] = d
-	}
-	if err := mesh.AdoptAll(fields); err != nil {
-		return nil, err
-	}
-	if c := cc.comm(); c != nil {
-		c.AdvanceVirtualTime(meta.VirtualTime)
-		c.RestoreStats(meta.Comm)
-	}
-	return &meta, nil
-}
-
-// restoreElastic is the rank-count-changing path. Every rank reads all
-// P_old shards of the chain, reassembles the global state, and installs
-// it onto a hierarchy re-partitioned for the current cohort:
-//
-//   - refined levels keep their (P-invariant) boxes, so each new local
-//     patch adopts the matching saved array verbatim;
-//   - level 0 is re-decomposed, so saved level-0 arrays are stitched by
-//     region — ghost-included overlaps first for plausible ghost fill,
-//     then saved interiors, which are authoritative, on top. Every
-//     interior cell comes from a saved interior cell; a coverage check
-//     proves none was invented.
-//
-// Ghost cells that end up merely plausible cannot leak into the run:
-// every consumer refreshes ghosts before reading them, so continuation
-// stays bit-for-bit with an uninterrupted run at the new rank count.
-func (cc *CheckpointComponent) restoreElastic(mesh checkpointMesh, dir string, chain []ckpt.ChainLink, driver string, rank, size, pOld int) (*ckpt.Meta, error) {
-	ranks := make([]int, pOld)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	states, metas, snap, err := loadChainState(dir, chain, ranks)
+	states, metas, snap, err := loadChainState(filepath.Dir(manifestPath), chain)
 	if err != nil {
 		return nil, err
 	}
 	if metas[0].Driver != driver {
 		return nil, fmt.Errorf("checkpoint: written by driver %q, restoring into %q", metas[0].Driver, driver)
 	}
+	rank, size := cc.rankInfo()
 	bal, work := mesh.RegridPolicy()
 	h, err := amr.Repartition(snap, size, bal, work)
 	if err != nil {
@@ -585,57 +522,38 @@ func (cc *CheckpointComponent) restoreElastic(mesh checkpointMesh, dir string, c
 		box   amr.Box
 	}
 	byGeom := make(map[levelBox]int, len(snap.Patches)) // saved geometry -> patch ID
-	var level0 []amr.PatchSnapshot                      // saved level-0 patches, stored order
 	for _, p := range snap.Patches {
 		byGeom[levelBox{p.Level, p.Box}] = p.ID
-		if p.Level == 0 {
-			level0 = append(level0, p)
-		}
 	}
-
 	fields := make(map[string]*field.DataObject, len(states))
 	for _, st := range states {
 		d := field.New(st.spec.Name, h, st.spec.NComp, st.spec.Ghost, cc.comm())
 		d.Names = append([]string(nil), st.spec.Names...)
 		d.SetObs(cc.svc.Observability())
-		// Saved level-0 arrays wrapped as patch data for region copies.
-		var srcs []*field.PatchData
-		for _, p := range level0 {
-			blob, ok := st.blobs[p.ID]
-			if !ok {
-				return nil, fmt.Errorf("checkpoint: field %q has no data for saved patch %d", st.spec.Name, p.ID)
-			}
-			src := field.NewPatchData(&amr.Patch{ID: p.ID, Level: 0, Box: p.Box}, st.spec.NComp, st.spec.Ghost)
-			if err := src.SetRawData(blob); err != nil {
-				return nil, err
-			}
-			srcs = append(srcs, src)
-		}
+		var srcs []*field.PatchData // saved level-0 arrays, built on first stitch
 		restoreErr := error(nil)
 		d.ForEachLocal(func(pd *field.PatchData) {
 			if restoreErr != nil {
 				return
 			}
-			if pd.Patch.Level > 0 {
-				id, ok := byGeom[levelBox{pd.Patch.Level, pd.Patch.Box}]
-				if !ok {
-					restoreErr = fmt.Errorf("checkpoint: field %q has no saved patch at level %d box %v",
-						st.spec.Name, pd.Patch.Level, pd.Patch.Box)
-					return
+			if id, ok := byGeom[levelBox{pd.Patch.Level, pd.Patch.Box}]; ok {
+				blob, err := st.blob(id)
+				if err == nil {
+					err = pd.SetRawData(blob)
 				}
-				blob, ok := st.blobs[id]
-				if !ok {
-					restoreErr = fmt.Errorf("checkpoint: field %q has no data for saved patch %d", st.spec.Name, id)
-					return
-				}
-				if err := pd.SetRawData(blob); err != nil {
-					restoreErr = err
-				}
+				restoreErr = err
 				return
 			}
-			// Level 0: stitch by region. Pass 1 copies ghost-included
-			// overlaps (fills out-of-domain ghost strips from saved BC
-			// fills); pass 2 lays saved interiors on top.
+			if pd.Patch.Level > 0 {
+				restoreErr = fmt.Errorf("checkpoint: field %q has no saved patch at level %d box %v",
+					st.spec.Name, pd.Patch.Level, pd.Patch.Box)
+				return
+			}
+			if srcs == nil {
+				if srcs, restoreErr = level0Sources(snap, st); restoreErr != nil {
+					return
+				}
+			}
 			for _, src := range srcs {
 				pd.CopyRegion(src, src.Patch.Box.Grow(st.spec.Ghost))
 			}
@@ -662,10 +580,49 @@ func (cc *CheckpointComponent) restoreElastic(mesh checkpointMesh, dir string, c
 		return nil, err
 	}
 
-	// Meta merge: the phase position (step, time, series) is replicated
-	// state — take it from shard 0. Per-rank counters cannot be split
-	// across a different cohort, so their totals land on rank 0. Comm
-	// stats follow each surviving rank; ranks beyond P_old start clean.
+	meta := mergeMeta(metas, rank, size)
+	if c := cc.comm(); c != nil {
+		c.AdvanceVirtualTime(meta.VirtualTime)
+		c.RestoreStats(meta.Comm)
+	}
+	cc.svc.Telemetry().Emit(telemetry.EvCkptRestore, meta.Step, filepath.Base(manifestPath))
+	return &meta, nil
+}
+
+// level0Sources wraps a field's saved level-0 arrays as patch data, the
+// sources a re-decomposed level-0 patch is stitched from.
+func level0Sources(snap amr.Snapshot, st *fieldState) ([]*field.PatchData, error) {
+	var srcs []*field.PatchData
+	for _, p := range snap.Patches {
+		if p.Level != 0 {
+			continue
+		}
+		blob, err := st.blob(p.ID)
+		if err != nil {
+			return nil, err
+		}
+		src := field.NewPatchData(&amr.Patch{ID: p.ID, Level: 0, Box: p.Box}, st.spec.NComp, st.spec.Ghost)
+		if err := src.SetRawData(blob); err != nil {
+			return nil, err
+		}
+		srcs = append(srcs, src)
+	}
+	return srcs, nil
+}
+
+// mergeMeta picks this rank's restored Meta from the P_old saved ones —
+// the only place the restore compares P_old with P. At P_old = P each
+// rank resumes its own saved virtual clock, comm stats and counters.
+// Otherwise the phase position (step, time, series), which is
+// replicated, comes from shard 0; the clock is the latest rank's;
+// per-rank counters cannot be split across a different cohort, so
+// their totals land on rank 0; comm stats follow each surviving rank,
+// and ranks beyond P_old start clean.
+func mergeMeta(metas []ckpt.Meta, rank, size int) ckpt.Meta {
+	pOld := len(metas)
+	if pOld == size {
+		return metas[rank]
+	}
 	meta := metas[0]
 	vt := 0.0
 	counters := map[string]float64{}
@@ -688,9 +645,5 @@ func (cc *CheckpointComponent) restoreElastic(mesh checkpointMesh, dir string, c
 	} else {
 		meta.Comm = mpi.CommStats{}
 	}
-	if c := cc.comm(); c != nil {
-		c.AdvanceVirtualTime(meta.VirtualTime)
-		c.RestoreStats(meta.Comm)
-	}
-	return &meta, nil
+	return meta
 }

@@ -183,21 +183,6 @@ func TestGrACERegridRemapsFields(t *testing.T) {
 	}
 }
 
-func TestGrACESetBCSet(t *testing.T) {
-	gc := graceFixture(t, [2]string{"nx", "8"}, [2]string{"ny", "8"})
-	if err := gc.SetBCSet("missing", field.BCSet{}); err == nil {
-		t.Error("expected error for undeclared field")
-	}
-	gc.Declare("phi", 1, 1)
-	mustDo(t, gc.SetBCSet("phi", field.UniformBC(field.BCSpec{Kind: field.BCDirichlet, Value: -3})))
-	d := gc.Field("phi")
-	d.LocalPatches(0)[0].FillAll(1)
-	gc.Apply("phi", 0)
-	if got := d.LocalPatches(0)[0].At(0, -1, 4); got != -3 {
-		t.Errorf("custom BC value = %v", got)
-	}
-}
-
 // ---- InitialCondition --------------------------------------------------------
 
 func TestInitialConditionHotSpots(t *testing.T) {

@@ -2,6 +2,7 @@ package components
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -19,7 +20,6 @@ type GrACEComponent struct {
 	mu        sync.Mutex
 	h         *amr.Hierarchy
 	fields    map[string]*field.DataObject
-	bcs       map[string]field.BCSet
 	lx, ly    float64
 	regridOpt amr.RegridOptions
 }
@@ -60,7 +60,6 @@ func (gc *GrACEComponent) SetServices(svc cca.Services) error {
 	}
 	gc.h = amr.NewHierarchy(amr.NewBox(0, 0, nx-1, ny-1), ratio, maxLevels, ranks)
 	gc.fields = make(map[string]*field.DataObject)
-	gc.bcs = make(map[string]field.BCSet)
 	gc.regridOpt = amr.DefaultRegridOptions
 	gc.regridOpt.MaxPatchCells = graceSpec.Int(p, "maxPatchCells")
 	return graceSpec.register(svc, gc, gc)
@@ -83,7 +82,6 @@ func (gc *GrACEComponent) Declare(name string, ncomp, ghost int) *field.DataObje
 	d := field.New(name, gc.h, ncomp, ghost, gc.svc.Comm())
 	d.SetObs(gc.svc.Observability())
 	gc.fields[name] = d
-	gc.bcs[name] = field.UniformBC(field.BCSpec{Kind: field.BCOutflow})
 	return d
 }
 
@@ -92,18 +90,6 @@ func (gc *GrACEComponent) Field(name string) *field.DataObject {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
 	return gc.fields[name]
-}
-
-// SetBCSet overrides the boundary rule for a declared field (used by
-// the hydro BoundaryConditions component to install reflecting walls).
-func (gc *GrACEComponent) SetBCSet(name string, bcs field.BCSet) error {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	if _, ok := gc.fields[name]; !ok {
-		return fmt.Errorf("grace: field %q not declared", name)
-	}
-	gc.bcs[name] = bcs
-	return nil
 }
 
 // Regrid implements MeshPort: rebuild the hierarchy from flags and
@@ -159,21 +145,22 @@ func (gc *GrACEComponent) Spacing(level int) (float64, float64) {
 	return amr.MeshSpacing(dx0, gc.h.Ratio, level), amr.MeshSpacing(dy0, gc.h.Ratio, level)
 }
 
-// Apply implements BCPort with the per-field rule (default outflow).
+// outflowBC is the mesh's boundary rule for every field; problems that
+// need walls wire the hydro BoundaryConditions component instead.
+var outflowBC = field.UniformBC(field.BCSpec{Kind: field.BCOutflow})
+
+// Apply implements BCPort with the outflow rule.
 func (gc *GrACEComponent) Apply(name string, level int) {
 	gc.mu.Lock()
-	bcs := gc.bcs[name]
 	d := gc.fields[name]
 	gc.mu.Unlock()
-	d.ApplyPhysicalBCs(level, bcs)
+	d.ApplyPhysicalBCs(level, outflowBC)
 }
 
 // AdoptAll installs a restored hierarchy and complete field set — the
-// checkpoint-restore path. All fields must share one hierarchy. Default
-// outflow BCs are installed; components that override BCs (the hydro
-// BoundaryConditions component) re-apply their rules on first use, and
-// the restored arrays already contain fully exchanged ghosts, so no BC
-// application is needed before the first step anyway.
+// checkpoint-restore path. All fields must share one hierarchy. No BC
+// application is needed before the first step: every consumer refreshes
+// ghosts before reading them.
 func (gc *GrACEComponent) AdoptAll(fields map[string]*field.DataObject) error {
 	if len(fields) == 0 {
 		return fmt.Errorf("grace: AdoptAll with no fields")
@@ -189,12 +176,7 @@ func (gc *GrACEComponent) AdoptAll(fields map[string]*field.DataObject) error {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
 	gc.h = h
-	gc.fields = make(map[string]*field.DataObject, len(fields))
-	gc.bcs = make(map[string]field.BCSet, len(fields))
-	for name, d := range fields {
-		gc.fields[name] = d
-		gc.bcs[name] = field.UniformBC(field.BCSpec{Kind: field.BCOutflow})
-	}
+	gc.fields = maps.Clone(fields)
 	return nil
 }
 

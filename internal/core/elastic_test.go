@@ -2,14 +2,18 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"ccahydro/internal/cca"
 	"ccahydro/internal/ckpt"
 	"ccahydro/internal/components"
+	"ccahydro/internal/field"
 	"ccahydro/internal/mpi"
 )
 
@@ -179,6 +183,89 @@ func shockCkptParams() []Param {
 // sits mid-chain so the continuation crosses a regrid at every P.
 func TestElasticRestoreMatrixShock(t *testing.T) {
 	elasticMatrix(t, "shock", "U", assembleShock(shockCkptParams()), 3)
+}
+
+// TestSameRankRestoreIsExact: at the writer's rank count the one
+// restore path must hand each rank back exactly what it saved, before
+// the first step — the hierarchy (IDs and owners included), every local
+// patch's raw array with its ghosts, and the rank's own virtual clock,
+// comm stats and solver counters. Both drivers run on 2 ranks with
+// regrids before the save; the flame's per-rank CVODE totals keep the
+// counter check from being vacuous.
+func TestSameRankRestoreIsExact(t *testing.T) {
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range []struct {
+		label, fieldName string
+		assemble         func(*cca.Framework) error
+		step             int
+	}{
+		{"shock", "U", assembleShock(shockCkptParams()), 3},
+		{"flame", "phi", assembleFlame(flameCkptParams()), 1},
+	} {
+		dir, scratch := t.TempDir(), t.TempDir()
+		runCkptGlobal(t, 2, tc.assemble, tc.fieldName, CheckpointOptions{Every: 2, Dir: dir})
+		manifest := filepath.Join(dir, ckpt.ManifestFileName(tc.step))
+		res := cca.RunSCMDOn(mpi.NewWorld(2, mpi.CPlantModel), Repo(), func(f *cca.Framework, comm *mpi.Comm) error {
+			if err := tc.assemble(f); err != nil {
+				return err
+			}
+			if err := WireCheckpointOpts(f, CheckpointOptions{Dir: scratch, Restore: manifest}); err != nil {
+				return err
+			}
+			data, err := os.ReadFile(filepath.Join(dir, ckpt.ShardFileName(tc.step, comm.Rank())))
+			if err != nil {
+				return err
+			}
+			saved, err := ckpt.DecodeShard(data)
+			if err != nil {
+				return err
+			}
+			if saved.Snapshot.Regrids == 0 || (tc.label == "flame" && len(saved.Meta.Counters) == 0) {
+				return fmt.Errorf("%s rank %d: no regrid or no counters before the save; the check would be vacuous", tc.label, comm.Rank())
+			}
+			ck, err := f.Lookup("ckpt")
+			if err != nil {
+				return err
+			}
+			meta, err := ck.(*components.CheckpointComponent).Restore(saved.Meta.Driver)
+			if err != nil {
+				return err
+			}
+			comp, err := f.Lookup("grace")
+			if err != nil {
+				return err
+			}
+			gc := comp.(*components.GrACEComponent)
+			if got := gc.Hierarchy().Snapshot(); !reflect.DeepEqual(got, saved.Snapshot) {
+				return fmt.Errorf("%s rank %d: hierarchy %+v, saved %+v", tc.label, comm.Rank(), got, saved.Snapshot)
+			}
+			for _, fs := range saved.Fields {
+				got := map[int][]float64{}
+				gc.Field(fs.Name).ForEachLocal(func(pd *field.PatchData) { got[pd.Patch.ID] = pd.RawData() })
+				if len(got) != len(fs.Patches) {
+					return fmt.Errorf("%s rank %d field %s: %d local patches, %d saved", tc.label, comm.Rank(), fs.Name, len(got), len(fs.Patches))
+				}
+				for _, p := range fs.Patches {
+					if !slices.EqualFunc(got[p.ID], p.Data, bits) {
+						return fmt.Errorf("%s rank %d field %s: patch %d raw data differs from its saved blob", tc.label, comm.Rank(), fs.Name, p.ID)
+					}
+				}
+			}
+			if vt := comm.VirtualTime(); vt != saved.Meta.VirtualTime {
+				return fmt.Errorf("%s rank %d: virtual time %v, saved %v", tc.label, comm.Rank(), vt, saved.Meta.VirtualTime)
+			}
+			if st := comm.Stats(); st != saved.Meta.Comm {
+				return fmt.Errorf("%s rank %d: comm stats %+v, saved %+v", tc.label, comm.Rank(), st, saved.Meta.Comm)
+			}
+			if !reflect.DeepEqual(meta.Counters, saved.Meta.Counters) {
+				return fmt.Errorf("%s rank %d: counters %v, saved %v", tc.label, comm.Rank(), meta.Counters, saved.Meta.Counters)
+			}
+			return nil
+		})
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestIncrementalRestoreThroughDeltaChain runs the flame with

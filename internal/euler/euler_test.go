@@ -469,18 +469,3 @@ func TestCirculationRigidRotation(t *testing.T) {
 		t.Errorf("circulation = %v, want %v", gamma, want)
 	}
 }
-
-func TestMaxMach(t *testing.T) {
-	_, d := onePatch(8, 8)
-	pd := d.LocalPatches(0)[0]
-	g := pd.GrownBox()
-	for j := g.Lo[1]; j <= g.Hi[1]; j++ {
-		for i := g.Lo[0]; i <= g.Hi[0]; i++ {
-			setPrim(pd, i, j, Primitive{Rho: 1.4, U: 2, P: 1}) // c = 1, M = 2
-		}
-	}
-	s := NewSolver(1.4, GodunovFlux)
-	if m := s.MaxMach(pd); !almost(m, 2, 1e-6) {
-		t.Errorf("max mach = %v", m)
-	}
-}

@@ -335,20 +335,3 @@ func (s *Solver) Circulation(pd *field.PatchData, dx, dy, zlo, zhi float64) floa
 	}
 	return gamma
 }
-
-// MaxMach returns the maximum Mach number over the patch interior
-// (diagnostics for the strong-shock runs).
-func (s *Solver) MaxMach(pd *field.PatchData) float64 {
-	b := pd.Interior()
-	var m float64
-	for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-		for i := b.Lo[0]; i <= b.Hi[0]; i++ {
-			w := s.primAt(pd, i, j)
-			c := s.Gas.SoundSpeed(w)
-			if v := math.Sqrt(w.U*w.U+w.V*w.V) / c; v > m {
-				m = v
-			}
-		}
-	}
-	return m
-}

@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ccahydro/internal/field"
 	"ccahydro/internal/obs"
 )
 
@@ -410,13 +409,6 @@ func (p *Pool) ForEach(n int, fn func(w, i int)) {
 			fn(w, i)
 		}
 	})
-}
-
-// ForEachPatch applies fn to every patch of a level in parallel — the
-// SAMR hot-loop shape: each patch's update is independent within a
-// level given filled ghosts, so patches fan out across workers.
-func ForEachPatch(p *Pool, patches []*field.PatchData, fn func(w int, pd *field.PatchData)) {
-	p.ForEach(len(patches), func(w, i int) { fn(w, patches[i]) })
 }
 
 var (

@@ -203,7 +203,8 @@ func TestForEachPatchDisjointWrites(t *testing.T) {
 	}
 	p := NewPool(8)
 	for rep := 0; rep < 20; rep++ {
-		ForEachPatch(p, patches, func(w int, pd *field.PatchData) {
+		p.ForEach(len(patches), func(_, k int) {
+			pd := patches[k]
 			b := pd.Interior()
 			for c := 0; c < pd.NComp; c++ {
 				for j := b.Lo[1]; j <= b.Hi[1]; j++ {
@@ -214,7 +215,8 @@ func TestForEachPatchDisjointWrites(t *testing.T) {
 			}
 		})
 		// Read back in a second parallel sweep.
-		ForEachPatch(p, patches, func(_ int, pd *field.PatchData) {
+		p.ForEach(len(patches), func(_, k int) {
+			pd := patches[k]
 			b := pd.Interior()
 			for c := 0; c < pd.NComp; c++ {
 				for j := b.Lo[1]; j <= b.Hi[1]; j++ {

@@ -9,7 +9,6 @@ package field
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"ccahydro/internal/amr"
@@ -153,20 +152,6 @@ func (pd *PatchData) unpack(region amr.Box, buf []float64) {
 			k += nx
 		}
 	}
-}
-
-// MaxAbs returns the max |value| of component c over the interior.
-func (pd *PatchData) MaxAbs(c int) float64 {
-	b := pd.Interior()
-	var m float64
-	for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-		for i := b.Lo[0]; i <= b.Hi[0]; i++ {
-			if v := math.Abs(pd.At(c, i, j)); v > m {
-				m = v
-			}
-		}
-	}
-	return m
 }
 
 // DataObject is a named collection of per-patch arrays distributed over

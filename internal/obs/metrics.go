@@ -15,7 +15,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -181,30 +180,30 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // CounterSnapshot is one counter's frozen state.
 type CounterSnapshot struct {
-	Name  string `json:"name"`
-	Value uint64 `json:"value"`
+	Name  string
+	Value uint64
 }
 
 // GaugeSnapshot is one gauge's frozen state.
 type GaugeSnapshot struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+	Name  string
+	Value float64
 }
 
 // BucketCount is one non-empty histogram bucket: Count observations at
 // most UpperSeconds long (and longer than the previous bucket's bound).
 type BucketCount struct {
-	UpperSeconds float64 `json:"le"`
-	Count        uint64  `json:"count"`
+	UpperSeconds float64
+	Count        uint64
 }
 
 // HistogramSnapshot is one histogram's frozen state. Buckets holds only
 // the non-empty buckets, in increasing bound order.
 type HistogramSnapshot struct {
-	Name       string        `json:"name"`
-	Count      uint64        `json:"count"`
-	SumSeconds float64       `json:"sumSeconds"`
-	Buckets    []BucketCount `json:"buckets,omitempty"`
+	Name       string
+	Count      uint64
+	SumSeconds float64
+	Buckets    []BucketCount
 }
 
 // Mean returns the average observation in seconds.
@@ -237,9 +236,9 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 // Snapshot is a frozen, name-sorted view of a registry (or a merge of
 // several — see Merge).
 type Snapshot struct {
-	Counters   []CounterSnapshot   `json:"counters,omitempty"`
-	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
-	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   []CounterSnapshot
+	Gauges     []GaugeSnapshot
+	Histograms []HistogramSnapshot
 }
 
 // Snapshot freezes the registry. Concurrent observations may or may not
@@ -373,13 +372,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "%s_sum%s %g\n", base, labels, h.SumSeconds)
 		fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count)
 	}
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // PortCallBase is the base metric name of every interceptor histogram.

@@ -91,7 +91,7 @@ func TestTracerSpillBoundsMemory(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		tr := g.Rank(r).Tracer()
 		for i := 0; i < perRank; i++ {
-			tr.Emit(Event{Ph: 'i', Cat: "test", Name: fmt.Sprintf("e%d", i), Pid: -1, Tid: i % 3, Ts: float64(i)})
+			tr.Emit(Event{Ph: 'X', Cat: "test", Name: fmt.Sprintf("e%d", i), Pid: -1, Tid: i % 3, Ts: float64(i)})
 		}
 	}
 	for r := 0; r < 2; r++ {
@@ -121,12 +121,12 @@ func TestTracerSpillBoundsMemory(t *testing.T) {
 	}
 	var slices int
 	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "i" {
+		if ev["ph"] == "X" {
 			slices++
 		}
 	}
 	if slices != 2*perRank {
-		t.Fatalf("trace holds %d instants, want %d", slices, 2*perRank)
+		t.Fatalf("trace holds %d slices, want %d", slices, 2*perRank)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestTracerSpillReopensCleanly(t *testing.T) {
 	}
 	tr := g.Rank(0).Tracer()
 	for i := 0; i < 100; i++ {
-		tr.Emit(Event{Ph: 'i', Cat: "first", Name: "x", Pid: -1, Tid: 0, Ts: float64(i)})
+		tr.Emit(Event{Ph: 'X', Cat: "first", Name: "x", Pid: -1, Tid: 0, Ts: float64(i)})
 	}
 	// Fresh group over the same dir — the restored run.
 	g2 := NewGroup(1)
@@ -149,7 +149,7 @@ func TestTracerSpillReopensCleanly(t *testing.T) {
 	}
 	tr2 := g2.Rank(0).Tracer()
 	for i := 0; i < 10; i++ {
-		tr2.Emit(Event{Ph: 'i', Cat: "second", Name: "y", Pid: -1, Tid: 0, Ts: float64(i)})
+		tr2.Emit(Event{Ph: 'X', Cat: "second", Name: "y", Pid: -1, Tid: 0, Ts: float64(i)})
 	}
 	counts := g2.EventCounts()
 	if counts["first"] != 0 || counts["second"] != 10 {
@@ -162,7 +162,7 @@ func TestTracerNoSpillUnchanged(t *testing.T) {
 	g := NewGroup(1)
 	tr := g.Rank(0).Tracer()
 	for i := 0; i < 500; i++ {
-		tr.Emit(Event{Ph: 'i', Cat: "mem", Name: "x", Pid: -1, Tid: 0, Ts: float64(i)})
+		tr.Emit(Event{Ph: 'X', Cat: "mem", Name: "x", Pid: -1, Tid: 0, Ts: float64(i)})
 	}
 	if got := g.EventCounts()["mem"]; got != 500 {
 		t.Fatalf("EventCounts = %d, want 500", got)

@@ -38,7 +38,7 @@ const traceShards = 8
 
 // Event is one trace event, pre-serialization.
 type Event struct {
-	Ph   byte   // 'X' complete, 'i' instant, 's'/'f' flow
+	Ph   byte   // 'X' complete, 's'/'f' flow
 	Cat  string // category ("samr", "exec", "halo", "rkc", ...)
 	Name string
 	Pid  int // -1 means "this tracer's rank pid"
@@ -223,14 +223,6 @@ func (t *Tracer) SpanTid(tid int, cat, name string) func() {
 	return func() {
 		t.Emit(Event{Ph: 'X', Cat: cat, Name: name, Pid: -1, Tid: tid, Ts: start, Dur: t.nowUs() - start})
 	}
-}
-
-// Instant drops a point marker on a track.
-func (t *Tracer) Instant(tid int, cat, name string) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Ph: 'i', Cat: cat, Name: name, Pid: -1, Tid: tid, Ts: t.nowUs()})
 }
 
 // NextFlowID allocates a group-unique flow id; the sender stamps it on
@@ -516,8 +508,6 @@ func (g *Group) WriteTrace(w io.Writer) error {
 			id := ev.ID
 			je.ID = &id
 			je.Bp = "e" // bind to the enclosing slice at the arrow head
-		case 'i':
-			je.Args = map[string]any{"s": "t"}
 		}
 		out = append(out, je)
 	}

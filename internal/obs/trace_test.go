@@ -16,7 +16,6 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Span("x", "y")()
 	tr.SpanTid(3, "x", "y")()
-	tr.Instant(0, "x", "y")
 	tr.Emit(Event{})
 	tr.VirtualSend(1, "halo", 0, 1, 0, 1e-6, 8)
 	tr.VirtualRecv(1, "halo", 1, 2e-6, 8)

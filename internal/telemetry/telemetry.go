@@ -54,7 +54,6 @@ const (
 	EvSupervisorRetry = "supervisor.retry" // ckpt.Supervise restarting after rank failure
 	EvPhase           = "phase"            // run phase transition (detail: phase name)
 	EvSpan            = "span"             // tracer span teed into the flight ring
-	EvMark            = "mark"             // tracer instant teed into the flight ring
 )
 
 // Event is one structured telemetry record. Seq is a hub-global
@@ -620,21 +619,15 @@ func (rk *Rank) Emit(kind string, step int, detail string) {
 	rk.hub.record(rk, kind, step, detail)
 }
 
-// TraceEvent implements obs.EventSink: tracer spans and instants tee
-// into the flight ring (only — not the event log or counters, which
-// would drown in them), so a post-mortem dump shows the spans leading
-// up to the failure interleaved with the structured events.
+// TraceEvent implements obs.EventSink: tracer spans tee into the flight
+// ring (only — not the event log or counters, which would drown in
+// them), so a post-mortem dump shows the spans leading up to the
+// failure interleaved with the structured events.
 func (rk *Rank) TraceEvent(ev obs.Event) {
 	if rk == nil {
 		return
 	}
-	var kind string
-	switch ev.Ph {
-	case 'X':
-		kind = EvSpan
-	case 'i':
-		kind = EvMark
-	default: // flow arrows are pure trace plumbing
+	if ev.Ph != 'X' { // flow arrows are pure trace plumbing
 		return
 	}
 	vt, gen := rk.cachedStamp()
@@ -644,7 +637,7 @@ func (rk *Rank) TraceEvent(ev obs.Event) {
 		Step:   int(rk.step.Load()),
 		VT:     vt,
 		Gen:    gen,
-		Kind:   kind,
+		Kind:   EvSpan,
 		Cat:    ev.Cat,
 		Detail: ev.Name,
 	})

@@ -203,18 +203,14 @@ func TestTraceEventTee(t *testing.T) {
 	rk := h.Rank(0)
 	g.Rank(0).Tracer().SetSink(rk)
 	g.Rank(0).Span("samr", "step 0")()
-	g.Rank(0).Tracer().Instant(0, "ckpt", "save")
 	g.Rank(0).Tracer().Emit(obs.Event{Ph: 's', Cat: "halo", Name: "flight"}) // flow: filtered
 
 	evs := rk.FlightEvents()
-	if len(evs) != 2 {
-		t.Fatalf("%d teed events, want 2 (span+mark, no flow)", len(evs))
+	if len(evs) != 1 {
+		t.Fatalf("%d teed events, want 1 (the span, no flow)", len(evs))
 	}
 	if evs[0].Kind != EvSpan || evs[0].Cat != "samr" || evs[0].Detail != "step 0" {
 		t.Fatalf("teed span: %+v", evs[0])
-	}
-	if evs[1].Kind != EvMark || evs[1].Cat != "ckpt" || evs[1].Detail != "save" {
-		t.Fatalf("teed mark: %+v", evs[1])
 	}
 	// Teed events stay out of the structured counters.
 	if n := h.EventCounts()[EvSpan]; n != 0 {
