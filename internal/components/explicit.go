@@ -97,36 +97,6 @@ func (lv *levelVector) dim() int {
 	return n
 }
 
-func (lv *levelVector) gather(out []float64) {
-	o := 0
-	for _, pd := range lv.patches {
-		b := pd.Interior()
-		for c := 0; c < lv.ncomp; c++ {
-			for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-				for i := b.Lo[0]; i <= b.Hi[0]; i++ {
-					out[o] = pd.At(c, i, j)
-					o++
-				}
-			}
-		}
-	}
-}
-
-func (lv *levelVector) scatter(in []float64) {
-	o := 0
-	for _, pd := range lv.patches {
-		b := pd.Interior()
-		for c := 0; c < lv.ncomp; c++ {
-			for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-				for i := b.Lo[0]; i <= b.Hi[0]; i++ {
-					pd.Set(c, i, j, in[o])
-					o++
-				}
-			}
-		}
-	}
-}
-
 // scatterPatch writes patch p's block of the flat vector (starting at
 // offset o) into the patch interior. Blocks are disjoint, so patches
 // scatter in parallel.
@@ -244,12 +214,16 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 		lc.solver.Reconfigure(opt)
 	}
 	s := lc.solver
-	lv.gather(lc.y0)
+	for i, pd := range patches {
+		lv.gatherFrom(i, lc.offs[i], pd, lc.y0)
+	}
 	s.Init(t0, lc.y0)
 	if err := s.Integrate(t1); err != nil {
 		return fmt.Errorf("ExplicitIntegrator level %d: %w", level, err)
 	}
-	lv.scatter(s.Y())
+	for i := range patches {
+		lv.scatterPatch(i, lc.offs[i], s.Y())
+	}
 	gf.fill()
 	return nil
 }

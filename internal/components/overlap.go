@@ -87,7 +87,7 @@ type ghostFill struct {
 	level int
 }
 
-func (g ghostFill) start() *field.GhostExchange {
+func (g ghostFill) start() *field.Exchange {
 	if g.level > 0 {
 		g.bc.Apply(g.name, g.level-1)
 		g.d.FillCoarseFineGhosts(g.level, field.ProlongLinear)
@@ -95,7 +95,7 @@ func (g ghostFill) start() *field.GhostExchange {
 	return g.d.ExchangeGhostsStart(g.level)
 }
 
-func (g ghostFill) finish(ex *field.GhostExchange) {
+func (g ghostFill) finish(ex *field.Exchange) {
 	ex.Finish()
 	g.bc.Apply(g.name, g.level)
 }

@@ -12,8 +12,9 @@ import (
 //
 // Both directions are implemented with a "shadow" intermediate: a
 // temporary patch in the coarse index space aligned with each fine
-// patch. Filling the shadow (prolongation) or draining it (restriction)
-// uses the same same-level transfer engine as ghost exchange, which
+// patch. Filling the shadow (prolongation) and draining the averaged
+// temporaries (restriction) are the shadow and restrict phases of the
+// schedule engine that also runs ghost exchange and remap, which
 // keeps the message passing identical on all ranks.
 
 // ProlongKind selects the interpolation operator.
@@ -28,35 +29,37 @@ const (
 	ProlongLinear
 )
 
-// shadowFor builds the coarse-space shadow patch descriptor for a fine
-// patch: its coarsened footprint grown enough to supply ghost fills and
-// slope stencils.
-func (d *DataObject) shadowFor(fine *amr.Patch, ratio int) *PatchData {
-	cg := d.Ghost/ratio + 2
-	box := fine.Box.Coarsen(ratio).Grow(cg)
-	// Clip to the coarse level domain: values outside the domain are
-	// filled by physical BCs on the coarse level before prolongation.
-	box = box.Intersect(d.h.LevelDomain(fine.Level - 1).Grow(d.Ghost))
-	p := &amr.Patch{ID: fine.ID, Level: fine.Level - 1, Box: box, Owner: fine.Owner}
-	return NewPatchData(p, d.NComp, 0)
+// shadowBox is the coarse-space footprint of a fine patch's shadow:
+// its coarsened box grown enough to supply ghost fills and slope
+// stencils, clipped to the coarse level domain (values outside the
+// domain are filled by physical BCs on the coarse level before
+// prolongation). Ranks that hold no shadow compute the same box from
+// replicated metadata, so every rank enumerates identical transfers.
+func (d *DataObject) shadowBox(fine *amr.Patch) amr.Box {
+	cg := d.Ghost/d.h.Ratio + 2
+	return fine.Box.Coarsen(d.h.Ratio).Grow(cg).
+		Intersect(d.h.LevelDomain(fine.Level - 1).Grow(d.Ghost))
+}
+
+// coarseScratch allocates one ghost-free coarse-space patch over
+// box(fp) for every owned fine patch fp of lv, keyed by fine patch ID.
+func (d *DataObject) coarseScratch(lv *amr.Level, box func(*amr.Patch) amr.Box) map[int]*PatchData {
+	out := make(map[int]*PatchData)
+	for _, fp := range lv.Patches {
+		if d.owns(fp) {
+			tp := &amr.Patch{ID: fp.ID, Level: fp.Level - 1, Box: box(fp), Owner: fp.Owner}
+			out[fp.ID] = NewPatchData(tp, d.NComp, 0)
+		}
+	}
+	return out
 }
 
 // buildShadowTransfers enumerates coarse-interior → shadow moves.
-func (d *DataObject) buildShadowTransfers(level int, shadows map[int]*PatchData) []transfer {
+func (d *DataObject) buildShadowTransfers(level int) []transfer {
 	coarse := d.h.Level(level - 1)
 	var ts []transfer
 	for _, fp := range d.h.Level(level).Patches {
-		sh := shadows[fp.ID]
-		var shBox amr.Box
-		if sh != nil {
-			shBox = sh.GrownBox()
-		} else {
-			// Ranks without the shadow still need the identical list;
-			// recompute the descriptor geometry.
-			cg := d.Ghost/d.h.Ratio + 2
-			shBox = fp.Box.Coarsen(d.h.Ratio).Grow(cg).
-				Intersect(d.h.LevelDomain(level - 1).Grow(d.Ghost))
-		}
+		shBox := d.shadowBox(fp)
 		coarseDomain := d.h.LevelDomain(level - 1)
 		for _, cp := range coarse.Patches {
 			// Physical-ghost regions first (the parts of cp's grown box
@@ -93,9 +96,8 @@ func (d *DataObject) buildShadowTransfers(level int, shadows map[int]*PatchData)
 // shadow patches, transfer list, and message plan are built once per
 // regrid and reused by every fill; collective.
 func (d *DataObject) fillShadows(level int) map[int]*PatchData {
-	s := d.xferScheduleFor(phaseShadow, level)
-	d.startTransfers(s, phaseShadow, level, d.Local,
-		func(id int) *PatchData { return s.scratch[id] }).Finish()
+	s := d.scheduleFor(phaseShadow, level)
+	d.start(s, d.local, s.scratch).Finish()
 	return s.scratch
 }
 
@@ -216,7 +218,7 @@ func (d *DataObject) RestrictLevel(level int) {
 	ratio := d.h.Ratio
 	// Average fine data into the schedule's cached coarse-space
 	// temporaries (every interior cell is rewritten, so reuse is safe).
-	s := d.xferScheduleFor(phaseRestrict, level)
+	s := d.scheduleFor(phaseRestrict, level)
 	for _, fp := range d.h.Level(level).Patches {
 		pd := d.local[fp.ID]
 		if pd == nil {
@@ -243,8 +245,7 @@ func (d *DataObject) RestrictLevel(level int) {
 		}
 	}
 	// Move averaged regions into the coarse patches.
-	d.startTransfers(s, phaseRestrict, level,
-		func(id int) *PatchData { return s.scratch[id] }, d.Local).Finish()
+	d.start(s, s.scratch, d.local).Finish()
 }
 
 // buildRestrictTransfers enumerates the coarsened-fine → coarse moves
@@ -292,7 +293,7 @@ func (d *DataObject) Remap(newH *amr.Hierarchy, kind ProlongKind) *DataObject {
 		defer d.obs.Span("samr", "remap "+d.Name)()
 	}
 	maxL := newH.NumLevels()
-	exs := make([]*TransferExchange, maxL)
+	exs := make([]*Exchange, maxL)
 	for l := 0; l < maxL && l < d.h.NumLevels(); l++ {
 		// Copy old level-l data where it overlaps new level-l patches.
 		var ts []transfer
@@ -309,9 +310,7 @@ func (d *DataObject) Remap(newH *amr.Hierarchy, kind ProlongKind) *DataObject {
 				})
 			}
 		}
-		s := &xferSchedule{ts: ts}
-		nd.planXfer(s)
-		exs[l] = nd.startTransfers(s, phaseRemap, l, d.Local, nd.Local)
+		exs[l] = nd.start(nd.newSchedule(phaseRemap, l, ts), d.local, nd.local)
 	}
 	for l := 0; l < maxL; l++ {
 		if l > 0 {

@@ -4,7 +4,10 @@
 // (prolongation/restriction), physical boundary fills, and data
 // migration across regrids. Packing and unpacking of data before and
 // after message passing — which the paper assigns to this subsystem —
-// happens here, over the mpi substrate.
+// happens here, over the mpi substrate. Ghost exchange, coarse–fine
+// transfer and regrid remap are phases of one copy schedule
+// (schedule.go): cached transfer lists, coalesced per-peer messages,
+// one Start/Finish handle.
 package field
 
 import (
@@ -170,15 +173,12 @@ type DataObject struct {
 
 	local map[int]*PatchData // patch ID -> data, owned patches only
 
-	// sched caches the per-level ghost-exchange schedule; entries are
-	// invalidated by hierarchy generation changes (regrids).
-	sched          map[int]*ghostSchedule
-	scheduleBuilds int
-
-	// xsched caches the shadow-fill and restriction transfer schedules
-	// per (phase, level), invalidated the same way.
-	xsched     map[xferKey]*xferSchedule
-	xferBuilds int
+	// sched caches the ghost, shadow and restrict transfer schedules
+	// per (phase, level); entries are invalidated by hierarchy
+	// generation changes (regrids). builds counts constructions per
+	// phase.
+	sched  map[schedKey]*schedule
+	builds [phaseRemap + 1]int
 
 	// obs, when non-nil, receives spans for the object's exchange and
 	// transfer phases. Every hot path guards on the pointer, so a nil
@@ -251,38 +251,9 @@ func (d *DataObject) ForEachLocal(fn func(*PatchData)) {
 	}
 }
 
-// transfer is one region move between two same-level patches.
-type transfer struct {
-	srcID, dstID       int
-	srcOwner, dstOwner int
-	region             amr.Box
-}
-
-// executeTransfers runs a deterministic, collectively identical list of
-// transfers as one blocking Start/Finish cycle over a transient
-// schedule. All regions bound for the same destination rank travel in
-// one coalesced message tagged by (phase, level); receives and local
-// copies are applied strictly in list order, because some callers (the
-// shadow fill) rely on later transfers overwriting earlier ones. Hot
-// phases use the cached schedules in xfer.go instead.
-func (d *DataObject) executeTransfers(ph phase, level int, ts []transfer, getSrc, getDst func(id int) *PatchData) {
-	s := &xferSchedule{ts: ts}
-	d.planXfer(s)
-	d.startTransfers(s, ph, level, getSrc, getDst).Finish()
-}
-
 // ExchangeGhosts fills the ghost cells of every patch on a level from
 // overlapping same-level neighbors, using the cached coalesced schedule.
 // All ranks must call it (collective).
 func (d *DataObject) ExchangeGhosts(level int) {
 	d.ExchangeGhostsStart(level).Finish()
-}
-
-// regionsOf subtracts the interior from an overlap, leaving the pieces
-// that are genuinely ghost cells of dst.
-func regionsOf(overlap, interior amr.Box) []amr.Box {
-	if overlap.Empty() {
-		return nil
-	}
-	return overlap.Subtract(interior)
 }

@@ -215,29 +215,24 @@ func TestCoalescedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// lockstepExchangers starts a p-rank cohort whose ranks exchange
-// ghosts once per tick of the returned step function. The ranks warm up
-// the persistent schedule (two full exchanges: the first builds plan,
-// pack buffers, and requests; the second primes the substrate's payload
-// free list) before the function returns. stop tears the cohort down.
-func lockstepExchangers(p int, blocks []amr.Box, owners []int, attach ...func(*mpi.Comm)) (step func(), stop func()) {
+// lockstep starts a p-rank cohort whose ranks run the tick that setup
+// returns once per call of the returned step function. Every rank runs
+// its tick twice before lockstep returns (the first builds the
+// schedule, pack buffers, and requests; the second primes the
+// substrate's payload free list). stop tears the cohort down.
+func lockstep(p int, setup func(*mpi.Comm) func()) (step func(), stop func()) {
 	start := make([]chan struct{}, p)
 	for r := range start {
 		start[r] = make(chan struct{})
 	}
 	done := make(chan struct{}, p)
 	go mpi.Run(p, mpi.CPlantModel, func(comm *mpi.Comm) {
-		for _, a := range attach {
-			a(comm)
-		}
-		h := amr.NewHierarchyDecomposed(amr.NewBox(0, 0, 23, 23), 2, 1, p, blocks, owners)
-		d := New("u", h, 2, 2, comm)
-		paintOwned(d, 0)
-		d.ExchangeGhosts(0)
-		d.ExchangeGhosts(0)
+		tick := setup(comm)
+		tick()
+		tick()
 		done <- struct{}{}
 		for range start[comm.Rank()] {
-			d.ExchangeGhosts(0)
+			tick()
 			done <- struct{}{}
 		}
 	})
@@ -258,6 +253,20 @@ func lockstepExchangers(p int, blocks []amr.Box, owners []int, attach ...func(*m
 		}
 	}
 	return step, stop
+}
+
+// lockstepExchangers is a lockstep cohort whose ranks exchange level-0
+// ghosts of a ragged decomposition once per step.
+func lockstepExchangers(p int, blocks []amr.Box, owners []int, attach ...func(*mpi.Comm)) (step func(), stop func()) {
+	return lockstep(p, func(comm *mpi.Comm) func() {
+		for _, a := range attach {
+			a(comm)
+		}
+		h := amr.NewHierarchyDecomposed(amr.NewBox(0, 0, 23, 23), 2, 1, p, blocks, owners)
+		d := New("u", h, 2, 2, comm)
+		paintOwned(d, 0)
+		return func() { d.ExchangeGhosts(0) }
+	})
 }
 
 // TestExchangeGhostsSteadyStateZeroAlloc enforces the persistent-

@@ -79,6 +79,48 @@ func TestXferScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	}
 }
 
+// TestRestrictLevelSteadyStateZeroAlloc extends the persistent-
+// communication contract to restriction: once the restrict schedule,
+// its coarse-space temporaries and its buffers are warm, a restriction
+// allocates nothing, serially and on 4 lockstep ranks.
+func TestRestrictLevelSteadyStateZeroAlloc(t *testing.T) {
+	_, d := twoLevel(t)
+	d.RestrictLevel(1)
+	if avg := testing.AllocsPerRun(10, func() { d.RestrictLevel(1) }); avg > 0 {
+		t.Errorf("warm serial restriction allocates %.1f objects per call, want 0", avg)
+	}
+
+	const p = 4
+	blocks, owners := raggedBlocks(24, p)
+	var mu sync.Mutex
+	sends := 0
+	step, stop := lockstep(p, func(comm *mpi.Comm) func() {
+		h := amr.NewHierarchyDecomposed(amr.NewBox(0, 0, 23, 23), 2, 2, p, blocks, owners)
+		f := amr.NewFlagField(h.LevelDomain(0))
+		f.SetBox(amr.NewBox(4, 4, 17, 15))
+		h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+		d := New("u", h, 2, 2, comm)
+		paintOwned(d, 0)
+		paintOwned(d, 1)
+		return func() {
+			before := comm.Stats().Sends
+			d.RestrictLevel(1)
+			if n := comm.Stats().Sends - before; n > 0 {
+				mu.Lock()
+				sends += n
+				mu.Unlock()
+			}
+		}
+	})
+	defer stop()
+	if avg := testing.AllocsPerRun(10, step); avg > 0 {
+		t.Errorf("warm 4-rank restriction allocates %.1f objects per round, want 0", avg)
+	}
+	if sends == 0 {
+		t.Fatal("4-rank restriction sent no messages — decomposition too simple for the test")
+	}
+}
+
 // xferRegridSequence runs the mid-run regrid scenario on one rank
 // (comm nil for the serial replica): build a 2-level hierarchy, warm the
 // coarse–fine schedules, regrid GrACE-style into a fresh hierarchy
