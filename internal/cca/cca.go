@@ -142,6 +142,11 @@ type usesEntry struct {
 	// framework's observability is on; nil otherwise or until the
 	// first GetPort. Invalidated by Connect/Disconnect.
 	proxy Port
+	// errNotConnected is GetPort's error while conn is nil, built on
+	// the first such call and reused: components probe optional ports
+	// on hot paths, and an unconnected probe must not format an error
+	// per call.
+	errNotConnected error
 }
 
 // instance is one live component inside a framework.
@@ -198,7 +203,10 @@ func (in *instance) GetPort(name string) (Port, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if u.conn == nil {
-		return nil, fmt.Errorf("%w: %q on %q", ErrPortNotConnected, name, in.name)
+		if u.errNotConnected == nil {
+			u.errNotConnected = fmt.Errorf("%w: %q on %q", ErrPortNotConnected, name, in.name)
+		}
+		return nil, u.errNotConnected
 	}
 	u.fetches++
 	if o := in.fw.obs; o != nil {

@@ -163,9 +163,10 @@ func (iv *InviscidFlux) solver() *euler.Solver {
 			Gas:    euler.Gas{Gamma: gamma},
 			Flux:   fp.(FluxPort).Row,
 			States: sp.(StatesPort).Row,
-			// Nested parallelism: the integrator fans patches out, and
-			// within a patch the solver fans rows out on the same pool
-			// (caller participation makes the nesting deadlock-free).
+			// Nested parallelism: the integrator fans patches and strips
+			// out; a region evaluated inside that epoch sweeps inline,
+			// and only a top-level call (a level's single patch) fans
+			// its rows out on the same pool.
 			Pool: optionalPool(iv.svc),
 		}
 	})
@@ -184,6 +185,8 @@ func (iv *InviscidFlux) EvalRegion(pd, out *field.PatchData, region amr.Box, dx,
 // dynamic time-step control (paper Sec. 4.3).
 type CharacteristicQuantities struct {
 	svc cca.Services
+	// scans keeps each level's scan scratch between steps.
+	scans map[int]*dtScan
 }
 
 var characteristicsSpec = &Spec{
@@ -213,17 +216,13 @@ func (cq *CharacteristicQuantities) StableDt(mesh MeshPort, name string, level i
 	if !ok {
 		gamma = euler.AirGamma
 	}
-	cfl := characteristicsSpec.Float(cq.svc.Parameters(), "cfl")
-	s := &euler.Solver{Gas: euler.Gas{Gamma: gamma}, CFL: cfl}
 	d := mesh.Field(name)
-	dx, dy := mesh.Spacing(level)
-	patches := d.LocalPatches(level)
-	partial := make([]float64, len(patches))
-	optionalPool(cq.svc).ForEach(len(patches), func(_, i int) {
-		partial[i] = s.StableDt(patches[i], dx, dy)
-	})
+	sc := cq.scanFor(level, d.LocalPatches(level))
+	sc.s = euler.Solver{Gas: euler.Gas{Gamma: gamma}, CFL: characteristicsSpec.Float(cq.svc.Parameters(), "cfl")}
+	sc.dx, sc.dy = mesh.Spacing(level)
+	optionalPool(cq.svc).ForEach(len(sc.patches), sc.scanFn)
 	dt := math.Inf(1)
-	for _, v := range partial {
+	for _, v := range sc.partial {
 		if v < dt {
 			dt = v
 		}
@@ -232,6 +231,37 @@ func (cq *CharacteristicQuantities) StableDt(mesh MeshPort, name string, level i
 		dt = comm.AllreduceScalar(mpi.OpMin, dt)
 	}
 	return dt
+}
+
+// dtScan is one level's StableDt scratch: the per-patch partial minima
+// and the pool body that fills them, a method value bound once per
+// patch list.
+type dtScan struct {
+	patches []*field.PatchData
+	partial []float64
+	s       euler.Solver
+	dx, dy  float64
+	scanFn  func(w, i int)
+}
+
+// scan stores patch i's stable step.
+func (sc *dtScan) scan(_, i int) {
+	sc.partial[i] = sc.s.StableDt(sc.patches[i], sc.dx, sc.dy)
+}
+
+// scanFor returns the level's scan scratch, rebuilt when the level's
+// patch list changed (a regrid).
+func (cq *CharacteristicQuantities) scanFor(level int, patches []*field.PatchData) *dtScan {
+	if cq.scans == nil {
+		cq.scans = make(map[int]*dtScan)
+	}
+	sc := cq.scans[level]
+	if sc == nil || !samePatches(sc.patches, patches) {
+		sc = &dtScan{patches: patches, partial: make([]float64, len(patches))}
+		sc.scanFn = sc.scan
+		cq.scans[level] = sc
+	}
+	return sc
 }
 
 // BoundaryConditions sets the shock-tube walls: reflecting above and
@@ -259,10 +289,17 @@ func (bc *BoundaryConditions) SetServices(svc cca.Services) error {
 	return boundaryConditionsSpec.register(svc, bc)
 }
 
-func (bc *BoundaryConditions) spec(side string, normalComp int) field.BCSpec {
+// The normal-momentum component a reflecting wall flips, per wall
+// orientation; shared read-only by every BCSpec Apply builds.
+var (
+	oddMx = []int{euler.IMx}
+	oddMy = []int{euler.IMy}
+)
+
+func (bc *BoundaryConditions) spec(side string, odd []int) field.BCSpec {
 	switch boundaryConditionsSpec.Str(bc.svc.Parameters(), side) {
 	case "reflect":
-		return field.BCSpec{Kind: field.BCReflect, OddComps: []int{normalComp}}
+		return field.BCSpec{Kind: field.BCReflect, OddComps: odd}
 	default:
 		return field.BCSpec{Kind: field.BCOutflow}
 	}
@@ -277,10 +314,10 @@ func (bc *BoundaryConditions) Apply(name string, level int) {
 	bc.svc.ReleasePort("mesh")
 	mesh := mp.(MeshPort)
 	bcs := field.BCSet{
-		field.XLo: bc.spec("xlo", euler.IMx),
-		field.XHi: bc.spec("xhi", euler.IMx),
-		field.YLo: bc.spec("ylo", euler.IMy),
-		field.YHi: bc.spec("yhi", euler.IMy),
+		field.XLo: bc.spec("xlo", oddMx),
+		field.XHi: bc.spec("xhi", oddMx),
+		field.YLo: bc.spec("ylo", oddMy),
+		field.YHi: bc.spec("yhi", oddMy),
 	}
 	mesh.Field(name).ApplyPhysicalBCs(level, bcs)
 }

@@ -30,12 +30,32 @@ type stripItem struct {
 //
 // The geometry depends only on the patch list and ghost width, so the
 // plan is built once per (cache entry, regrid) alongside the caller's
-// level scratch and reused by every RHS stage.
+// level scratch and reused by every RHS stage. So are the plan's two
+// pool bodies: method values bound in ensure that read the stage's
+// port, output arrays and spacing from the plan, so a warm stage
+// builds no closure.
 type stripPlan struct {
 	patches []*field.PatchData
 	ghost   int
 	items   []stripItem
 	inner   []amr.Box // Interior().Grow(-ghost) per patch, for the interior pass
+
+	// The stage being evaluated, set by evalLevelOverlapped.
+	rhs              PatchRHSPort
+	out              []*field.PatchData
+	dx, dy           float64
+	innerFn, stripFn func(w, i int)
+}
+
+// evalInner evaluates patch i's inner region.
+func (sp *stripPlan) evalInner(_, i int) {
+	sp.rhs.EvalRegion(sp.patches[i], sp.out[i], sp.inner[i], sp.dx, sp.dy)
+}
+
+// evalStrip evaluates boundary strip k.
+func (sp *stripPlan) evalStrip(_, k int) {
+	it := sp.items[k]
+	sp.rhs.EvalRegion(sp.patches[it.pi], sp.out[it.pi], it.box, sp.dx, sp.dy)
 }
 
 // stripSegMaxCells caps boundary-strip work items: strips above it are
@@ -54,6 +74,9 @@ func (sp *stripPlan) ensure(patches []*field.PatchData, ghost int) {
 	}
 	sp.patches = patches
 	sp.ghost = ghost
+	if sp.innerFn == nil {
+		sp.innerFn, sp.stripFn = sp.evalInner, sp.evalStrip
+	}
 	sp.items = sp.items[:0]
 	sp.inner = sp.inner[:0]
 	for i, pd := range patches {
@@ -121,13 +144,9 @@ func (g ghostFill) fill() { g.finish(g.start()) }
 func evalLevelOverlapped(gf ghostFill, patches, out []*field.PatchData,
 	dx, dy float64, pool *exec.Pool, rhs PatchRHSPort, sp *stripPlan) {
 	sp.ensure(patches, gf.d.Ghost)
+	sp.rhs, sp.out, sp.dx, sp.dy = rhs, out, dx, dy
 	ex := gf.start()
-	pool.ForEach(len(patches), func(_, i int) {
-		rhs.EvalRegion(patches[i], out[i], sp.inner[i], dx, dy)
-	})
+	pool.ForEach(len(patches), sp.innerFn)
 	gf.finish(ex)
-	pool.ForEach(len(sp.items), func(_, k int) {
-		it := sp.items[k]
-		rhs.EvalRegion(patches[it.pi], out[it.pi], it.box, dx, dy)
-	})
+	pool.ForEach(len(sp.items), sp.stripFn)
 }

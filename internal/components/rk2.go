@@ -17,12 +17,53 @@ type ExplicitIntegratorRK2 struct {
 	cache map[int]*rk2LevelCache
 }
 
-// rk2LevelCache is one level's reusable stage scratch.
+// rk2LevelCache is one level's reusable stage scratch, together with
+// the per-patch pool bodies of the save copy and the two stage updates.
+// The bodies are method values bound once per cache entry and read the
+// step's dt from the entry, so a warm AdvanceLevel builds no closure.
 type rk2LevelCache struct {
 	patches []*field.PatchData
 	rhs     []*field.PatchData
 	save    []*field.PatchData
 	strips  stripPlan
+
+	ncomp              int
+	dt                 float64
+	saveFn, upd1, upd2 func(w, i int)
+}
+
+// saveOne copies patch i, ghosts included, into its save array.
+func (lc *rk2LevelCache) saveOne(_, i int) {
+	lc.save[i].CopyRegion(lc.patches[i], lc.patches[i].GrownBox())
+}
+
+// stage1 applies U1 = U + dt L(U) on patch i's interior.
+func (lc *rk2LevelCache) stage1(_, i int) {
+	pd, rhs, dt := lc.patches[i], lc.rhs[i], lc.dt
+	b := pd.Interior()
+	for k := 0; k < lc.ncomp; k++ {
+		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
+			for ii := b.Lo[0]; ii <= b.Hi[0]; ii++ {
+				pd.Set(k, ii, j, pd.At(k, ii, j)+dt*rhs.At(k, ii, j))
+			}
+		}
+	}
+}
+
+// stage2 applies U^{n+1} = (U + U1 + dt L(U1)) / 2 on patch i's
+// interior.
+func (lc *rk2LevelCache) stage2(_, i int) {
+	pd, rhs, save, dt := lc.patches[i], lc.rhs[i], lc.save[i], lc.dt
+	b := pd.Interior()
+	for k := 0; k < lc.ncomp; k++ {
+		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
+			for ii := b.Lo[0]; ii <= b.Hi[0]; ii++ {
+				un := 0.5*save.At(k, ii, j) +
+					0.5*(pd.At(k, ii, j)+dt*rhs.At(k, ii, j))
+				pd.Set(k, ii, j, un)
+			}
+		}
+	}
 }
 
 var rk2Spec = &Spec{
@@ -64,17 +105,17 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 			patches: patches,
 			rhs:     make([]*field.PatchData, len(patches)),
 			save:    make([]*field.PatchData, len(patches)),
+			ncomp:   d.NComp,
 		}
 		for i, pd := range patches {
 			lc.rhs[i] = field.NewPatchData(pd.Patch, d.NComp, d.Ghost)
 			lc.save[i] = field.NewPatchData(pd.Patch, d.NComp, d.Ghost)
 		}
+		lc.saveFn, lc.upd1, lc.upd2 = lc.saveOne, lc.stage1, lc.stage2
 		rk.cache[level] = lc
 	}
-	rhs, save := lc.rhs, lc.save
-	pool.ForEach(len(patches), func(_, i int) {
-		save[i].CopyRegion(patches[i], patches[i].GrownBox())
-	})
+	lc.dt = dt
+	pool.ForEach(len(patches), lc.saveFn)
 
 	// The flux evaluation of each stage overlaps the seam exchange with
 	// interior compute (evalLevelOverlapped), with the problem's BC
@@ -82,34 +123,12 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 	gf := ghostFill{d: d, bc: bc, name: name, level: level}
 
 	// Stage 1: U1 = U + dt L(U).
-	evalLevelOverlapped(gf, patches, rhs, dx, dy, pool, rhsPort, &lc.strips)
-	pool.ForEach(len(patches), func(_, i int) {
-		pd := patches[i]
-		b := pd.Interior()
-		for k := 0; k < d.NComp; k++ {
-			for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-				for ii := b.Lo[0]; ii <= b.Hi[0]; ii++ {
-					pd.Set(k, ii, j, pd.At(k, ii, j)+dt*rhs[i].At(k, ii, j))
-				}
-			}
-		}
-	})
+	evalLevelOverlapped(gf, patches, lc.rhs, dx, dy, pool, rhsPort, &lc.strips)
+	pool.ForEach(len(patches), lc.upd1)
 
 	// Stage 2: U^{n+1} = (U + U1 + dt L(U1)) / 2.
-	evalLevelOverlapped(gf, patches, rhs, dx, dy, pool, rhsPort, &lc.strips)
-	pool.ForEach(len(patches), func(_, i int) {
-		pd := patches[i]
-		b := pd.Interior()
-		for k := 0; k < d.NComp; k++ {
-			for j := b.Lo[1]; j <= b.Hi[1]; j++ {
-				for ii := b.Lo[0]; ii <= b.Hi[0]; ii++ {
-					un := 0.5*save[i].At(k, ii, j) +
-						0.5*(pd.At(k, ii, j)+dt*rhs[i].At(k, ii, j))
-					pd.Set(k, ii, j, un)
-				}
-			}
-		}
-	})
+	evalLevelOverlapped(gf, patches, lc.rhs, dx, dy, pool, rhsPort, &lc.strips)
+	pool.ForEach(len(patches), lc.upd2)
 	gf.fill()
 	return nil
 }

@@ -29,6 +29,87 @@ type ShockDriver struct {
 	// dts mirrors the per-step dt series so it survives checkpoint
 	// round-trips like Times/Circulations do.
 	dts []float64
+
+	// circ caches the composite-circulation geometry of one hierarchy
+	// generation.
+	circ circCache
+}
+
+// circCache is the composite-circulation geometry of one field on one
+// hierarchy generation: per level, each local patch's uncovered boxes.
+type circCache struct {
+	d      *field.DataObject
+	gen    int
+	levels []*circLevel
+}
+
+// circLevel is one level's share of the composite circulation: the
+// local patches, the parts of each interior no finer patch covers, the
+// per-patch partial sums, and the pool body that fills them (a method
+// value bound once per cache entry).
+type circLevel struct {
+	patches []*field.PatchData
+	parts   [][]amr.Box
+	partial []float64
+	dx, dy  float64
+	sumFn   func(w, n int)
+}
+
+// sum stores patch n's circulation over its uncovered parts.
+func (cl *circLevel) sum(_, n int) {
+	var sum float64
+	for _, region := range cl.parts[n] {
+		sum += circulationRegion(cl.patches[n], region, cl.dx, cl.dy)
+	}
+	cl.partial[n] = sum
+}
+
+// uncoveredParts returns, per local patch of level l, the parts of its
+// interior that no patch of level l+1 covers: each interior minus every
+// coarsened finer box in turn, in the finer level's patch order.
+func uncoveredParts(h *amr.Hierarchy, l int, patches []*field.PatchData) [][]amr.Box {
+	var finer []amr.Box
+	if l+1 < h.NumLevels() {
+		for _, fp := range h.Level(l + 1).Patches {
+			finer = append(finer, fp.Box.Coarsen(h.Ratio))
+		}
+	}
+	out := make([][]amr.Box, len(patches))
+	for n, pd := range patches {
+		parts := []amr.Box{pd.Interior()}
+		for _, fb := range finer {
+			var next []amr.Box
+			for _, p := range parts {
+				next = append(next, p.Subtract(fb)...)
+			}
+			parts = next
+		}
+		out[n] = parts
+	}
+	return out
+}
+
+// circLevels returns the cached circulation geometry of d, rebuilding
+// it for a new field object (every GrACE regrid and restore makes one)
+// or a new hierarchy generation.
+func (sd *ShockDriver) circLevels(d *field.DataObject) []*circLevel {
+	h := d.Hierarchy()
+	c := &sd.circ
+	if c.d == d && c.gen == h.Generation() {
+		return c.levels
+	}
+	*c = circCache{d: d, gen: h.Generation()}
+	for l := 0; l < h.NumLevels(); l++ {
+		patches := d.LocalPatches(l)
+		cl := &circLevel{
+			patches: patches,
+			parts:   uncoveredParts(h, l, patches),
+			partial: make([]float64, len(patches)),
+		}
+		cl.sumFn = cl.sum
+		c.levels = append(c.levels, cl)
+	}
+	return c.levels
 }
 
 // shockDriverName tags checkpoints written by this driver.
@@ -71,7 +152,6 @@ func (sd *ShockDriver) run() error {
 	integ := shockDriverSpec.port(sd.svc, "integrator").(ExplicitIntegratorPort)
 	chars := shockDriverSpec.port(sd.svc, "characteristics").(CharacteristicsPort)
 	bc := shockDriverSpec.port(sd.svc, "bc").(BCPort)
-	db := shockDriverSpec.port(sd.svc, "gasProperties").(KeyValuePort)
 	var regrid RegridPort
 	if p := shockDriverSpec.port(sd.svc, "regrid"); p != nil {
 		regrid = p.(RegridPort)
@@ -111,11 +191,6 @@ func (sd *ShockDriver) run() error {
 				icPort.Impose(mesh, name)
 			}
 		}
-	}
-
-	gamma, ok := db.Value("gamma")
-	if !ok {
-		gamma = euler.AirGamma
 	}
 
 	obsSession := sd.svc.Observability()
@@ -178,7 +253,7 @@ func (sd *ShockDriver) run() error {
 		t += dt
 		sd.Steps++
 
-		gammaC := sd.compositeCirculation(mesh, name, gamma, bc)
+		gammaC := sd.compositeCirculation(mesh, name, bc)
 		sd.Times = append(sd.Times, t)
 		sd.Circulations = append(sd.Circulations, gammaC)
 		sd.dts = append(sd.dts, dt)
@@ -220,43 +295,19 @@ func (sd *ShockDriver) run() error {
 // contributes only cells not covered by finer patches, and the result
 // is summed across the cohort. Patch contributions are computed in
 // parallel into per-patch partials and folded in patch order, so the
-// floating-point sum is independent of worker count.
-func (sd *ShockDriver) compositeCirculation(mesh MeshPort, name string, gamma float64, bc BCPort) float64 {
+// floating-point sum is independent of worker count. The uncovered
+// boxes are cached per hierarchy generation (circLevels), so a warm
+// call allocates nothing.
+func (sd *ShockDriver) compositeCirculation(mesh MeshPort, name string, bc BCPort) float64 {
 	d := mesh.Field(name)
-	h := d.Hierarchy()
-	s := &euler.Solver{Gas: euler.Gas{Gamma: gamma}}
 	pool := optionalPool(sd.svc)
 	var total float64
-	for l := 0; l < h.NumLevels(); l++ {
-		dx, dy := mesh.Spacing(l)
+	for l, cl := range sd.circLevels(d) {
+		cl.dx, cl.dy = mesh.Spacing(l)
 		// Ghosts must be valid for the vorticity stencil.
 		ghostFill{d: d, bc: bc, name: name, level: l}.fill()
-		var finer []amr.Box
-		if l+1 < h.NumLevels() {
-			for _, fp := range h.Level(l + 1).Patches {
-				finer = append(finer, fp.Box.Coarsen(h.Ratio))
-			}
-		}
-		patches := d.LocalPatches(l)
-		partial := make([]float64, len(patches))
-		pool.ForEach(len(patches), func(_, n int) {
-			pd := patches[n]
-			// Uncovered parts of this patch.
-			parts := []amr.Box{pd.Interior()}
-			for _, fb := range finer {
-				var next []amr.Box
-				for _, p := range parts {
-					next = append(next, p.Subtract(fb)...)
-				}
-				parts = next
-			}
-			var sum float64
-			for _, region := range parts {
-				sum += circulationRegion(s, pd, region, dx, dy)
-			}
-			partial[n] = sum
-		})
-		for _, p := range partial {
+		pool.ForEach(len(cl.patches), cl.sumFn)
+		for _, p := range cl.partial {
 			total += p
 		}
 	}
@@ -267,7 +318,7 @@ func (sd *ShockDriver) compositeCirculation(mesh MeshPort, name string, gamma fl
 }
 
 // circulationRegion is euler.Solver.Circulation restricted to a region.
-func circulationRegion(s *euler.Solver, pd *field.PatchData, region amr.Box, dx, dy float64) float64 {
+func circulationRegion(pd *field.PatchData, region amr.Box, dx, dy float64) float64 {
 	var gamma float64
 	vel := func(i, j int) (float64, float64) {
 		rho := pd.At(euler.IRho, i, j)

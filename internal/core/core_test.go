@@ -59,6 +59,51 @@ func TestIgnition0DColdNoIgnition(t *testing.T) {
 	}
 }
 
+// nOut = 50 was the driver's default output cadence that the ignition
+// scenario could not use: the cold restart at t = 2.2e-4, inside the
+// stiff ignition front, estimated a first step below CVODE's step
+// floor and failed with a step-size underflow. The restart now starts
+// from the floor.
+func TestIgnition0DNOut50Completes(t *testing.T) {
+	dr, err := RunIgnition0D(Param{"driver", "nOut", "50"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dr.Temps); n != 51 {
+		t.Fatalf("%d samples, want 51", n)
+	}
+}
+
+// Every output cadence from 1 to 100 integrates to tEnd, and the final
+// state does not depend on it beyond the solver tolerance: each output
+// time is a cold restart, so the runs differ by restart error only.
+// The bound is 10·rtol relative on the final T and P (the spread seen
+// is at most 0.4·rtol).
+func TestIgnition0DOutputCadenceSweep(t *testing.T) {
+	const rtol = 1e-8
+	run := func(nOut int) (T, P float64) {
+		t.Helper()
+		dr, err := RunIgnition0D(
+			Param{"cvode", "rtol", strconv.FormatFloat(rtol, 'g', -1, 64)},
+			Param{"driver", "nOut", strconv.Itoa(nOut)},
+		)
+		if err != nil {
+			t.Fatalf("nOut=%d: %v", nOut, err)
+		}
+		return dr.Temps[len(dr.Temps)-1], dr.Pressures[len(dr.Pressures)-1]
+	}
+	T1, P1 := run(1)
+	for nOut := 2; nOut <= 100; nOut++ {
+		T, P := run(nOut)
+		if d := math.Abs(T-T1) / T1; d > 10*rtol {
+			t.Errorf("nOut=%d: final T %.12g differs from nOut=1's %.12g by %.2g relative", nOut, T, T1, d)
+		}
+		if d := math.Abs(P-P1) / P1; d > 10*rtol {
+			t.Errorf("nOut=%d: final P %.12g differs from nOut=1's %.12g by %.2g relative", nOut, P, P1, d)
+		}
+	}
+}
+
 func TestArenaShowsAssembly(t *testing.T) {
 	f := cca.NewFramework(Repo(), nil)
 	if err := AssembleRequest(f, RunRequest{Problem: "ignition"}); err != nil {

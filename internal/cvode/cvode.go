@@ -233,6 +233,16 @@ func (s *Solver) initialStep() float64 {
 	return h
 }
 
+// startStep is the first step of an integration: the initialStep
+// estimate, raised to the step floor (minStep) when it lands below it.
+// A cold restart deep inside a stiff transient can estimate a step
+// under the floor, and Step would refuse it with ErrStepTooSmall
+// before trying it; SUNDIALS' cvHin bounds its estimate from below the
+// same way. An estimate at or above the floor is returned unchanged.
+func (s *Solver) startStep() float64 {
+	return math.Max(s.initialStep(), s.minStep())
+}
+
 // pushHistory records an accepted step in the recycled oldest row.
 func (s *Solver) pushHistory(t float64, y []float64) {
 	oldest := s.ys[maxHistory-1]
@@ -536,7 +546,7 @@ func (s *Solver) minStep() float64 {
 // Step advances one internal step with error control.
 func (s *Solver) Step() error {
 	if s.h == 0 {
-		s.h = s.initialStep()
+		s.h = s.startStep()
 	}
 	minStep := s.minStep()
 	s.errWeights()
@@ -690,7 +700,7 @@ func (s *Solver) Integrate(tEnd float64) error {
 			return ErrTooMuchWork
 		}
 		if s.h == 0 {
-			s.h = s.initialStep()
+			s.h = s.startStep()
 		}
 		if s.t+s.h > tEnd {
 			s.h = tEnd - s.t

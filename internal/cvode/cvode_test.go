@@ -355,6 +355,22 @@ func TestIntegrateStretchesStopTimeSliver(t *testing.T) {
 	}
 }
 
+// A first-step estimate below the step floor starts the integration at
+// the floor instead of failing with ErrStepTooSmall before any step is
+// tried (the cold restart inside a stiff transient). Here the estimate
+// is pinned below the floor through Options.
+func TestStartStepRaisedToFloor(t *testing.T) {
+	s := New(1, func(_ float64, y, ydot []float64) { ydot[0] = -y[0] },
+		Options{RelTol: 1e-6, AbsTol: 1e-9, InitialStep: 1e-20, MinStep: 1e-12})
+	s.Init(0, []float64{1})
+	if err := s.Integrate(1); err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Exp(-1); !almost(s.Y()[0], want, 1e-5) {
+		t.Errorf("y = %v, want %v", s.Y()[0], want)
+	}
+}
+
 func TestIntegrateBackwardRejected(t *testing.T) {
 	s := New(1, func(_ float64, y, ydot []float64) { ydot[0] = 1 }, Options{})
 	s.Init(1, []float64{0})

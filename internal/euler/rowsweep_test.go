@@ -265,3 +265,61 @@ func TestRHSPatchNestedPoolMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestRHSRegionPathsBitIdentical: RHSRegion on a width-1 pool, as a
+// top-level call on a width-2 pool (rows and columns fan out), and
+// nested inside a running epoch of that pool (sweeps run inline as
+// plain calls) writes identical out arrays. The width-1 and nested
+// calls allocate nothing.
+func TestRHSRegionPathsBitIdentical(t *testing.T) {
+	const n = 16
+	pd := randomPatch(rand.New(rand.NewSource(17)), n)
+	region := amr.NewBox(1, 2, n-2, n-1)
+	serial := NewSolver(1.4, GodunovFlux)
+	serial.Pool = exec.NewPool(1)
+	pooled := NewSolver(1.4, GodunovFlux)
+	pooled.Pool = exec.NewPool(2)
+
+	want := field.NewPatchData(pd.Patch, NumComp, 2)
+	serial.RHSRegion(pd, want, region, 0.1, 0.2)
+
+	if pooled.Pool.RunsInline(n) {
+		t.Fatal("an idle width-2 pool reports it would run inline")
+	}
+	top := field.NewPatchData(pd.Patch, NumComp, 2)
+	pooled.RHSRegion(pd, top, region, 0.1, 0.2)
+
+	nestedOut := field.NewPatchData(pd.Patch, NumComp, 2)
+	inline := true
+	nested := func(w, _, _ int) {
+		if w == 0 {
+			inline = inline && pooled.Pool.RunsInline(n)
+			pooled.RHSRegion(pd, nestedOut, region, 0.1, 0.2)
+		}
+	}
+	pooled.Pool.ForEachChunk(2, nested)
+	if !inline {
+		t.Fatal("a call inside a running epoch reports it would fan out")
+	}
+
+	for _, got := range []struct {
+		name string
+		out  *field.PatchData
+	}{{"top-level width 2", top}, {"nested", nestedOut}} {
+		for k, v := range got.out.RawData() {
+			if w := want.RawData()[k]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%s: word %d = %v, width 1 wrote %v", got.name, k, v, w)
+			}
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	if a := testing.AllocsPerRun(20, func() { serial.RHSRegion(pd, want, region, 0.1, 0.2) }); a != 0 {
+		t.Errorf("width-1 RHSRegion allocates %v objects per call", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { pooled.Pool.ForEachChunk(2, nested) }); a != 0 {
+		t.Errorf("nested RHSRegion allocates %v objects per epoch", a)
+	}
+}

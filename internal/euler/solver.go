@@ -82,9 +82,10 @@ type Solver struct {
 	// CFL is the Courant number (default 0.45 when zero).
 	CFL float64
 	// Pool, when non-nil, fans the row/column sweeps of RHSPatch out
-	// across workers. Rows (and columns) write disjoint cells of out,
-	// and the sweep decomposition is independent of worker count, so
-	// results are bit-for-bit identical to the serial sweeps.
+	// across workers whenever it would not run them inline. Rows (and
+	// columns) write disjoint cells of out, and the sweep decomposition
+	// is independent of worker count, so results are bit-for-bit
+	// identical to the serial sweeps.
 	Pool *exec.Pool
 }
 
@@ -95,56 +96,61 @@ func NewSolver(gamma float64, flux FluxFunc) *Solver {
 }
 
 // MUSCLRow returns a StatesRow doing primitive-variable MUSCL
-// reconstruction with the given limiter. It slides a four-cell window
-// along the row, so each cell's primitive state and limited slopes are
-// computed once and shared by the two faces beside it. The left state
-// of a face is the left cell's value plus half its slope, the right
-// state the right cell's value minus half its slope, each floored at
-// 1e-12 in density and pressure. The closure holds no mutable state,
-// so it is safe for concurrent sweeps.
+// reconstruction with the given limiter (see musclRow). The closure
+// holds no mutable state, so it is safe for concurrent sweeps.
 func MUSCLRow(lim Limiter) StatesRow {
 	return func(g Gas, pd *field.PatchData, i0, j0, dir int, l, r []Primitive) {
-		// load reads the primitive state of cell c0+o straight from the
-		// component planes, where it sits at offset at+o*step.
-		var plane [NumComp][]float64
-		for k := range plane {
-			plane[k] = pd.Comp(k)
-		}
-		at, step := pd.Offset(i0, j0), 1
+		musclRow(lim, g, pd, i0, j0, dir, l, r)
+	}
+}
+
+// musclRow is the MUSCL reconstruction of one row of faces. It slides
+// a four-cell window along the row, so each cell's primitive state and
+// limited slopes are computed once and shared by the two faces beside
+// it. The left state of a face is the left cell's value plus half its
+// slope, the right state the right cell's value minus half its slope,
+// each floored at 1e-12 in density and pressure.
+func musclRow(lim Limiter, g Gas, pd *field.PatchData, i0, j0, dir int, l, r []Primitive) {
+	// load reads the primitive state of cell c0+o straight from the
+	// component planes, where it sits at offset at+o*step.
+	var plane [NumComp][]float64
+	for k := range plane {
+		plane[k] = pd.Comp(k)
+	}
+	at, step := pd.Offset(i0, j0), 1
+	if dir == 1 {
+		step = pd.Stride()
+	}
+	load := func(o int) Primitive {
+		n := at + o*step
+		w := g.ToPrimitive(Conserved{plane[IRho][n], plane[IMx][n], plane[IMy][n], plane[IE][n], plane[IZeta][n]})
 		if dir == 1 {
-			step = pd.Stride()
+			w = swapUV(w)
 		}
-		load := func(o int) Primitive {
-			n := at + o*step
-			w := g.ToPrimitive(Conserved{plane[IRho][n], plane[IMx][n], plane[IMy][n], plane[IE][n], plane[IZeta][n]})
-			if dir == 1 {
-				w = swapUV(w)
-			}
-			return w
-		}
-		// Face f sits between wm1 (cell f-1) and w0 (cell f); sm1 is
-		// the slope of wm1, computed at the previous face.
-		wm2, wm1, w0 := load(-2), load(-1), load(0)
-		sm1 := slopes(lim, wm2, wm1, w0)
-		for f := range l {
-			wp1 := load(f + 1)
-			s0 := slopes(lim, wm1, w0, wp1)
-			l[f] = floorRhoP(Primitive{
-				Rho:  wm1.Rho + 0.5*sm1.Rho,
-				U:    wm1.U + 0.5*sm1.U,
-				V:    wm1.V + 0.5*sm1.V,
-				P:    wm1.P + 0.5*sm1.P,
-				Zeta: wm1.Zeta + 0.5*sm1.Zeta,
-			})
-			r[f] = floorRhoP(Primitive{
-				Rho:  w0.Rho - 0.5*s0.Rho,
-				U:    w0.U - 0.5*s0.U,
-				V:    w0.V - 0.5*s0.V,
-				P:    w0.P - 0.5*s0.P,
-				Zeta: w0.Zeta - 0.5*s0.Zeta,
-			})
-			wm1, w0, sm1 = w0, wp1, s0
-		}
+		return w
+	}
+	// Face f sits between wm1 (cell f-1) and w0 (cell f); sm1 is the
+	// slope of wm1, computed at the previous face.
+	wm2, wm1, w0 := load(-2), load(-1), load(0)
+	sm1 := slopes(lim, wm2, wm1, w0)
+	for f := range l {
+		wp1 := load(f + 1)
+		s0 := slopes(lim, wm1, w0, wp1)
+		l[f] = floorRhoP(Primitive{
+			Rho:  wm1.Rho + 0.5*sm1.Rho,
+			U:    wm1.U + 0.5*sm1.U,
+			V:    wm1.V + 0.5*sm1.V,
+			P:    wm1.P + 0.5*sm1.P,
+			Zeta: wm1.Zeta + 0.5*sm1.Zeta,
+		})
+		r[f] = floorRhoP(Primitive{
+			Rho:  w0.Rho - 0.5*s0.Rho,
+			U:    w0.U - 0.5*s0.U,
+			V:    w0.V - 0.5*s0.V,
+			P:    w0.P - 0.5*s0.P,
+			Zeta: w0.Zeta - 0.5*s0.Zeta,
+		})
+		wm1, w0, sm1 = w0, wp1, s0
 	}
 }
 
@@ -183,7 +189,7 @@ func (s *Solver) primAt(pd *field.PatchData, i, j int) Primitive {
 }
 
 // serialPool backs RHSPatch when the Solver has no Pool: width 1, so
-// ForEachChunk degenerates to an inline loop.
+// every sweep runs inline.
 var serialPool = exec.NewPool(1)
 
 // sweep is the scratch of one row or column: its face states and
@@ -211,10 +217,7 @@ func getSweep(n int) *sweep {
 
 // RHSPatch writes dU/dt = -dF/dx - dG/dy into out over the interior of
 // pd. The patch's ghost cells (2 layers) must be filled beforehand.
-// With a Pool set, rows of the x sweep and columns of the y sweep run
-// in parallel: each writes its own cells of out, and the two sweeps are
-// separated by a barrier (ForEachChunk blocks), so y-sweep Adds always
-// see completed x-sweep Sets.
+// It is RHSRegion over the whole interior.
 func (s *Solver) RHSPatch(pd, out *field.PatchData, dx, dy float64) {
 	s.RHSRegion(pd, out, pd.Interior(), dx, dy)
 }
@@ -226,62 +229,91 @@ func (s *Solver) RHSPatch(pd, out *field.PatchData, dx, dy float64) {
 // reproduces RHSPatch bit for bit. Cells of region must stay at least
 // two cells from data the caller considers unfilled (the MUSCL stencil
 // reads ±2 in the sweep direction).
+//
+// The x sweep sets out row by row, then the y sweep adds column by
+// column. Where the Pool would run a sweep on the calling goroutine
+// (width 1, or a call nested inside a running epoch — every region of
+// a fanned-out level advance), the sweep is a plain method call over
+// all its rows or columns and nothing is allocated. Otherwise rows and
+// columns fan out across the Pool's workers; each writes its own cells
+// of out, and ForEachChunk returns only after every row is done, so
+// y-sweep Adds always see completed x-sweep Sets. Both paths run the
+// same two sweep methods, and each row's arithmetic does not depend on
+// which chunk holds it, so every path is bit-for-bit the serial one.
 func (s *Solver) RHSRegion(pd, out *field.PatchData, region amr.Box, dx, dy float64) {
-	b := region
-	if b.Empty() {
+	if region.Empty() {
 		return
 	}
-	nx, ny := b.Size()
+	nx, ny := region.Size()
 	invDx, invDy := 1/dx, 1/dy
-
-	states := s.States
-	if states == nil {
-		states = MUSCLRow(s.Limiter)
-	}
 	pool := s.Pool
 	if pool == nil {
 		pool = serialPool
 	}
+	if pool.RunsInline(ny) {
+		s.sweepX(pd, out, region, invDx, 0, ny)
+	} else {
+		pool.ForEachChunk(ny, func(_, lo, hi int) { s.sweepX(pd, out, region, invDx, lo, hi) })
+	}
+	if pool.RunsInline(nx) {
+		s.sweepY(pd, out, region, invDy, 0, nx)
+	} else {
+		pool.ForEachChunk(nx, func(_, lo, hi int) { s.sweepY(pd, out, region, invDy, lo, hi) })
+	}
+}
 
-	// X sweep: one states and one flux crossing per row, nx+1 faces
-	// each; rows fan out.
-	pool.ForEachChunk(ny, func(_, lo, hi int) {
-		sw := getSweep(nx + 1)
-		fx := sw.f
-		for jj := lo; jj < hi; jj++ {
-			j := b.Lo[1] + jj
-			states(s.Gas, pd, b.Lo[0], j, 0, sw.l, sw.r)
-			s.Flux(s.Gas, sw.l, sw.r, fx)
-			for ii := 0; ii < nx; ii++ {
-				i := b.Lo[0] + ii
-				for k := 0; k < NumComp; k++ {
-					out.Set(k, i, j, -(fx[ii+1][k]-fx[ii][k])*invDx)
-				}
-			}
-		}
-		sweepPool.Put(sw)
-	})
+// states reconstructs one row of face states through the States seam,
+// or MUSCL with the Limiter field when no seam is set.
+func (s *Solver) states(pd *field.PatchData, i0, j0, dir int, l, r []Primitive) {
+	if s.States != nil {
+		s.States(s.Gas, pd, i0, j0, dir, l, r)
+		return
+	}
+	musclRow(s.Limiter, s.Gas, pd, i0, j0, dir, l, r)
+}
 
-	// Y sweep: one crossing each per column; columns fan out.
-	pool.ForEachChunk(nx, func(_, lo, hi int) {
-		sw := getSweep(ny + 1)
-		fy := sw.f
-		for ii := lo; ii < hi; ii++ {
+// sweepX sets out to the x-flux divergence on rows [lo, hi) of b
+// (counted from b.Lo[1]): one States and one Flux crossing per row,
+// nx+1 faces each.
+func (s *Solver) sweepX(pd, out *field.PatchData, b amr.Box, invDx float64, lo, hi int) {
+	nx, _ := b.Size()
+	sw := getSweep(nx + 1)
+	fx := sw.f
+	for jj := lo; jj < hi; jj++ {
+		j := b.Lo[1] + jj
+		s.states(pd, b.Lo[0], j, 0, sw.l, sw.r)
+		s.Flux(s.Gas, sw.l, sw.r, fx)
+		for ii := 0; ii < nx; ii++ {
 			i := b.Lo[0] + ii
-			states(s.Gas, pd, i, b.Lo[1], 1, sw.l, sw.r)
-			s.Flux(s.Gas, sw.l, sw.r, fy)
-			for f := range fy {
-				fy[f] = swapFlux(fy[f])
-			}
-			for jj := 0; jj < ny; jj++ {
-				j := b.Lo[1] + jj
-				for k := 0; k < NumComp; k++ {
-					out.Add(k, i, j, -(fy[jj+1][k]-fy[jj][k])*invDy)
-				}
+			for k := 0; k < NumComp; k++ {
+				out.Set(k, i, j, -(fx[ii+1][k]-fx[ii][k])*invDx)
 			}
 		}
-		sweepPool.Put(sw)
-	})
+	}
+	sweepPool.Put(sw)
+}
+
+// sweepY adds the y-flux divergence to out on columns [lo, hi) of b
+// (counted from b.Lo[0]): one crossing each per column.
+func (s *Solver) sweepY(pd, out *field.PatchData, b amr.Box, invDy float64, lo, hi int) {
+	_, ny := b.Size()
+	sw := getSweep(ny + 1)
+	fy := sw.f
+	for ii := lo; ii < hi; ii++ {
+		i := b.Lo[0] + ii
+		s.states(pd, i, b.Lo[1], 1, sw.l, sw.r)
+		s.Flux(s.Gas, sw.l, sw.r, fy)
+		for f := range fy {
+			fy[f] = swapFlux(fy[f])
+		}
+		for jj := 0; jj < ny; jj++ {
+			j := b.Lo[1] + jj
+			for k := 0; k < NumComp; k++ {
+				out.Add(k, i, j, -(fy[jj+1][k]-fy[jj][k])*invDy)
+			}
+		}
+	}
+	sweepPool.Put(sw)
 }
 
 // StableDt returns the CFL-limited time step for one patch.

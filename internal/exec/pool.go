@@ -84,11 +84,30 @@ const chunkBits = 16
 // claim can only be won while its epoch is the live one.
 type epochJob struct {
 	n  int
-	fn func(w, lo, hi int)
+	fn body
 	// tr, when non-nil, records one span per executed chunk on worker
 	// track 1+w (captured at publish so mid-epoch SetTracer calls
 	// cannot tear an epoch's events).
 	tr *obs.Tracer
+}
+
+// body is one loop body: a chunk function or, for ForEach, a
+// per-item function the pool calls over the chunk's range itself, so
+// ForEach needs no wrapper closure.
+type body struct {
+	chunk func(w, lo, hi int)
+	item  func(w, i int)
+}
+
+// run executes the body over [lo, hi) under worker slot w.
+func (b body) run(w, lo, hi int) {
+	if b.item == nil {
+		b.chunk(w, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		b.item(w, i)
+	}
 }
 
 // chunkBounds returns the half-open item range [lo, hi) of chunk c when
@@ -271,12 +290,12 @@ func (p *Pool) runChunk(c, chunks int) {
 	if p.job.tr != nil {
 		defer p.job.tr.SpanTid(1+c, "exec", "chunk")()
 	}
-	p.job.fn(c, lo, hi)
+	p.job.fn.run(c, lo, hi)
 }
 
 // runChunkInline executes one chunk outside the epoch machinery (the
 // nested/contended fallback), capturing a panic as *PanicError.
-func runChunkInline(n, chunks, c int, fn func(w, lo, hi int), tr *obs.Tracer) (pe *PanicError) {
+func runChunkInline(n, chunks, c int, fn body, tr *obs.Tracer) (pe *PanicError) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 1<<14)
@@ -288,14 +307,14 @@ func runChunkInline(n, chunks, c int, fn func(w, lo, hi int), tr *obs.Tracer) (p
 	if tr != nil {
 		defer tr.SpanTid(1+c, "exec", "chunk")()
 	}
-	fn(c, lo, hi)
+	fn.run(c, lo, hi)
 	return nil
 }
 
 // runInline runs all chunks on the calling goroutine with the same
 // chunk→slot mapping as an epoch. Like a drained epoch, every chunk
 // runs even after one panics; the first panic is re-raised.
-func runInline(n, chunks int, fn func(w, lo, hi int), tr *obs.Tracer) {
+func runInline(n, chunks int, fn body, tr *obs.Tracer) {
 	var first *PanicError
 	for c := 0; c < chunks; c++ {
 		if pe := runChunkInline(n, chunks, c, fn, tr); pe != nil && first == nil {
@@ -318,6 +337,31 @@ func runInline(n, chunks int, fn func(w, lo, hi int), tr *obs.Tracer) {
 // hands the loop to the persistent workers, one atomic counter joins
 // it.
 func (p *Pool) ForEachChunk(n int, fn func(w, lo, hi int)) {
+	p.run(n, body{chunk: fn})
+}
+
+// ForEach calls fn(w, i) for every i in [0, n), in parallel across at
+// most Width workers. Item i always runs under the same worker slot w
+// for a given n (chunked contiguously), so per-worker scratch does not
+// perturb results. Blocks until done; worker panics re-raise here.
+func (p *Pool) ForEach(n int, fn func(w, i int)) {
+	p.run(n, body{item: fn})
+}
+
+// RunsInline reports whether a ForEachChunk over n items issued now
+// would run on the calling goroutine: the pool is width 1, n is at most
+// 1, or an epoch is already in flight (a call nested inside a work item,
+// or racing another caller). Kernels use it to call their loop body
+// directly instead of building a closure the pool would only call
+// inline. The answer can go stale under a concurrent caller; either
+// path computes the same results, so a stale answer costs only the
+// choice of path.
+func (p *Pool) RunsInline(n int) bool {
+	return p.width == 1 || n <= 1 || p.busy.Load()
+}
+
+// run is the one dispatch behind ForEachChunk and ForEach.
+func (p *Pool) run(n int, fn body) {
 	if n <= 0 {
 		return
 	}
@@ -327,7 +371,7 @@ func (p *Pool) ForEachChunk(n int, fn func(w, lo, hi int)) {
 	}
 	if chunks == 1 {
 		// Serial fast path: same (w, lo, hi) mapping, no machinery.
-		fn(0, 0, n)
+		fn.run(0, 0, n)
 		return
 	}
 	tr := p.tr.Load()
@@ -387,7 +431,7 @@ func (p *Pool) ForEachChunk(n int, fn func(w, lo, hi int)) {
 			hist.ObserveNs(time.Since(t0).Nanoseconds())
 		}
 	}
-	p.job.fn = nil // release the closure; owners have all finished
+	p.job.fn = body{} // release the closure; owners have all finished
 	p.job.tr = nil
 	pe := p.pe.Load()
 	p.busy.Store(false)
@@ -397,18 +441,6 @@ func (p *Pool) ForEachChunk(n int, fn func(w, lo, hi int)) {
 	if pe != nil {
 		panic(pe)
 	}
-}
-
-// ForEach calls fn(w, i) for every i in [0, n), in parallel across at
-// most Width workers. Item i always runs under the same worker slot w
-// for a given n (chunked contiguously), so per-worker scratch does not
-// perturb results. Blocks until done; worker panics re-raise here.
-func (p *Pool) ForEach(n int, fn func(w, i int)) {
-	p.ForEachChunk(n, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(w, i)
-		}
-	})
 }
 
 var (

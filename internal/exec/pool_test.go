@@ -436,6 +436,39 @@ func TestEpochHandoffZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestForEachZeroAlloc extends the gate to ForEach: the pool calls the
+// per-item body over each chunk itself, so a warm ForEach with a
+// prebuilt body allocates nothing, inline (width 1) or in an epoch.
+func TestForEachZeroAlloc(t *testing.T) {
+	var cells [256]float64
+	fn := func(_, i int) { cells[i] += float64(i) }
+	for _, width := range []int{1, 4} {
+		p := NewPool(width)
+		p.ForEach(len(cells), fn) // warm up: spawn workers
+		if allocs := testing.AllocsPerRun(200, func() { p.ForEach(len(cells), fn) }); allocs != 0 {
+			t.Errorf("width %d: ForEach allocates %.1f objects/op, want 0", width, allocs)
+		}
+	}
+}
+
+// TestRunsInline: a loop runs inline on a width-1 pool, for at most one
+// item, and inside a running epoch; an idle wider pool fans out.
+func TestRunsInline(t *testing.T) {
+	if !NewPool(1).RunsInline(100) {
+		t.Error("width-1 pool reports it would fan out")
+	}
+	p := NewPool(2)
+	if p.RunsInline(100) || !p.RunsInline(1) {
+		t.Errorf("idle width-2 pool: RunsInline(100) = %v, RunsInline(1) = %v; want false, true",
+			p.RunsInline(100), p.RunsInline(1))
+	}
+	var nested [2]bool
+	p.ForEachChunk(2, func(w, _, _ int) { nested[w] = p.RunsInline(100) })
+	if !nested[0] || !nested[1] {
+		t.Errorf("inside an epoch RunsInline = %v, want true in every chunk", nested)
+	}
+}
+
 // TestEpochHandoffZeroAllocTelemetryAttached repeats the epoch-engine
 // allocation gate with the live telemetry plane in the picture: a hub
 // with this rank's handle attached and a per-step NoteStep in the

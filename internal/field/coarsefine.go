@@ -54,6 +54,18 @@ func (d *DataObject) coarseScratch(lv *amr.Level, box func(*amr.Patch) amr.Box) 
 	return out
 }
 
+// ghostRings returns the ghost ring, fp.Box.Grow(Ghost) minus fp.Box,
+// of every owned fine patch fp of lv, keyed by fine patch ID.
+func (d *DataObject) ghostRings(lv *amr.Level) map[int][]amr.Box {
+	out := make(map[int][]amr.Box)
+	for _, fp := range lv.Patches {
+		if d.owns(fp) {
+			out[fp.ID] = fp.Box.Grow(d.Ghost).Subtract(fp.Box)
+		}
+	}
+	return out
+}
+
 // buildShadowTransfers enumerates coarse-interior → shadow moves.
 func (d *DataObject) buildShadowTransfers(level int) []transfer {
 	coarse := d.h.Level(level - 1)
@@ -93,12 +105,13 @@ func (d *DataObject) buildShadowTransfers(level int) []transfer {
 
 // fillShadows populates coarse-space shadows for every local fine patch
 // on level, through the cached per-(phase, level) schedule — the
-// shadow patches, transfer list, and message plan are built once per
-// regrid and reused by every fill; collective.
-func (d *DataObject) fillShadows(level int) map[int]*PatchData {
+// shadow patches, ghost rings, transfer list, and message plan are
+// built once per regrid and reused by every fill; collective. It
+// returns the schedule, whose scratch holds the shadows.
+func (d *DataObject) fillShadows(level int) *schedule {
 	s := d.scheduleFor(phaseShadow, level)
 	d.start(s, d.local, s.scratch).Finish()
-	return s.scratch
+	return s
 }
 
 // interpolate writes fine values in region (fine index space) from the
@@ -173,7 +186,7 @@ func (d *DataObject) ProlongLevel(level int, kind ProlongKind) {
 	if d.obs != nil {
 		defer d.obs.Span("samr", spanName("prolong", level))()
 	}
-	shadows := d.fillShadows(level)
+	shadows := d.fillShadows(level).scratch
 	for _, fp := range d.h.Level(level).Patches {
 		pd := d.local[fp.ID]
 		if pd == nil {
@@ -186,7 +199,8 @@ func (d *DataObject) ProlongLevel(level int, kind ProlongKind) {
 // FillCoarseFineGhosts fills the ghost cells of fine patches from the
 // coarse level by interpolation. Same-level exchange should run after
 // to overwrite ghosts where a same-level neighbor exists (its data is
-// more accurate). Collective.
+// more accurate). Collective. The ghost rings come from the cached
+// shadow schedule, so a warm fill allocates nothing.
 func (d *DataObject) FillCoarseFineGhosts(level int, kind ProlongKind) {
 	if level <= 0 || level >= d.h.NumLevels() {
 		return
@@ -194,14 +208,14 @@ func (d *DataObject) FillCoarseFineGhosts(level int, kind ProlongKind) {
 	if d.obs != nil {
 		defer d.obs.Span("samr", spanName("cfghosts", level))()
 	}
-	shadows := d.fillShadows(level)
+	s := d.fillShadows(level)
 	for _, fp := range d.h.Level(level).Patches {
 		pd := d.local[fp.ID]
 		if pd == nil {
 			continue
 		}
-		for _, g := range fp.Box.Grow(d.Ghost).Subtract(fp.Box) {
-			interpolate(pd, shadows[fp.ID], g, d.h.Ratio, kind)
+		for _, g := range s.rings[fp.ID] {
+			interpolate(pd, s.scratch[fp.ID], g, d.h.Ratio, kind)
 		}
 	}
 }

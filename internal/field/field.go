@@ -109,24 +109,10 @@ func (pd *PatchData) CopyRegion(src *PatchData, region amr.Box) {
 	}
 }
 
-// pack serializes all components of region into a flat buffer.
-func (pd *PatchData) pack(region amr.Box) []float64 {
-	r := region.Intersect(pd.gbox)
-	nx, ny := r.Size()
-	buf := make([]float64, 0, pd.NComp*nx*ny)
-	for c := 0; c < pd.NComp; c++ {
-		for j := r.Lo[1]; j <= r.Hi[1]; j++ {
-			row := pd.Comp(c)[pd.Offset(r.Lo[0], j) : pd.Offset(r.Hi[0], j)+1]
-			buf = append(buf, row...)
-		}
-	}
-	return buf
-}
-
-// packAppend serializes all components of region onto buf. Unlike pack
-// it refuses out-of-storage regions instead of clipping: coalesced
-// messages require sender and receiver to agree on exact sizes computed
-// from replicated metadata.
+// packAppend serializes all components of region onto buf. It refuses
+// out-of-storage regions instead of clipping: coalesced messages
+// require sender and receiver to agree on exact sizes computed from
+// replicated metadata.
 func (pd *PatchData) packAppend(region amr.Box, buf []float64) []float64 {
 	if !pd.gbox.ContainsBox(region) {
 		panic(fmt.Sprintf("field: pack region %v outside storage %v", region, pd.gbox))
@@ -140,7 +126,8 @@ func (pd *PatchData) packAppend(region amr.Box, buf []float64) []float64 {
 	return buf
 }
 
-// unpack deserializes a buffer produced by pack over the same region.
+// unpack deserializes a buffer produced by packAppend over the same
+// region.
 func (pd *PatchData) unpack(region amr.Box, buf []float64) {
 	r := region.Intersect(pd.gbox)
 	nx, ny := r.Size()
@@ -179,6 +166,11 @@ type DataObject struct {
 	// phase.
 	sched  map[schedKey]*schedule
 	builds [phaseRemap + 1]int
+
+	// patches caches LocalPatches per level, valid while the level
+	// object and hierarchy generation are unchanged (the schedule
+	// cache's rule).
+	patches map[int]localPatches
 
 	// obs, when non-nil, receives spans for the object's exchange and
 	// transfer phases. Every hot path guards on the pointer, so a nil
@@ -230,14 +222,32 @@ func (d *DataObject) Hierarchy() *amr.Hierarchy { return d.h }
 // Local returns the owned PatchData for a patch ID, or nil.
 func (d *DataObject) Local(id int) *PatchData { return d.local[id] }
 
+// localPatches is one level's cached LocalPatches list.
+type localPatches struct {
+	lv   *amr.Level
+	gen  int
+	list []*PatchData
+}
+
 // LocalPatches returns owned patch data on a level, in patch order.
+// The list is built once per hierarchy generation and shared by every
+// caller until the next regrid, so callers must not modify it; a regrid
+// builds a fresh list and leaves lists already handed out intact.
 func (d *DataObject) LocalPatches(level int) []*PatchData {
+	lv, gen := d.h.Level(level), d.h.Generation()
+	if c, ok := d.patches[level]; ok && c.lv == lv && c.gen == gen {
+		return c.list
+	}
 	var out []*PatchData
-	for _, p := range d.h.Level(level).Patches {
+	for _, p := range lv.Patches {
 		if pd := d.local[p.ID]; pd != nil {
 			out = append(out, pd)
 		}
 	}
+	if d.patches == nil {
+		d.patches = make(map[int]localPatches)
+	}
+	d.patches[level] = localPatches{lv: lv, gen: gen, list: out}
 	return out
 }
 

@@ -52,7 +52,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		}
 	}
 	region := amr.NewBox(3, 4, 7, 8)
-	buf := src.pack(region)
+	buf := src.packAppend(region, nil)
 	dst := NewPatchData(p, 2, 1)
 	dst.unpack(region, buf)
 	for c := 0; c < 2; c++ {

@@ -111,6 +111,11 @@ type schedule struct {
 	// writes them.
 	scratch map[int]*PatchData
 
+	// rings lists, for the shadow phase, each owned fine patch's ghost
+	// ring (its grown box minus its interior) by patch ID: the regions
+	// FillCoarseFineGhosts interpolates, fixed for the schedule's life.
+	rings map[int][]amr.Box
+
 	// recvOf[i] is the plan.recvs index of the coalesced message
 	// carrying transfer i (-1 if not received here); viewOff[i] its
 	// word offset inside that buffer.
@@ -208,6 +213,7 @@ func (d *DataObject) scheduleFor(ph phase, level int) *schedule {
 	case phaseShadow:
 		s = d.newSchedule(ph, level, d.buildShadowTransfers(level))
 		s.scratch = d.coarseScratch(lv, d.shadowBox)
+		s.rings = d.ghostRings(lv)
 	case phaseRestrict:
 		s = d.newSchedule(ph, level, d.buildRestrictTransfers(level))
 		s.scratch = d.coarseScratch(lv, func(fp *amr.Patch) amr.Box { return fp.Box.Coarsen(d.h.Ratio) })

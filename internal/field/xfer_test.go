@@ -79,6 +79,22 @@ func TestXferScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	}
 }
 
+// TestFillCoarseFineGhostsSteadyStateZeroAlloc: the fine patches'
+// ghost rings live on the cached shadow schedule beside its transfers,
+// so a warm coarse–fine fill allocates nothing, and the local patch
+// list it shares with every level loop is cached the same way.
+func TestFillCoarseFineGhostsSteadyStateZeroAlloc(t *testing.T) {
+	_, d := twoLevel(t)
+	d.FillCoarseFineGhosts(1, ProlongLinear)
+	if avg := testing.AllocsPerRun(10, func() { d.FillCoarseFineGhosts(1, ProlongLinear) }); avg > 0 {
+		t.Errorf("warm coarse-fine fill allocates %.1f objects per call, want 0", avg)
+	}
+	d.LocalPatches(1)
+	if avg := testing.AllocsPerRun(10, func() { d.LocalPatches(1) }); avg > 0 {
+		t.Errorf("warm LocalPatches allocates %.1f objects per call, want 0", avg)
+	}
+}
+
 // TestRestrictLevelSteadyStateZeroAlloc extends the persistent-
 // communication contract to restriction: once the restrict schedule,
 // its coarse-space temporaries and its buffers are warm, a restriction

@@ -58,6 +58,14 @@
 # strings.Split and other code would match.
 # After the test suite the three remaining examples (instrumented,
 # quickstart, checkpoint) each run once, so none rots unbuilt. The
+# allocation gates then re-run, uncached (-count=1), every steady-state
+# allocation test of the hot loops: the epoch handoff and ForEach
+# (TestEpochHandoffZeroAlloc, TestForEachZeroAlloc), a warm CVODE
+# solver (TestWarmSolverAllocFree), RHSRegion at width 1 and nested
+# inside an epoch (TestRHSRegionPathsBitIdentical), a warm coarse–fine
+# ghost fill (TestFillCoarseFineGhostsSteadyStateZeroAlloc) and a warm
+# shock step — AdvanceLevel on every level plus the composite
+# circulation, 0 allocations at width 1 (TestWarmShockStepAllocs). The
 # scenario gate parse-validates every file in scenarios/ against the component
 # specs (each class's declared ports and parameters), replays the hand-built fuzz corpus through the parser (the
 # seeds run even without a fuzzing budget), and holds the golden claim:
@@ -123,6 +131,10 @@ echo "== example smoke (instrumented call table, quickstart wiring, checkpoint r
 go run ./examples/instrumented >/dev/null
 go run ./examples/quickstart >/dev/null
 go run ./examples/checkpoint >/dev/null
+
+echo "== allocation gates (epoch handoff, ForEach, warm CVODE, RHSRegion, coarse-fine fill, warm shock step)"
+go test -count=1 -run 'TestEpochHandoffZeroAlloc|TestForEachZeroAlloc|TestWarmSolverAllocFree|TestRHSRegionPathsBitIdentical|TestFillCoarseFineGhostsSteadyStateZeroAlloc|TestWarmShockStepAllocs' \
+	./internal/exec/ ./internal/cvode/ ./internal/euler/ ./internal/field/ ./internal/components/
 
 echo "== go test -race (epoch engine + drivers + message substrate + observability + checkpoint + transport + euler + cvode)"
 go test -race ./internal/exec/... ./internal/components/... ./internal/core/... \
