@@ -229,7 +229,7 @@ func BenchmarkAMRRegrid(b *testing.B) {
 			ff.Set(j, j)
 			ff.Set(j+1, j)
 		}
-		h.Regrid([]*amr.FlagField{ff}, amr.DefaultRegridOptions)
+		h = h.Regrid([]*amr.FlagField{ff}, amr.DefaultRegridOptions)
 		if h.NumLevels() < 2 {
 			b.Fatal("no refinement")
 		}

@@ -5,20 +5,18 @@ import (
 	"strings"
 )
 
-// Patch is one rectangular grid block on a level of the hierarchy. The
-// patch metadata (box, owner, family links) is replicated on all ranks,
-// as GrACE replicates its directory; only patch *data* is distributed.
+// Patch is one rectangular grid block on a level of the hierarchy: an
+// immutable (ID, level, box, owner) value, never changed after it is
+// made. The patch metadata is replicated on all ranks, as GrACE
+// replicates its directory; only patch *data* is distributed. The ID
+// alone names a patch for the whole run: Regrid's numbering rule never
+// gives one ID two boxes.
 type Patch struct {
 	ID    int
 	Level int
 	Box   Box
 	// Owner is the rank holding this patch's data.
 	Owner int
-	// Parents lists the IDs of coarser-level patches this patch
-	// overlaps (after coarsening); empty on level 0.
-	Parents []int
-	// Children lists finer-level patches overlapping this one.
-	Children []int
 }
 
 // Level collects the patches of one refinement depth.
@@ -61,7 +59,8 @@ type Hierarchy struct {
 
 	levels []*Level
 	nextID int
-	// Regrids counts hierarchy rebuilds (diagnostics).
+	// Regrids counts the regrids behind this hierarchy; it is the
+	// Generation.
 	Regrids int
 }
 
@@ -186,17 +185,22 @@ var DefaultRegridOptions = RegridOptions{
 	MaxPatchCells: 4096,
 }
 
-// Regrid rebuilds levels 1..MaxLevels-1 from per-level flag fields.
-// flags[l] holds refinement flags in level l's index space; missing or
-// nil entries mean "no flags on that level". Proceeding from the finest
-// allowed level downward, each level's flags are augmented with the
-// coarsened boxes of the level two finer (proper nesting), clustered,
-// refined, split and balanced. Level 0 is never rebuilt.
-func (h *Hierarchy) Regrid(flags []*FlagField, opt RegridOptions) {
+// Regrid returns the successor of h built from per-level flag fields,
+// and leaves h as it was, so data can still be read on the old
+// geometry. flags[l] holds refinement flags in level l's index space;
+// missing or nil entries mean "no flags on that level". Proceeding from
+// the finest allowed level downward, each level's flags are augmented
+// with the coarsened boxes of the level two finer (proper nesting),
+// clustered, refined, split and balanced.
+//
+// One numbering rule names every patch. The successor keeps level 0. A
+// refined patch whose (level, box) is in h keeps its ID, and its *Patch
+// too unless the balancer gives it a new owner; every other patch takes
+// the next ID from the one counter, so no ID is reused within a run.
+func (h *Hierarchy) Regrid(flags []*FlagField, opt RegridOptions) *Hierarchy {
 	if opt.Cluster.Efficiency == 0 {
 		opt.Cluster = DefaultClusterOptions
 	}
-	h.Regrids++
 	maxNew := h.MaxLevels - 1 // deepest level index we may build
 	// newBoxes[l] holds boxes for rebuilt level l (level-l index space).
 	newBoxes := make([][]Box, h.MaxLevels)
@@ -248,7 +252,9 @@ func (h *Hierarchy) Regrid(flags []*FlagField, opt RegridOptions) {
 	if work == nil {
 		work = UniformWorkload
 	}
-	rebuilt := []*Level{h.levels[0]}
+	next := *h
+	next.Regrids++
+	next.levels = []*Level{h.levels[0]}
 	for l := 1; l <= maxNew; l++ {
 		boxes := newBoxes[l]
 		if len(boxes) == 0 {
@@ -257,36 +263,31 @@ func (h *Hierarchy) Regrid(flags []*FlagField, opt RegridOptions) {
 		owners := h.Balancer.Assign(boxes, l, h.NumRanks, work)
 		lv := &Level{Index: l, Domain: h.levelDomain(l)}
 		for i, b := range boxes {
-			lv.Patches = append(lv.Patches, &Patch{
-				ID: h.takeID(), Level: l, Box: b, Owner: owners[i],
-			})
+			p := h.survivor(l, b)
+			switch {
+			case p == nil:
+				p = &Patch{ID: next.takeID(), Level: l, Box: b, Owner: owners[i]}
+			case p.Owner != owners[i]:
+				p = &Patch{ID: p.ID, Level: l, Box: b, Owner: owners[i]}
+			}
+			lv.Patches = append(lv.Patches, p)
 		}
-		rebuilt = append(rebuilt, lv)
+		next.levels = append(next.levels, lv)
 	}
-	h.levels = rebuilt
-	h.linkFamilies()
+	return &next
 }
 
-// linkFamilies recomputes Parents/Children across adjacent levels.
-func (h *Hierarchy) linkFamilies() {
-	for _, lv := range h.levels {
-		for _, p := range lv.Patches {
-			p.Parents = p.Parents[:0]
-			p.Children = p.Children[:0]
+// survivor returns h's patch with box b on refined level l, or nil.
+func (h *Hierarchy) survivor(l int, b Box) *Patch {
+	if l >= len(h.levels) {
+		return nil
+	}
+	for _, p := range h.levels[l].Patches {
+		if p.Box == b {
+			return p
 		}
 	}
-	for l := 1; l < len(h.levels); l++ {
-		coarse := h.levels[l-1]
-		for _, fp := range h.levels[l].Patches {
-			foot := fp.Box.Coarsen(h.Ratio)
-			for _, cp := range coarse.Patches {
-				if cp.Box.Intersects(foot) {
-					fp.Parents = append(fp.Parents, cp.ID)
-					cp.Children = append(cp.Children, fp.ID)
-				}
-			}
-		}
-	}
+	return nil
 }
 
 // levelDomain is the problem domain in level l's index space.

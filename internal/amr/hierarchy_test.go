@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,7 +37,7 @@ func TestRegridCreatesNestedLevels(t *testing.T) {
 	f0.SetBox(NewBox(40, 40, 59, 59))
 	f1 := NewFlagField(h.LevelDomain(1))
 	f1.SetBox(NewBox(90, 90, 109, 109))
-	h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
+	h = h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
 
 	if h.NumLevels() != 3 {
 		t.Fatalf("levels = %d, want 3", h.NumLevels())
@@ -78,7 +79,7 @@ func TestRegridProperNesting(t *testing.T) {
 	f1.SetBox(NewBox(70, 70, 89, 89))
 	f2 := NewFlagField(h.LevelDomain(2))
 	f2.SetBox(NewBox(150, 150, 169, 169))
-	h.Regrid([]*FlagField{f0, f1, f2}, DefaultRegridOptions)
+	h = h.Regrid([]*FlagField{f0, f1, f2}, DefaultRegridOptions)
 
 	// Every patch on level l>=1 must be contained in the union of
 	// level l-1 patch footprints (coarsened check).
@@ -101,37 +102,109 @@ func TestRegridProperNesting(t *testing.T) {
 	}
 }
 
-func TestRegridFamilies(t *testing.T) {
-	h := NewHierarchy(NewBox(0, 0, 63, 63), 2, 2, 2)
+// identityFlags flags a blob on level 0 and, when fine is set, a box
+// on level 1 at the given offset, so level 2 appears beside level 1.
+func identityFlags(h *Hierarchy, fine bool, off int) []*FlagField {
 	f0 := NewFlagField(h.LevelDomain(0))
-	f0.SetBox(NewBox(10, 10, 19, 19))
-	h.Regrid([]*FlagField{f0}, DefaultRegridOptions)
-	if h.NumLevels() != 2 {
-		t.Fatalf("levels = %d", h.NumLevels())
+	f0.SetBox(NewBox(40, 40, 59, 59))
+	if !fine {
+		return []*FlagField{f0}
 	}
-	coarse := map[int]*Patch{}
-	for _, p := range h.Level(0).Patches {
-		coarse[p.ID] = p
-	}
-	for _, fp := range h.Level(1).Patches {
-		if len(fp.Parents) == 0 {
-			t.Errorf("fine patch %v has no parents", fp.Box)
+	f1 := NewFlagField(h.LevelDomain(1))
+	f1.SetBox(NewBox(90+off, 90+off, 109+off, 109+off))
+	return []*FlagField{f0, f1}
+}
+
+// patchSet lists every patch of h by ID.
+func patchSet(h *Hierarchy) map[int]*Patch {
+	out := map[int]*Patch{}
+	for l := 0; l < h.NumLevels(); l++ {
+		for _, p := range h.Level(l).Patches {
+			out[p.ID] = p
 		}
-		for _, pid := range fp.Parents {
-			par, ok := coarse[pid]
-			if !ok {
-				t.Errorf("bad parent id %d", pid)
+	}
+	return out
+}
+
+func TestRegridSameFlagsKeepsPatches(t *testing.T) {
+	h1 := NewHierarchy(NewBox(0, 0, 99, 99), 2, 3, 2)
+	h2 := h1.Regrid(identityFlags(h1, true, 0), DefaultRegridOptions)
+	h3 := h2.Regrid(identityFlags(h2, true, 0), DefaultRegridOptions)
+	if h3.NumLevels() != 3 {
+		t.Fatalf("levels = %d, want 3", h3.NumLevels())
+	}
+	for l := 0; l < h2.NumLevels(); l++ {
+		a, b := h2.Level(l).Patches, h3.Level(l).Patches
+		if len(a) != len(b) {
+			t.Fatalf("level %d: %d patches, then %d", l, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("level %d patch %d: %+v became a new value %+v", l, i, *a[i], *b[i])
+			}
+		}
+	}
+	if h3.Snapshot().NextID != h2.Snapshot().NextID {
+		t.Errorf("same flags took IDs: next %d, then %d", h2.Snapshot().NextID, h3.Snapshot().NextID)
+	}
+}
+
+func TestRegridChangedBoxTakesFreshID(t *testing.T) {
+	h := NewHierarchy(NewBox(0, 0, 99, 99), 2, 3, 2)
+	seen := patchSet(h)
+	// Level 1 stays put while level 2 moves each time: the survivors
+	// keep their IDs and every moved box takes one never seen before.
+	for off := 0; off <= 4; off += 2 {
+		prev := h
+		h = h.Regrid(identityFlags(h, true, off), DefaultRegridOptions)
+		if err := h.CheckProperNesting(); err != nil {
+			t.Fatal(err)
+		}
+		old := patchSet(prev)
+		fresh := 0
+		for id, p := range patchSet(h) {
+			if q, ok := old[id]; ok {
+				if q.Level != p.Level || q.Box != p.Box {
+					t.Errorf("offset %d: ID %d named %v, now %v", off, id, q.Box, p.Box)
+				}
 				continue
 			}
-			found := false
-			for _, cid := range par.Children {
-				if cid == fp.ID {
-					found = true
-				}
+			if seen[id] != nil {
+				t.Errorf("offset %d: ID %d reused for %v", off, id, p.Box)
 			}
-			if !found {
-				t.Errorf("parent %d does not list child %d", pid, fp.ID)
-			}
+			seen[id] = p
+			fresh++
+		}
+		if off > 0 && fresh == 0 {
+			t.Errorf("offset %d: moved level 2 took no fresh ID", off)
+		}
+		if off > 0 && len(h.Level(1).Patches) > 0 && h.Level(1).Patches[0] != prev.Level(1).Patches[0] {
+			t.Errorf("offset %d: unchanged level 1 did not survive", off)
+		}
+	}
+}
+
+func TestRegridLeavesReceiver(t *testing.T) {
+	h := NewHierarchy(NewBox(0, 0, 99, 99), 2, 3, 2)
+	h = h.Regrid(identityFlags(h, true, 0), DefaultRegridOptions)
+	before := h.Snapshot()
+	levels := make([]*Level, h.NumLevels())
+	for l := range levels {
+		levels[l] = h.Level(l)
+	}
+	next := h.Regrid(identityFlags(h, false, 0), DefaultRegridOptions)
+	if next.NumLevels() != 2 || next.Regrids != h.Regrids+1 {
+		t.Fatalf("successor: %d levels, %d regrids", next.NumLevels(), next.Regrids)
+	}
+	if next.Level(0) != h.Level(0) {
+		t.Error("successor did not keep level 0")
+	}
+	if after := h.Snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("receiver changed:\n%+v\n%+v", before, after)
+	}
+	for l := range levels {
+		if h.Level(l) != levels[l] {
+			t.Errorf("receiver level %d replaced", l)
 		}
 	}
 }
@@ -140,12 +213,12 @@ func TestRegridNoFlagsDropsFineLevels(t *testing.T) {
 	h := NewHierarchy(NewBox(0, 0, 63, 63), 2, 3, 1)
 	f0 := NewFlagField(h.LevelDomain(0))
 	f0.SetBox(NewBox(10, 10, 19, 19))
-	h.Regrid([]*FlagField{f0}, DefaultRegridOptions)
+	h = h.Regrid([]*FlagField{f0}, DefaultRegridOptions)
 	if h.NumLevels() != 2 {
 		t.Fatalf("levels = %d", h.NumLevels())
 	}
 	// Regrid with no flags: back to a single level.
-	h.Regrid(nil, DefaultRegridOptions)
+	h = h.Regrid(nil, DefaultRegridOptions)
 	if h.NumLevels() != 1 {
 		t.Errorf("levels after empty regrid = %d", h.NumLevels())
 	}
@@ -160,7 +233,7 @@ func TestRegridRespectsMaxLevels(t *testing.T) {
 	f0.SetBox(NewBox(0, 0, 63, 63))
 	f1 := NewFlagField(h.LevelDomain(1))
 	f1.SetBox(h.LevelDomain(1))
-	h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
+	h = h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
 	if h.NumLevels() > 2 {
 		t.Errorf("levels = %d exceeds MaxLevels=2", h.NumLevels())
 	}
@@ -214,7 +287,7 @@ func TestCensusAndString(t *testing.T) {
 	h := NewHierarchy(NewBox(0, 0, 99, 99), 2, 2, 2)
 	f0 := NewFlagField(h.LevelDomain(0))
 	f0.SetBox(NewBox(0, 0, 9, 9))
-	h.Regrid([]*FlagField{f0}, DefaultRegridOptions)
+	h = h.Regrid([]*FlagField{f0}, DefaultRegridOptions)
 	cs := h.CensusReport()
 	if len(cs) != 2 || cs[0].Cells != 10000 {
 		t.Errorf("census = %+v", cs)
@@ -356,7 +429,7 @@ func TestCheckProperNesting(t *testing.T) {
 	f0.SetBox(NewBox(10, 10, 29, 29))
 	f1 := NewFlagField(h.LevelDomain(1))
 	f1.SetBox(NewBox(30, 30, 49, 49))
-	h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
+	h = h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
 	if err := h.CheckProperNesting(); err != nil {
 		t.Fatalf("regridded hierarchy invalid: %v", err)
 	}

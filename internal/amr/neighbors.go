@@ -2,10 +2,10 @@ package amr
 
 import "sort"
 
-// Generation identifies the current shape of the hierarchy: it changes
-// exactly when Regrid rebuilds the levels. Communication schedules in
-// package field are cached per (level, generation) and rebuilt only
-// when this value moves.
+// Generation identifies the shape of the hierarchy: the successor
+// Regrid returns counts one more than its receiver. Telemetry stamps
+// it on every event, so a run's timeline shows where each regrid
+// landed.
 func (h *Hierarchy) Generation() int { return h.Regrids }
 
 // Neighbors returns, for each patch on the level (by slice position),

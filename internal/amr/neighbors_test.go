@@ -74,8 +74,11 @@ func TestGenerationBumpsOnRegrid(t *testing.T) {
 	g0 := h.Generation()
 	ff := NewFlagField(h.LevelDomain(0))
 	ff.SetBox(NewBox(8, 8, 15, 15))
-	h.Regrid([]*FlagField{ff}, DefaultRegridOptions)
-	if h.Generation() == g0 {
+	next := h.Regrid([]*FlagField{ff}, DefaultRegridOptions)
+	if next.Generation() == g0 {
 		t.Error("Generation did not change across Regrid")
+	}
+	if h.Generation() != g0 {
+		t.Error("Regrid moved its receiver's Generation")
 	}
 }

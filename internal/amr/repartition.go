@@ -17,14 +17,16 @@ import "fmt"
 //     generally differ from the snapshot's, so the caller must copy
 //     level-0 field data by region, not by patch identity.
 //
-// Patch IDs follow a native run's numbering: level 0 takes 0..n0-1 as
-// NewHierarchy does, and every saved refined ID, like NextID, moves by
-// the change in level-0 patch count. A native run's refined IDs are the
-// level-0 count plus however many IDs its regrids took, so the shift
-// lands on them after any number of regrids, and at an unchanged rank
-// count it reproduces the saved IDs. IDs never enter the numerics, only
-// identity matching, and every rank computing Repartition from the same
-// replicated snapshot lands on the same IDs.
+// Patch IDs follow a native run's numbering, by one rule: the level-0
+// count depends on P, while refined boxes, and with them which patches
+// survive a regrid and which take the next ID, do not. So a native
+// run's refined IDs at P_new are the saved ones moved by the change in
+// level-0 patch count: level 0 takes 0..n0-1 as NewHierarchy does, and
+// every saved refined ID, like NextID, moves by that shift, after any
+// number of regrids. At an unchanged rank count the shift is zero. IDs
+// never enter the numerics, only identity matching, and every rank
+// computing Repartition from the same replicated snapshot lands on the
+// same IDs.
 
 // Repartition rebuilds a snapshotted hierarchy for a different rank
 // count. balancer defaults to GreedyBalancer and work to
@@ -68,6 +70,5 @@ func Repartition(s Snapshot, numRanks int, balancer LoadBalancer, work Workload)
 		}
 		h.levels = append(h.levels, lv)
 	}
-	h.linkFamilies()
 	return h, nil
 }

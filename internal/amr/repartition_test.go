@@ -6,17 +6,17 @@ import (
 )
 
 // regriddedHierarchy builds a 3-level hierarchy under numRanks ranks,
-// regridding it the given number of times on the same flags. Every
-// regrid takes fresh patch IDs, so a second one moves the refined IDs
-// and NextID away from those of the first.
+// regridding it the given number of times. Each regrid moves the
+// level-1 flags, so a second one keeps the level-1 patches and their
+// IDs but gives level 2 fresh IDs, moving NextID away from the first's.
 func regriddedHierarchy(numRanks, regrids int) *Hierarchy {
 	h := NewHierarchy(NewBox(0, 0, 99, 99), 2, 3, numRanks)
-	f0 := NewFlagField(h.LevelDomain(0))
-	f0.SetBox(NewBox(40, 40, 59, 59))
-	f1 := NewFlagField(h.LevelDomain(1))
-	f1.SetBox(NewBox(90, 90, 109, 109))
-	for range regrids {
-		h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
+	for k := range regrids {
+		f0 := NewFlagField(h.LevelDomain(0))
+		f0.SetBox(NewBox(40, 40, 59, 59))
+		f1 := NewFlagField(h.LevelDomain(1))
+		f1.SetBox(NewBox(90+4*k, 90+4*k, 109+4*k, 109+4*k))
+		h = h.Regrid([]*FlagField{f0, f1}, DefaultRegridOptions)
 	}
 	return h
 }

@@ -46,8 +46,8 @@ func (h *Hierarchy) Snapshot() Snapshot {
 	return s
 }
 
-// FromSnapshot reconstructs a hierarchy (including patch IDs and
-// family links) from a snapshot.
+// FromSnapshot reconstructs a hierarchy, patch IDs included, from a
+// snapshot.
 func FromSnapshot(s Snapshot) (*Hierarchy, error) {
 	if s.Ratio < 2 || s.MaxLevels < 1 || s.NumRanks < 1 {
 		return nil, fmt.Errorf("amr: invalid snapshot header (ratio=%d maxLevels=%d ranks=%d)",
@@ -125,6 +125,5 @@ func FromSnapshot(s Snapshot) (*Hierarchy, error) {
 			return nil, fmt.Errorf("amr: snapshot level %d has no patches", l)
 		}
 	}
-	h.linkFamilies()
 	return h, nil
 }

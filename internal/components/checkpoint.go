@@ -28,11 +28,13 @@ import (
 // against fully landed checkpoints.
 //
 // Incremental saves: each rank fingerprints every local patch's raw
-// bytes (all registered fields, FNV-1a 64). A patch is dirty when its
-// fingerprint changed since the last checkpoint; a delta shard stores
-// only dirty patches and names its parent checkpoint. The full-vs-delta
-// decision is communication-free and identical on every rank: it reads
-// only the replicated hierarchy (any layout change forces a full) and
+// bytes (all registered fields, FNV-1a 64), keyed by patch ID, which
+// names one (level, box) for the whole run. A patch is dirty when it is
+// new to this rank or its fingerprint changed since the last
+// checkpoint; a delta shard stores only dirty patches and names its
+// parent checkpoint, so a delta may span a regrid: the patches that
+// survive it stay clean. The full-vs-delta decision is
+// communication-free and identical on every rank: it reads only
 // replicated counters. Restore materializes the chain base-to-target.
 //
 // Restore path: the manifest's whole delta chain is validated first
@@ -57,22 +59,14 @@ type CheckpointComponent struct {
 	writer      *ckpt.Writer
 	preempt     *ckpt.Gate
 
-	// Incremental-save state. lastStep/lastHier are replicated across
-	// ranks (driven by replicated inputs); lastID is only maintained
-	// where manifests are written (rank 0).
+	// Incremental-save state. lastStep is replicated across ranks
+	// (driven by replicated inputs); lastID is only maintained where
+	// manifests are written (rank 0). prints maps patch ID to
+	// fingerprint.
 	lastStep        int
 	lastID          string
-	lastHier        uint64
 	deltasSinceFull int
-	prints          map[patchKey]uint64
-}
-
-// patchKey identifies a patch for dirty tracking. A regrid may give an
-// ID a different box (GrACEComponent renumbers each rebuilt hierarchy
-// from zero), so the geometry is part of the identity.
-type patchKey struct {
-	id, level int
-	box       amr.Box
+	prints          map[int]uint64
 }
 
 // checkpointMesh is the mesh surface the component needs: the standard
@@ -140,45 +134,17 @@ func (cc *CheckpointComponent) rankInfo() (rank, size int) {
 	return 0, 1
 }
 
-// hierarchyKey hashes the replicated patch layout (IDs, levels, boxes,
-// owners). Any difference from the previous checkpoint's key forces a
-// full save: delta shards only make sense against an identical layout.
-func hierarchyKey(h *amr.Hierarchy) uint64 {
-	const prime = 1099511628211
-	k := field.FingerprintSeed
-	mix := func(v int) {
-		u := uint64(v)
-		for s := uint(0); s < 64; s += 8 {
-			k ^= (u >> s) & 0xff
-			k *= prime
-		}
-	}
-	s := h.Snapshot()
-	mix(len(s.Patches))
-	for _, p := range s.Patches {
-		mix(p.ID)
-		mix(p.Level)
-		mix(p.Box.Lo[0])
-		mix(p.Box.Lo[1])
-		mix(p.Box.Hi[0])
-		mix(p.Box.Hi[1])
-		mix(p.Owner)
-	}
-	return k
-}
-
 // fingerprints hashes every local patch's raw bytes across all
 // registered fields (in sorted field order, chained per patch).
-func (cc *CheckpointComponent) fingerprints(mesh checkpointMesh) map[patchKey]uint64 {
-	prints := map[patchKey]uint64{}
+func (cc *CheckpointComponent) fingerprints(mesh checkpointMesh) map[int]uint64 {
+	prints := map[int]uint64{}
 	for _, name := range mesh.FieldNames() {
 		mesh.Field(name).ForEachLocal(func(pd *field.PatchData) {
-			k := patchKey{id: pd.Patch.ID, level: pd.Patch.Level, box: pd.Patch.Box}
-			h, ok := prints[k]
+			h, ok := prints[pd.Patch.ID]
 			if !ok {
 				h = field.FingerprintSeed
 			}
-			prints[k] = pd.Fingerprint(h)
+			prints[pd.Patch.ID] = pd.Fingerprint(h)
 		})
 	}
 	return prints
@@ -253,13 +219,12 @@ func (cc *CheckpointComponent) save(meta ckpt.Meta) error {
 
 	// Full or delta? The inputs are replicated, so every rank decides
 	// identically with no communication.
-	hk := hierarchyKey(mesh.Hierarchy())
-	var prints map[patchKey]uint64
+	var prints map[int]uint64
 	if cc.incremental {
 		prints = cc.fingerprints(mesh)
 	}
 	kind := ckpt.ShardFull
-	if cc.incremental && cc.lastStep >= 0 && hk == cc.lastHier && cc.deltasSinceFull < cc.fullEvery {
+	if cc.incremental && cc.lastStep >= 0 && cc.deltasSinceFull < cc.fullEvery {
 		kind = ckpt.ShardDelta
 	}
 
@@ -284,8 +249,7 @@ func (cc *CheckpointComponent) save(meta ckpt.Meta) error {
 		}
 		d.ForEachLocal(func(pd *field.PatchData) {
 			if kind == ckpt.ShardDelta {
-				k := patchKey{id: pd.Patch.ID, level: pd.Patch.Level, box: pd.Patch.Box}
-				if prev, ok := cc.prints[k]; ok && prev == prints[k] {
+				if prev, ok := cc.prints[pd.Patch.ID]; ok && prev == prints[pd.Patch.ID] {
 					return // clean: the parent chain already holds these bytes
 				}
 			}
@@ -355,7 +319,6 @@ func (cc *CheckpointComponent) save(meta ckpt.Meta) error {
 	}
 
 	cc.lastStep = meta.Step
-	cc.lastHier = hk
 	if kind == ckpt.ShardFull {
 		cc.deltasSinceFull = 0
 	} else {
@@ -388,9 +351,12 @@ func (st *fieldState) blob(id int) ([]float64, error) {
 
 // loadChainState reads every rank's shard of every chain link (base
 // first) and materializes field state: base blobs overlaid with each
-// delta's dirty patches. Returns the field states in base field order,
-// the target-link Meta of each writing rank, and the target-link
-// hierarchy snapshot.
+// delta's dirty patches. Every blob must name a patch of its own
+// shard's snapshot; a patch ID names one (level, box) for the whole
+// run, so blobs from links on either side of a regrid never collide,
+// and a delta may hold patches its base never had. Returns the field
+// states in base field order, the target-link Meta of each writing
+// rank, and the target-link hierarchy snapshot.
 func loadChainState(dir string, chain []ckpt.ChainLink) ([]*fieldState, []ckpt.Meta, amr.Snapshot, error) {
 	var (
 		states []*fieldState
@@ -423,6 +389,10 @@ func loadChainState(dir string, chain []ckpt.ChainLink) ([]*fieldState, []ckpt.M
 					snap = shard.Snapshot
 				}
 			}
+			saved := make(map[int]bool, len(shard.Snapshot.Patches))
+			for _, p := range shard.Snapshot.Patches {
+				saved[p.ID] = true
+			}
 			for i := range shard.Fields {
 				fs := &shard.Fields[i]
 				st := byName[fs.Name]
@@ -442,11 +412,9 @@ func loadChainState(dir string, chain []ckpt.ChainLink) ([]*fieldState, []ckpt.M
 					return nil, nil, snap, fmt.Errorf("checkpoint: field %q changes shape along the chain", fs.Name)
 				}
 				for _, p := range fs.Patches {
-					if li > 0 {
-						if _, ok := st.blobs[p.ID]; !ok {
-							return nil, nil, snap, fmt.Errorf("checkpoint: delta step %d patch %d of field %q has no base data",
-								m.Step, p.ID, fs.Name)
-						}
+					if !saved[p.ID] {
+						return nil, nil, snap, fmt.Errorf("checkpoint: %s patch %d of field %q is not a patch of its snapshot",
+							m.Shards[r].File, p.ID, fs.Name)
 					}
 					st.blobs[p.ID] = p.Data
 				}

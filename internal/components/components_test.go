@@ -3,6 +3,7 @@ package components
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ccahydro/internal/amr"
@@ -153,6 +154,33 @@ func TestGrACEDeclareAndSpacing(t *testing.T) {
 	dx1, _ := gc.Spacing(1)
 	if math.Abs(dx1-1e-4) > 1e-12 {
 		t.Errorf("level-1 spacing = %v", dx1)
+	}
+}
+
+// TestGrACERegridNumbersLikeDirectRegrid: the mesh component and a
+// direct amr regrid follow one numbering rule, so the same flags give
+// the same patch IDs — kept by the patches that survive a regrid, fresh
+// for the ones that move.
+func TestGrACERegridNumbersLikeDirectRegrid(t *testing.T) {
+	gc := graceFixture(t, [2]string{"nx", "32"}, [2]string{"ny", "32"}, [2]string{"maxLevels", "3"})
+	gc.Declare("phi", 1, 2)
+	h := amr.NewHierarchy(amr.NewBox(0, 0, 31, 31), 2, 3, 1)
+	for i, off := range []int{0, 0, 2} {
+		f0 := amr.NewFlagField(h.LevelDomain(0))
+		f0.SetBox(amr.NewBox(8, 8, 23, 23))
+		f1 := amr.NewFlagField(h.LevelDomain(1))
+		f1.SetBox(amr.NewBox(24+off, 24+off, 35+off, 35+off))
+		flags := []*amr.FlagField{f0, f1}
+		gc.Regrid(flags, amr.RegridOptions{})
+		h = h.Regrid(flags, amr.DefaultRegridOptions)
+		got, want := gc.Hierarchy().Snapshot(), h.Snapshot()
+		if !reflect.DeepEqual(got.Patches, want.Patches) || got.NextID != want.NextID {
+			t.Fatalf("regrid %d: GrACE patches %v next %d, direct %v next %d",
+				i, got.Patches, got.NextID, want.Patches, want.NextID)
+		}
+	}
+	if h.NumLevels() != 3 || h.Snapshot().NextID <= 3 {
+		t.Fatalf("regrids left %d levels, next ID %d: no fresh IDs exercised", h.NumLevels(), h.Snapshot().NextID)
 	}
 }
 

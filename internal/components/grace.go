@@ -92,9 +92,10 @@ func (gc *GrACEComponent) Field(name string) *field.DataObject {
 	return gc.fields[name]
 }
 
-// Regrid implements MeshPort: rebuild the hierarchy from flags and
-// remap every declared field onto it (prolongation where no old data
-// overlaps). Collective across the cohort.
+// Regrid implements MeshPort: replace the hierarchy with its successor
+// from amr.Hierarchy.Regrid and remap every declared field onto it
+// (prolongation where no old data overlaps). Collective across the
+// cohort.
 func (gc *GrACEComponent) Regrid(flags []*amr.FlagField, opt amr.RegridOptions) {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
@@ -104,15 +105,8 @@ func (gc *GrACEComponent) Regrid(flags []*amr.FlagField, opt amr.RegridOptions) 
 	if opt.Cluster.Efficiency == 0 {
 		opt = gc.regridOpt
 	}
-	// Build the new hierarchy alongside the old one so data can move.
-	newH := amr.NewHierarchy(gc.h.Domain, gc.h.Ratio, gc.h.MaxLevels, gc.h.NumRanks)
-	newH.Balancer = gc.h.Balancer
-	if p, err := gc.svc.GetPort("balancer"); err == nil {
-		newH.Balancer = p.(BalancerPort)
-		gc.svc.ReleasePort("balancer")
-	}
-	newH.Regrids = gc.h.Regrids
-	newH.Regrid(flags, opt)
+	gc.h.Balancer = gc.balancer()
+	newH := gc.h.Regrid(flags, opt)
 	for name, d := range gc.fields {
 		gc.fields[name] = d.Remap(newH, field.ProlongLinear)
 	}
@@ -120,19 +114,23 @@ func (gc *GrACEComponent) Regrid(flags []*amr.FlagField, opt amr.RegridOptions) 
 }
 
 // RegridPolicy reports the load balancer and workload estimator the
-// next Regrid would use (the wired balancer port when present, else the
-// hierarchy's own). Elastic restore repartitions a checkpointed
+// next Regrid would use. Elastic restore repartitions a checkpointed
 // hierarchy through this same policy so the restored layout is exactly
 // the one a native run at the new rank count would be using.
 func (gc *GrACEComponent) RegridPolicy() (amr.LoadBalancer, amr.Workload) {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
-	bal := gc.h.Balancer
+	return gc.balancer(), gc.regridOpt.Workload
+}
+
+// balancer is the wired balancer port when present, else the
+// hierarchy's own. The caller holds gc.mu.
+func (gc *GrACEComponent) balancer() amr.LoadBalancer {
 	if p, err := gc.svc.GetPort("balancer"); err == nil {
-		bal = p.(BalancerPort)
 		gc.svc.ReleasePort("balancer")
+		return p.(BalancerPort)
 	}
-	return bal, gc.regridOpt.Workload
+	return gc.h.Balancer
 }
 
 // Spacing implements MeshPort.

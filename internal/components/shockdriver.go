@@ -30,16 +30,16 @@ type ShockDriver struct {
 	// round-trips like Times/Circulations do.
 	dts []float64
 
-	// circ caches the composite-circulation geometry of one hierarchy
-	// generation.
+	// circ caches the composite-circulation geometry of one field
+	// object.
 	circ circCache
 }
 
-// circCache is the composite-circulation geometry of one field on one
-// hierarchy generation: per level, each local patch's uncovered boxes.
+// circCache is the composite-circulation geometry of one field object
+// (and so of its one hierarchy): per level, each local patch's
+// uncovered boxes.
 type circCache struct {
 	d      *field.DataObject
-	gen    int
 	levels []*circLevel
 }
 
@@ -90,15 +90,14 @@ func uncoveredParts(h *amr.Hierarchy, l int, patches []*field.PatchData) [][]amr
 }
 
 // circLevels returns the cached circulation geometry of d, rebuilding
-// it for a new field object (every GrACE regrid and restore makes one)
-// or a new hierarchy generation.
+// it for a new field object (every GrACE regrid and restore makes one).
 func (sd *ShockDriver) circLevels(d *field.DataObject) []*circLevel {
 	h := d.Hierarchy()
 	c := &sd.circ
-	if c.d == d && c.gen == h.Generation() {
+	if c.d == d {
 		return c.levels
 	}
-	*c = circCache{d: d, gen: h.Generation()}
+	*c = circCache{d: d}
 	for l := 0; l < h.NumLevels(); l++ {
 		patches := d.LocalPatches(l)
 		cl := &circLevel{
@@ -126,7 +125,7 @@ var shockDriverSpec = &Spec{
 	Uses: []PortDecl{
 		need("bc", BCPortType), need("characteristics", CharacteristicsPortType),
 		use("checkpoint", CheckpointPortType), execUse,
-		need("gasProperties", KeyValuePortType), need("ic", ICFieldPortType),
+		need("ic", ICFieldPortType),
 		need("integrator", ExplicitIntegratorType), need("mesh", MeshPortType),
 		use("regrid", RegridPortType), use("stats", StatsPortType),
 	},
@@ -296,7 +295,7 @@ func (sd *ShockDriver) run() error {
 // is summed across the cohort. Patch contributions are computed in
 // parallel into per-patch partials and folded in patch order, so the
 // floating-point sum is independent of worker count. The uncovered
-// boxes are cached per hierarchy generation (circLevels), so a warm
+// boxes are cached per field object (circLevels), so a warm
 // call allocates nothing.
 func (sd *ShockDriver) compositeCirculation(mesh MeshPort, name string, bc BCPort) float64 {
 	d := mesh.Field(name)

@@ -59,7 +59,6 @@ func newShockRig(t *testing.T, width, maxPatchCells, steps int) *shockRig {
 		{"driver", "integrator", "rk2", "integrator"},
 		{"driver", "characteristics", "chars", "characteristics"},
 		{"driver", "regrid", "regrid", "regrid"},
-		{"driver", "gasProperties", "gas", "properties"},
 		{"driver", "bc", "bc", "bc"},
 		{"driver", "exec", "exec", "exec"},
 	} {

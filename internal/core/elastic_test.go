@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ccahydro/internal/amr"
 	"ccahydro/internal/cca"
 	"ccahydro/internal/ckpt"
 	"ccahydro/internal/components"
@@ -269,51 +270,89 @@ func TestSameRankRestoreIsExact(t *testing.T) {
 }
 
 // TestIncrementalRestoreThroughDeltaChain runs the flame with
-// incremental checkpoints every step and no regrids, producing the
-// chain full@0 <- delta@1 <- ... <- delta@5, and restores through a
-// 5-link chain — serially (exact path) and onto a different rank count
-// (elastic path) — each continued run bit-for-bit per cell.
+// incremental checkpoints every step, producing the chain full@0 <-
+// delta@1 <- ... <- delta@5, and restores through a 5-link chain —
+// serially (exact path) and onto a different rank count (elastic path)
+// — each continued run bit-for-bit per cell. The flame runs once
+// without regrids and once regridding every 2 steps, and the shock
+// regrids every 2 steps onto a moving layout: a patch ID names one
+// (level, box) for the whole run, so the chain holds deltas across
+// each regrid.
 func TestIncrementalRestoreThroughDeltaChain(t *testing.T) {
-	params := []Param{
-		{"grace", "nx", "16"}, {"grace", "ny", "16"},
-		{"grace", "maxLevels", "2"},
-		{"driver", "steps", "6"}, {"driver", "dt", "1e-7"},
-		{"driver", "regridEvery", "0"},
-	}
-	assemble := assembleFlame(params)
-	dir := t.TempDir()
-	ref := runCkptGlobal(t, 1, assemble, "phi", CheckpointOptions{Dir: t.TempDir()})
-	wrote := runCkptGlobal(t, 1, assemble, "phi",
-		CheckpointOptions{Every: 1, Dir: dir, Incremental: true, FullEvery: 8})
-	assertSameCellMap(t, "incremental write run", ref, wrote)
-
-	// The chain must really be incremental: one full base, deltas after.
-	target := filepath.Join(dir, ckpt.ManifestFileName(4))
-	chain, err := ckpt.ResolveChain(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 5 {
-		t.Fatalf("chain to step 4 has %d links, want 5 (full@0 + 4 deltas)", len(chain))
-	}
-	for i, l := range chain {
-		wantKind := ckpt.ShardDelta
-		if i == 0 {
-			wantKind = ckpt.ShardFull
-		}
-		if l.Manifest.Kind != wantKind {
-			t.Fatalf("chain link %d (step %d) is %v, want %v", i, l.Manifest.Step, l.Manifest.Kind, wantKind)
+	flame := func(regridEvery string) []Param {
+		return []Param{
+			{"grace", "nx", "16"}, {"grace", "ny", "16"},
+			{"grace", "maxLevels", "2"},
+			{"driver", "steps", "6"}, {"driver", "dt", "1e-7"},
+			{"driver", "regridEvery", regridEvery},
 		}
 	}
+	for _, tc := range []struct {
+		label, fieldName string
+		assemble         func(*cca.Framework) error
+		regrids, moves   bool // the chain spans a regrid; one changes the layout
+	}{
+		{"flame regridEvery=0", "phi", assembleFlame(flame("0")), false, false},
+		{"flame regridEvery=2", "phi", assembleFlame(flame("2")), true, false},
+		{"shock regridEvery=2", "U", assembleShock(shockCkptParams()), true, true},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			assemble, fieldName := tc.assemble, tc.fieldName
+			dir := t.TempDir()
+			ref := runCkptGlobal(t, 1, assemble, fieldName, CheckpointOptions{Dir: t.TempDir()})
+			wrote := runCkptGlobal(t, 1, assemble, fieldName,
+				CheckpointOptions{Every: 1, Dir: dir, Incremental: true, FullEvery: 8})
+			assertSameCellMap(t, "incremental write run", ref, wrote)
 
-	got := runCkptGlobal(t, 1, assemble, "phi", CheckpointOptions{Dir: t.TempDir(), Restore: target})
-	assertSameCellMap(t, "restore through 5-link chain", ref, got)
+			// The chain must really be incremental: one full base, deltas after.
+			target := filepath.Join(dir, ckpt.ManifestFileName(4))
+			chain, err := ckpt.ResolveChain(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(chain) != 5 {
+				t.Fatalf("chain to step 4 has %d links, want 5 (full@0 + 4 deltas)", len(chain))
+			}
+			regrids := make([]int, len(chain))
+			moves := false
+			var prev []amr.PatchSnapshot
+			for i, l := range chain {
+				wantKind := ckpt.ShardDelta
+				if i == 0 {
+					wantKind = ckpt.ShardFull
+				}
+				if l.Manifest.Kind != wantKind {
+					t.Fatalf("chain link %d (step %d) is %v, want %v", i, l.Manifest.Step, l.Manifest.Kind, wantKind)
+				}
+				data, err := os.ReadFile(filepath.Join(dir, l.Manifest.Shards[0].File))
+				if err != nil {
+					t.Fatal(err)
+				}
+				shard, err := ckpt.DecodeShard(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				regrids[i] = shard.Snapshot.Regrids
+				if i > 0 && !reflect.DeepEqual(prev, shard.Snapshot.Patches) {
+					moves = true
+				}
+				prev = shard.Snapshot.Patches
+			}
+			if spans := regrids[len(regrids)-1] > regrids[0]; spans != tc.regrids || moves != tc.moves {
+				t.Fatalf("chain regrid counts %v: spans a regrid %v, changes the layout %v; want %v, %v",
+					regrids, spans, moves, tc.regrids, tc.moves)
+			}
 
-	// Elastic restore from the same delta chain: P_old=1 -> P_new=4.
-	ref4 := runCkptGlobal(t, 4, assemble, "phi", CheckpointOptions{Dir: t.TempDir()})
-	assertSameCellMap(t, "incremental reference P=4 vs P=1", ref, ref4)
-	got4 := runCkptGlobal(t, 4, assemble, "phi", CheckpointOptions{Dir: t.TempDir(), Restore: target})
-	assertSameCellMap(t, "elastic restore through 5-link chain P1->P4", ref4, got4)
+			got := runCkptGlobal(t, 1, assemble, fieldName, CheckpointOptions{Dir: t.TempDir(), Restore: target})
+			assertSameCellMap(t, "restore through 5-link chain", ref, got)
+
+			// Elastic restore from the same delta chain: P_old=1 -> P_new=4.
+			ref4 := runCkptGlobal(t, 4, assemble, fieldName, CheckpointOptions{Dir: t.TempDir()})
+			assertSameCellMap(t, "incremental reference P=4 vs P=1", ref, ref4)
+			got4 := runCkptGlobal(t, 4, assemble, fieldName, CheckpointOptions{Dir: t.TempDir(), Restore: target})
+			assertSameCellMap(t, "elastic restore through 5-link chain P1->P4", ref4, got4)
+		})
+	}
 }
 
 // TestCompressedCheckpointRestoreBitForBit: gzip section framing is

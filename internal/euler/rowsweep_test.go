@@ -302,12 +302,20 @@ func TestRHSRegionPathsBitIdentical(t *testing.T) {
 		t.Fatal("a call inside a running epoch reports it would fan out")
 	}
 
+	// A boundary-strip-sized region on an idle width-2 pool, with no
+	// epoch in flight, still runs inline.
+	small := amr.NewBox(3, 5, 4, 8)
+	wantSmall := field.NewPatchData(pd.Patch, NumComp, 2)
+	serial.RHSRegion(pd, wantSmall, small, 0.1, 0.2)
+	smallOut := field.NewPatchData(pd.Patch, NumComp, 2)
+	pooled.RHSRegion(pd, smallOut, small, 0.1, 0.2)
+
 	for _, got := range []struct {
-		name string
-		out  *field.PatchData
-	}{{"top-level width 2", top}, {"nested", nestedOut}} {
+		name      string
+		out, want *field.PatchData
+	}{{"top-level width 2", top, want}, {"nested", nestedOut, want}, {"small region width 2", smallOut, wantSmall}} {
 		for k, v := range got.out.RawData() {
-			if w := want.RawData()[k]; math.Float64bits(v) != math.Float64bits(w) {
+			if w := got.want.RawData()[k]; math.Float64bits(v) != math.Float64bits(w) {
 				t.Fatalf("%s: word %d = %v, width 1 wrote %v", got.name, k, v, w)
 			}
 		}
@@ -321,5 +329,8 @@ func TestRHSRegionPathsBitIdentical(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() { pooled.Pool.ForEachChunk(2, nested) }); a != 0 {
 		t.Errorf("nested RHSRegion allocates %v objects per epoch", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { pooled.RHSRegion(pd, smallOut, small, 0.1, 0.2) }); a != 0 {
+		t.Errorf("small-region RHSRegion on an idle width-2 pool allocates %v objects per call", a)
 	}
 }

@@ -222,6 +222,12 @@ func (s *Solver) RHSPatch(pd, out *field.PatchData, dx, dy float64) {
 	s.RHSRegion(pd, out, pd.Interior(), dx, dy)
 }
 
+// smallRegionCells bounds the regions RHSRegion always sweeps on the
+// calling goroutine, whatever the Pool: a few rows are not worth an
+// epoch, and a boundary-strip segment (at most 8 cells) must never
+// start one when it finds the pool idle.
+const smallRegionCells = 64
+
 // RHSRegion is RHSPatch restricted to a sub-box of the interior. Each
 // face flux is a pure function of the four stencil cells behind it, so
 // fluxes on a region boundary are recomputed identically to a
@@ -233,8 +239,9 @@ func (s *Solver) RHSPatch(pd, out *field.PatchData, dx, dy float64) {
 // The x sweep sets out row by row, then the y sweep adds column by
 // column. Where the Pool would run a sweep on the calling goroutine
 // (width 1, or a call nested inside a running epoch — every region of
-// a fanned-out level advance), the sweep is a plain method call over
-// all its rows or columns and nothing is allocated. Otherwise rows and
+// a fanned-out level advance), and for every region of at most
+// smallRegionCells cells, the sweep is a plain method call over all its
+// rows or columns and nothing is allocated. Otherwise rows and
 // columns fan out across the Pool's workers; each writes its own cells
 // of out, and ForEachChunk returns only after every row is done, so
 // y-sweep Adds always see completed x-sweep Sets. Both paths run the
@@ -247,7 +254,7 @@ func (s *Solver) RHSRegion(pd, out *field.PatchData, region amr.Box, dx, dy floa
 	nx, ny := region.Size()
 	invDx, invDy := 1/dx, 1/dy
 	pool := s.Pool
-	if pool == nil {
+	if pool == nil || region.NumCells() <= smallRegionCells {
 		pool = serialPool
 	}
 	if pool.RunsInline(ny) {

@@ -161,16 +161,14 @@ type DataObject struct {
 	local map[int]*PatchData // patch ID -> data, owned patches only
 
 	// sched caches the ghost, shadow and restrict transfer schedules
-	// per (phase, level); entries are invalidated by hierarchy
-	// generation changes (regrids). builds counts constructions per
-	// phase.
+	// per (phase, level); builds counts constructions per phase. A
+	// DataObject's hierarchy never changes (a regrid remaps onto a new
+	// object over the successor), so a cached entry never goes stale.
 	sched  map[schedKey]*schedule
 	builds [phaseRemap + 1]int
 
-	// patches caches LocalPatches per level, valid while the level
-	// object and hierarchy generation are unchanged (the schedule
-	// cache's rule).
-	patches map[int]localPatches
+	// patches caches LocalPatches per level, by the same rule.
+	patches map[int][]*PatchData
 
 	// obs, when non-nil, receives spans for the object's exchange and
 	// transfer phases. Every hot path guards on the pointer, so a nil
@@ -222,32 +220,23 @@ func (d *DataObject) Hierarchy() *amr.Hierarchy { return d.h }
 // Local returns the owned PatchData for a patch ID, or nil.
 func (d *DataObject) Local(id int) *PatchData { return d.local[id] }
 
-// localPatches is one level's cached LocalPatches list.
-type localPatches struct {
-	lv   *amr.Level
-	gen  int
-	list []*PatchData
-}
-
 // LocalPatches returns owned patch data on a level, in patch order.
-// The list is built once per hierarchy generation and shared by every
-// caller until the next regrid, so callers must not modify it; a regrid
-// builds a fresh list and leaves lists already handed out intact.
+// The list is built once and shared by every caller, so callers must
+// not modify it.
 func (d *DataObject) LocalPatches(level int) []*PatchData {
-	lv, gen := d.h.Level(level), d.h.Generation()
-	if c, ok := d.patches[level]; ok && c.lv == lv && c.gen == gen {
-		return c.list
+	if list, ok := d.patches[level]; ok {
+		return list
 	}
 	var out []*PatchData
-	for _, p := range lv.Patches {
+	for _, p := range d.h.Level(level).Patches {
 		if pd := d.local[p.ID]; pd != nil {
 			out = append(out, pd)
 		}
 	}
 	if d.patches == nil {
-		d.patches = make(map[int]localPatches)
+		d.patches = make(map[int][]*PatchData)
 	}
-	d.patches[level] = localPatches{lv: lv, gen: gen, list: out}
+	d.patches[level] = out
 	return out
 }
 

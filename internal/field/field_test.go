@@ -163,8 +163,7 @@ func refinedHierarchy() *amr.Hierarchy {
 	h := amr.NewHierarchy(amr.NewBox(0, 0, 31, 31), 2, 2, 1)
 	f := amr.NewFlagField(h.LevelDomain(0))
 	f.SetBox(amr.NewBox(8, 8, 23, 23))
-	h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
-	return h
+	return h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
 }
 
 // fillAffine paints u = a + b*x + c*y with x, y the physical cell
@@ -312,7 +311,7 @@ func TestRemapPreservesData(t *testing.T) {
 	h2 := amr.NewHierarchy(amr.NewBox(0, 0, 31, 31), 2, 2, 1)
 	f := amr.NewFlagField(h2.LevelDomain(0))
 	f.SetBox(amr.NewBox(10, 10, 25, 25))
-	h2.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+	h2 = h2.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
 
 	nd := d.Remap(h2, ProlongLinear)
 	// Coarse data must be identical; fine data affine-exact since the

@@ -16,10 +16,10 @@ import (
 // exchange. Message count per exchange drops from #overlap-regions to
 // ≤ #neighbor-ranks, amortizing the per-message alpha cost exactly as
 // production SAMR frameworks do. The ghost, shadow and restrict
-// schedules are cached per (phase, level, hierarchy generation), so
-// the region enumeration runs once per regrid instead of on every
-// exchange; remap schedules couple two hierarchies and are built once
-// per remap.
+// schedules are cached per (phase, level) on a DataObject, whose
+// hierarchy never changes, so the region enumeration runs once per
+// regrid instead of on every exchange; remap schedules couple two
+// hierarchies and are built once per remap.
 
 // phase distinguishes the independent transfer streams so that messages
 // from different protocol steps can never be confused, even when an
@@ -92,13 +92,10 @@ type schedKey struct {
 // deterministic transfer list, its peer grouping, per-transfer
 // receive-buffer offsets, persistent buffers, and — for the shadow and
 // restrict phases — the coarse-space scratch patches the transfers
-// read or write. A cached schedule is valid while the level object and
-// hierarchy generation are unchanged.
+// read or write. A cached schedule lives as long as its DataObject.
 type schedule struct {
 	ph    phase
 	level int
-	lv    *amr.Level
-	gen   int
 	ts    []transfer
 	plan  commPlan
 
@@ -197,15 +194,14 @@ func (d *DataObject) newSchedule(ph phase, level int, ts []transfer) *schedule {
 }
 
 // scheduleFor returns the cached schedule of a phase on a level,
-// rebuilding it only after a regrid (generation change) or hierarchy
-// swap. Remap schedules couple two hierarchies and are not cached.
+// building it on first use. Remap schedules couple two hierarchies and
+// are not cached.
 func (d *DataObject) scheduleFor(ph phase, level int) *schedule {
-	lv := d.h.Level(level)
-	gen := d.h.Generation()
 	key := schedKey{ph, level}
-	if s, ok := d.sched[key]; ok && s.lv == lv && s.gen == gen {
+	if s, ok := d.sched[key]; ok {
 		return s
 	}
+	lv := d.h.Level(level)
 	var s *schedule
 	switch ph {
 	case phaseGhost:
@@ -220,7 +216,6 @@ func (d *DataObject) scheduleFor(ph phase, level int) *schedule {
 	default:
 		panic(fmt.Sprintf("field: phase %v is not schedule-cacheable", ph))
 	}
-	s.lv, s.gen = lv, gen
 	if d.sched == nil {
 		d.sched = make(map[schedKey]*schedule)
 	}

@@ -66,8 +66,8 @@ func TestCoalescedMessageCountAtMostNeighborRanks(t *testing.T) {
 }
 
 // TestScheduleCacheInvalidatesOnRegrid asserts the schedule is built
-// once per (level, generation): repeated exchanges reuse it, a regrid
-// invalidates it.
+// once per (level, hierarchy): repeated exchanges reuse it, and a
+// regrid, which remaps onto the successor hierarchy, builds afresh.
 func TestScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	h := amr.NewHierarchy(amr.NewBox(0, 0, 31, 31), 2, 2, 1)
 	d := New("u", h, 1, 2, nil)
@@ -79,7 +79,7 @@ func TestScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	}
 	f := amr.NewFlagField(h.LevelDomain(0))
 	f.SetBox(amr.NewBox(8, 8, 23, 23))
-	h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+	h = h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
 	d = New("u", h, 1, 2, nil) // fresh data over the regridded hierarchy
 	d.ExchangeGhosts(0)
 	d.ExchangeGhosts(1)
@@ -88,13 +88,19 @@ func TestScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	if got := d.ScheduleBuilds(); got != 2 {
 		t.Fatalf("2 levels exchanged twice built %d schedules, want 2", got)
 	}
-	// An in-place regrid bumps the generation and must invalidate.
+	// A regrid leaves its receiver, and data on it keeps its cache;
+	// the data remapped onto the successor builds its own.
 	f2 := amr.NewFlagField(h.LevelDomain(0))
 	f2.SetBox(amr.NewBox(4, 4, 19, 19))
-	h.Regrid([]*amr.FlagField{f2}, amr.DefaultRegridOptions)
+	nd := d.Remap(h.Regrid([]*amr.FlagField{f2}, amr.DefaultRegridOptions), ProlongLinear)
 	d.ExchangeGhosts(0)
-	if got := d.ScheduleBuilds(); got != 3 {
-		t.Fatalf("post-regrid exchange built %d schedules total, want 3 (stale cache survived the regrid)", got)
+	if got := d.ScheduleBuilds(); got != 2 {
+		t.Fatalf("exchange on the receiver's data after a regrid built %d schedules total, want 2", got)
+	}
+	nd.ExchangeGhosts(0)
+	nd.ExchangeGhosts(0)
+	if got := nd.ScheduleBuilds(); got != 1 {
+		t.Fatalf("remapped data built %d schedules, want 1", got)
 	}
 }
 

@@ -15,7 +15,7 @@ func twoLevel(t *testing.T) (*amr.Hierarchy, *DataObject) {
 	h := amr.NewHierarchy(amr.NewBox(0, 0, 31, 31), 2, 2, 1)
 	f := amr.NewFlagField(h.LevelDomain(0))
 	f.SetBox(amr.NewBox(8, 8, 23, 23))
-	h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+	h = h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
 	d := New("u", h, 2, 2, nil)
 	paintOwned(d, 0)
 	paintOwned(d, 1)
@@ -47,9 +47,10 @@ func TestXferScheduleCachedPerPhaseAndLevel(t *testing.T) {
 }
 
 // TestXferScheduleCacheInvalidatesOnRegrid is the staleness contract for
-// the coarse–fine schedules: an in-place regrid bumps the hierarchy
-// generation, and the next fill/restrict of each phase must rebuild its
-// schedule exactly once — a reused stale schedule would move data for
+// the coarse–fine schedules: a regrid returns a successor hierarchy and
+// leaves data on the receiver, with its cached schedules, as it was;
+// the data remapped onto the successor builds each phase's schedule
+// exactly once. A schedule shared across the two would move data for
 // patches that no longer exist.
 func TestXferScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	h, d := twoLevel(t)
@@ -61,21 +62,26 @@ func TestXferScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	gen0 := h.Generation()
 	f := amr.NewFlagField(h.LevelDomain(0))
 	f.SetBox(amr.NewBox(4, 4, 19, 19))
-	h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
-	if h.Generation() == gen0 {
-		t.Fatalf("regrid did not bump the generation (%d)", gen0)
+	h2 := h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+	if h2.Generation() == gen0 || h.Generation() != gen0 {
+		t.Fatalf("regrid generations: receiver %d -> %d, successor %d", gen0, h.Generation(), h2.Generation())
 	}
-	// Same level object index, new generation: both phases must miss.
 	d.FillCoarseFineGhosts(1, ProlongLinear)
 	d.RestrictLevel(1)
-	if got := d.XferScheduleBuilds(); got != 4 {
-		t.Fatalf("post-regrid fill+restrict built %d schedules total, want 4 (stale (level,generation) schedule reused)", got)
+	if got := d.XferScheduleBuilds(); got != 2 {
+		t.Fatalf("receiver's data rebuilt schedules after a regrid: %d total, want 2", got)
+	}
+	nd := d.Remap(h2, ProlongLinear)
+	nd.FillCoarseFineGhosts(1, ProlongLinear)
+	nd.RestrictLevel(1)
+	if got := nd.XferScheduleBuilds(); got != 2 {
+		t.Fatalf("post-regrid fill+restrict built %d schedules, want 2", got)
 	}
 	// And the rebuilt schedules are cached again.
-	d.FillCoarseFineGhosts(1, ProlongLinear)
-	d.RestrictLevel(1)
-	if got := d.XferScheduleBuilds(); got != 4 {
-		t.Fatalf("steady state after regrid built %d schedules total, want 4", got)
+	nd.FillCoarseFineGhosts(1, ProlongLinear)
+	nd.RestrictLevel(1)
+	if got := nd.XferScheduleBuilds(); got != 2 {
+		t.Fatalf("steady state after regrid built %d schedules total, want 2", got)
 	}
 }
 
@@ -114,7 +120,7 @@ func TestRestrictLevelSteadyStateZeroAlloc(t *testing.T) {
 		h := amr.NewHierarchyDecomposed(amr.NewBox(0, 0, 23, 23), 2, 2, p, blocks, owners)
 		f := amr.NewFlagField(h.LevelDomain(0))
 		f.SetBox(amr.NewBox(4, 4, 17, 15))
-		h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+		h = h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
 		d := New("u", h, 2, 2, comm)
 		paintOwned(d, 0)
 		paintOwned(d, 1)
@@ -139,16 +145,15 @@ func TestRestrictLevelSteadyStateZeroAlloc(t *testing.T) {
 
 // xferRegridSequence runs the mid-run regrid scenario on one rank
 // (comm nil for the serial replica): build a 2-level hierarchy, warm the
-// coarse–fine schedules, regrid GrACE-style into a fresh hierarchy
-// object carrying the generation counter forward, remap, and warm the
-// new object's schedules. It returns the remapped object and the two
+// coarse–fine schedules, regrid into the successor hierarchy, remap,
+// and warm the new object's schedules. It returns the remapped object and the two
 // build counters.
 func xferRegridSequence(comm *mpi.Comm, p int, blocks []amr.Box, owners []int) (nd *DataObject, oldBuilds, newBuilds int) {
 	domain := amr.NewBox(0, 0, 23, 23)
 	h := amr.NewHierarchyDecomposed(domain, 2, 2, p, blocks, owners)
 	f := amr.NewFlagField(h.LevelDomain(0))
 	f.SetBox(amr.NewBox(4, 4, 17, 15))
-	h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
+	h = h.Regrid([]*amr.FlagField{f}, amr.DefaultRegridOptions)
 	d := New("u", h, 2, 2, comm)
 	paintOwned(d, 0)
 	paintOwned(d, 1)
@@ -157,14 +162,11 @@ func xferRegridSequence(comm *mpi.Comm, p int, blocks []amr.Box, owners []int) (
 		d.ExchangeGhosts(1)
 		d.RestrictLevel(1)
 	}
-	// Mid-run regrid as the mesh component does it: a fresh hierarchy
-	// object (same level-0 decomposition) inherits the generation
-	// counter, regrids with new flags, and the data remaps onto it.
-	h2 := amr.NewHierarchyDecomposed(domain, 2, 2, p, blocks, owners)
-	h2.Regrids = h.Regrids
-	f2 := amr.NewFlagField(h2.LevelDomain(0))
+	// Mid-run regrid as the mesh component does it: the successor keeps
+	// level 0, regrids with new flags, and the data remaps onto it.
+	f2 := amr.NewFlagField(h.LevelDomain(0))
 	f2.SetBox(amr.NewBox(8, 10, 21, 21))
-	h2.Regrid([]*amr.FlagField{f2}, amr.DefaultRegridOptions)
+	h2 := h.Regrid([]*amr.FlagField{f2}, amr.DefaultRegridOptions)
 	nd = d.Remap(h2, ProlongLinear)
 	for i := 0; i < 2; i++ {
 		nd.FillCoarseFineGhosts(1, ProlongLinear)
@@ -176,7 +178,7 @@ func xferRegridSequence(comm *mpi.Comm, p int, blocks []amr.Box, owners []int) (
 
 // TestXferScheduleMidRunRegridParallelMatchesSerial runs the mid-run
 // regrid scenario on 4 ranks and serially, and demands (a) every rank
-// built each phase's schedule exactly once per hierarchy generation it
+// built each phase's schedule exactly once per hierarchy it
 // touched, and (b) every cell of every patch — interiors and ghosts,
 // both levels — of the remapped object is bit-for-bit the serial
 // result. A stale schedule surviving the regrid would fail both.

@@ -7,11 +7,10 @@
 // communication volume of the simulated run matches what a real MPI
 // job would move. The surface is what the components use:
 //
-//   - blocking Send, Recv and Sendrecv;
+//   - blocking Send and Recv;
 //   - the buffered nonblocking pair the halo schedules drive:
 //     IsendBuffered, and IrecvInto completed by Request.Wait;
-//   - the collectives Barrier, Bcast, Reduce, Allreduce, Gather and
-//     Allgather.
+//   - the collectives Barrier, Bcast, Reduce, Allreduce and Gather.
 //
 // The runtime keeps two clocks per rank:
 //
@@ -378,14 +377,6 @@ func (m message) status() Status {
 	return Status{Source: m.from, Tag: m.tag, Count: len(m.data)}
 }
 
-// Sendrecv posts a send to dst and then receives from src, the usual
-// deadlock-free ghost-exchange pairing (legal here because sends are
-// buffered).
-func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]float64, Status) {
-	c.Send(dst, sendTag, data)
-	return c.Recv(src, recvTag)
-}
-
 // Barrier blocks until all ranks have entered it. All ranks leave with
 // their virtual clocks advanced to at least the latest entry time plus
 // one latency (the broadcast release).
@@ -426,7 +417,6 @@ const (
 	tagBcast = -1000 - iota
 	tagReduce
 	tagGather
-	tagAllgatherBase
 )
 
 // Bcast distributes root's buffer to all ranks; every rank returns the
@@ -517,27 +507,6 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 		}
 		buf, _ := c.Recv(src, tagGather)
 		out[src] = buf
-	}
-	return out
-}
-
-// Allgather collects every rank's buffer on every rank, in rank order.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	// Ring allgather: size-1 steps, each forwarding one block.
-	size := c.Size()
-	out := make([][]float64, size)
-	out[c.Rank()] = append([]float64(nil), data...)
-	if size == 1 {
-		return out
-	}
-	right := (c.Rank() + 1) % size
-	left := (c.Rank() - 1 + size) % size
-	cur := c.Rank()
-	for step := 0; step < size-1; step++ {
-		tag := tagAllgatherBase - step
-		got, _ := c.Sendrecv(right, tag, out[cur], left, tag)
-		cur = (cur - 1 + size) % size
-		out[cur] = got
 	}
 	return out
 }

@@ -136,22 +136,6 @@ func TestAllreduceOps(t *testing.T) {
 	}
 }
 
-func TestAllgatherRing(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8} {
-		Run(n, ZeroModel, func(c *Comm) {
-			out := c.Allgather([]float64{float64(c.Rank() * 10), float64(c.Rank())})
-			if len(out) != n {
-				t.Fatalf("len(out)=%d want %d", len(out), n)
-			}
-			for r := 0; r < n; r++ {
-				if out[r][0] != float64(r*10) || out[r][1] != float64(r) {
-					t.Errorf("n=%d rank %d: out[%d]=%v", n, c.Rank(), r, out[r])
-				}
-			}
-		})
-	}
-}
-
 func TestGatherRankOrder(t *testing.T) {
 	const n = 5
 	Run(n, ZeroModel, func(c *Comm) {
@@ -167,18 +151,6 @@ func TestGatherRankOrder(t *testing.T) {
 			if all[r][0] != float64(r) || all[r][1] != float64(r*r) {
 				t.Errorf("gather[%d] = %v", r, all[r])
 			}
-		}
-	})
-}
-
-func TestSendrecvExchange(t *testing.T) {
-	const n = 4
-	Run(n, ZeroModel, func(c *Comm) {
-		right := (c.Rank() + 1) % n
-		left := (c.Rank() - 1 + n) % n
-		got, _ := c.Sendrecv(right, 11, []float64{float64(c.Rank())}, left, 11)
-		if got[0] != float64(left) {
-			t.Errorf("rank %d expected %d, got %v", c.Rank(), left, got[0])
 		}
 	})
 }

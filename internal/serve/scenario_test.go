@@ -188,7 +188,6 @@ connect driver.integrator      -> rk2.integrator
 connect driver.characteristics -> chars.characteristics
 connect driver.regrid          -> regrid.regrid
 connect driver.stats           -> stats.stats
-connect driver.gasProperties   -> gas.properties
 connect driver.bc              -> bc.bc
 run driver
 sweep {

@@ -53,7 +53,11 @@
 # xferScheduleFor, startTransfers, executeTransfers, planXfer,
 # GhostExchange, TransferExchange: ghost exchange, coarse–fine fill,
 # restriction and remap are phases of one schedule behind one
-# field.Exchange handle). Split,
+# field.Exchange handle), the patch family links (linkFamilies: no
+# reader ever used Parents/Children), the second patch identity of
+# checkpoint dirty tracking (patchKey, hierarchyKey: the patch ID alone
+# names a patch for the whole run), and the ring collective only its
+# own test reached (Allgather with the Sendrecv it called). Split,
 # Dup, Shift, Reset and Instant are left out of the pattern because
 # strings.Split and other code would match.
 # After the test suite the three remaining examples (instrumented,
@@ -113,8 +117,8 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
-echo "== deleted names stay deleted (one contract per port; no second ghost protocol, per-face states seam, second restore path, second transfer engine or test-only surface)"
-probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates|AnySource|AnyTag|Alltoall|Scatter|Isend|Irecv|Waitall|recvAny|matchAny|splitSeq|EnableBuilderService|BuilderServiceType|RunScriptSCMD|MixtureViscosity|RunTable4|KernelNames|UMass|restoreExact|restoreElastic|PatchByID|StoichiometricMoistCOAir|SetBCSet|MaxMach|ForEachPatch|ghostScheduleFor|xferScheduleFor|startTransfers|executeTransfers|planXfer|GhostExchange|TransferExchange' -- '*.go' ':!*_test.go' || true)
+echo "== deleted names stay deleted (one contract per port; no second ghost protocol, per-face states seam, second restore path, second transfer engine, second patch identity or test-only surface)"
+probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates|AnySource|AnyTag|Alltoall|Scatter|Isend|Irecv|Waitall|recvAny|matchAny|splitSeq|EnableBuilderService|BuilderServiceType|RunScriptSCMD|MixtureViscosity|RunTable4|KernelNames|UMass|restoreExact|restoreElastic|PatchByID|StoichiometricMoistCOAir|SetBCSet|MaxMach|ForEachPatch|ghostScheduleFor|xferScheduleFor|startTransfers|executeTransfers|planXfer|GhostExchange|TransferExchange|linkFamilies|patchKey|hierarchyKey|Allgather|Sendrecv' -- '*.go' ':!*_test.go' || true)
 if [ -n "$probes" ]; then
 	echo "deleted names are back; add the method to the port itself (or use ghostFill, StatesRow, IsendBuffered/IrecvInto, CheckpointComponent.Restore, field.Exchange, or the benchmark's ignition_cells) instead:" >&2
 	echo "$probes" >&2
