@@ -104,7 +104,7 @@ func eulerRHSAtWidth(b *testing.B, width int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RHSPatch(pd, out, 1.0/128, 1.0/128)
+		s.RHSRegion(pd, out, pd.Interior(), 1.0/128, 1.0/128)
 	}
 }
 

@@ -2,20 +2,22 @@
 // evaluation section. Table 4, the component-overhead measurement, is
 // the benchmark's ignition_cells workload instead (benchmark/).
 //
-//	experiments -exp table5         # weak-scaling statistics
+//	experiments -exp table5         # weak-scaling statistics (flame on P ranks)
 //	experiments -exp fig3           # flame temperature evolution
 //	experiments -exp fig4           # AMR patch census
 //	experiments -exp fig6           # shock-interface density field
 //	experiments -exp fig7           # circulation convergence (1/2/3 levels)
 //	experiments -exp fig8           # weak-scaling series
 //	experiments -exp fig9           # strong-scaling vs ideal
-//	experiments -exp comm           # halo-exchange study (blocking vs async)
-//	experiments -exp netsweep       # halo cost across network models
+//	experiments -exp comm           # halo study (blocking vs async) + small flame series
+//	experiments -exp netsweep       # strong scaling on two network models
 //	experiments -exp ckpt           # incremental-checkpoint delta-chain sizes
 //	experiments -exp all            # everything
 //
-// The comm and ckpt studies are deterministic (virtual clocks, encoded
-// byte counts) and are what the wall-clock benchmark in benchmark/
+// The scaling studies (table5, fig8, fig9, netsweep, comm) run the
+// flame built-in on in-process ranks whose virtual clocks are charged
+// from work counts and message costs, so they repeat on any host. The
+// comm and ckpt studies are what the wall-clock benchmark in benchmark/
 // cannot express; their JSON artifacts are gated by scripts/check.sh.
 //
 // -quick shrinks the parameter sweeps for a fast sanity pass. -commjson
@@ -31,11 +33,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"ccahydro/internal/bench"
 	"ccahydro/internal/components"
 	"ccahydro/internal/euler"
 	"ccahydro/internal/field"
+	"ccahydro/internal/mpi"
 	"ccahydro/internal/prof"
 )
 
@@ -77,21 +81,6 @@ func main() {
 		fmt.Println()
 	}
 
-	var costs bench.CellCosts
-	needCosts := func() error {
-		if costs != (bench.CellCosts{}) {
-			return nil
-		}
-		var err error
-		costs, err = bench.Calibrate()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("calibrated cell costs: cold-chem %.2e s, hot-chem %.2e s, diff-stage %.2e s, Dmax %.2e m^2/s\n\n",
-			costs.ColdChem, costs.HotChem, costs.DiffStage, costs.DMax)
-		return nil
-	}
-
 	ps := []int{1, 2, 4, 8, 12, 16, 24, 32, 48}
 	sizes := []int{50, 100, 175}
 	strongs := []int{200, 350}
@@ -101,31 +90,35 @@ func main() {
 		strongs = []int{100}
 	}
 
+	// Table 5 and Fig 8 are two views of one weak-scaling series.
+	weak := sync.OnceValues(func() ([]bench.Table5Stats, error) { return bench.RunTable5(sizes, ps) })
+
 	run("table5", func() error {
-		if err := needCosts(); err != nil {
+		rows, err := weak()
+		if err != nil {
 			return err
 		}
-		rows := bench.RunTable5(costs, sizes, ps)
 		bench.PrintTable5(os.Stdout, rows, ps)
 		return nil
 	})
 
 	run("fig8", func() error {
-		if err := needCosts(); err != nil {
+		rows, err := weak()
+		if err != nil {
 			return err
 		}
-		rows := bench.RunTable5(costs, sizes, ps)
 		bench.PrintFig8(os.Stdout, rows, ps)
 		return nil
 	})
 
 	run("fig9", func() error {
-		if err := needCosts(); err != nil {
-			return err
-		}
 		series := map[int][]bench.Fig9Point{}
 		for _, n := range strongs {
-			series[n] = bench.RunFig9(costs, n, ps)
+			pts, err := bench.RunFig9(n, ps, mpi.CPlantModel)
+			if err != nil {
+				return err
+			}
+			series[n] = pts
 		}
 		bench.PrintFig9(os.Stdout, series)
 		return nil
@@ -189,16 +182,18 @@ func main() {
 	})
 
 	run("comm", func() error {
-		// Pinned reference costs keep the artifact deterministic across
-		// hosts (no wall-clock calibration enters the virtual times).
+		// Pinned and work-count costs keep the artifact deterministic
+		// across hosts (no wall-clock time enters the virtual times).
 		haloPs := []int{2, 4, 8, 16, 48}
-		commPs := ps
 		n := 200
 		if *quick {
 			haloPs = []int{2, 4}
 			n = 100
 		}
-		rep := bench.BuildCommReport(bench.ReferenceCosts, n, haloPs, n, commPs)
+		rep, err := bench.BuildCommReport(n, haloPs)
+		if err != nil {
+			return err
+		}
 		bench.PrintCommReport(os.Stdout, rep)
 		return writeJSON(*commJSON, rep)
 	})
@@ -219,14 +214,14 @@ func main() {
 	})
 
 	run("netsweep", func() error {
-		if err := needCosts(); err != nil {
-			return err
-		}
 		n := 200
 		if *quick {
 			n = 100
 		}
-		sweeps := bench.RunNetSweep(costs, n, ps)
+		sweeps, err := bench.RunNetSweep(n, ps)
+		if err != nil {
+			return err
+		}
 		bench.PrintNetSweep(os.Stdout, n, sweeps)
 		return nil
 	})

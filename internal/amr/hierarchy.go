@@ -329,42 +329,6 @@ func SplitLargeBoxes(boxes []Box, maxCells int) []Box {
 	return out
 }
 
-// CheckProperNesting verifies the hierarchy invariants: every fine
-// patch lies inside the domain, inside the union of the next coarser
-// level's patches, and no two same-level patches overlap. It returns
-// the first violation found, or nil.
-func (h *Hierarchy) CheckProperNesting() error {
-	for l, lv := range h.levels {
-		domain := h.levelDomain(l)
-		for i, p := range lv.Patches {
-			if !domain.ContainsBox(p.Box) {
-				return fmt.Errorf("amr: level %d patch %v escapes domain %v", l, p.Box, domain)
-			}
-			for j := i + 1; j < len(lv.Patches); j++ {
-				if p.Box.Intersects(lv.Patches[j].Box) {
-					return fmt.Errorf("amr: level %d patches %v and %v overlap", l, p.Box, lv.Patches[j].Box)
-				}
-			}
-			if l == 0 {
-				continue
-			}
-			remaining := []Box{p.Box.Coarsen(h.Ratio)}
-			for _, cp := range h.levels[l-1].Patches {
-				var next []Box
-				for _, r := range remaining {
-					next = append(next, r.Subtract(cp.Box)...)
-				}
-				remaining = next
-			}
-			if len(remaining) != 0 {
-				return fmt.Errorf("amr: level %d patch %v not nested in level %d (uncovered: %v)",
-					l, p.Box, l-1, remaining)
-			}
-		}
-	}
-	return nil
-}
-
 // Census summarizes the hierarchy per level: patch count, cell count,
 // and flagged coverage fraction of the domain — the data behind the
 // paper's Fig 4 patch-distribution plot.

@@ -2,44 +2,21 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"ccahydro/internal/mpi"
 )
-
-// calibOnce caches the kernel calibration across tests.
-var calib CellCosts
-
-func costs(t *testing.T) CellCosts {
-	t.Helper()
-	if calib == (CellCosts{}) {
-		c, err := Calibrate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		calib = c
-	}
-	return calib
-}
-
-func TestCalibrateProducesSaneCosts(t *testing.T) {
-	c := costs(t)
-	if c.ColdChem <= 0 || c.HotChem <= 0 || c.DiffStage <= 0 {
-		t.Fatalf("non-positive costs: %+v", c)
-	}
-	if c.HotChem <= c.ColdChem {
-		t.Errorf("hot chemistry (%v) should cost more than cold (%v)", c.HotChem, c.ColdChem)
-	}
-	if c.DMax < 1e-5 || c.DMax > 1e-1 {
-		t.Errorf("Dmax = %v m^2/s out of physical range", c.DMax)
-	}
-}
 
 // Table 5 / Fig 8 shape: weak scaling stays flat, and run time orders
 // by per-processor problem size.
 func TestWeakScalingShape(t *testing.T) {
-	c := costs(t)
 	ps := []int{1, 2, 4, 8}
-	rows := RunTable5(c, []int{20, 40}, ps)
+	rows, err := RunTable5([]int{12, 24}, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -69,10 +46,15 @@ func TestWeakScalingShape(t *testing.T) {
 // Fig 9 shape: the large problem scales better than the small one, and
 // efficiency degrades as the per-rank share shrinks.
 func TestStrongScalingShape(t *testing.T) {
-	c := costs(t)
 	ps := []int{1, 4, 16}
-	small := RunFig9(c, 64, ps)
-	large := RunFig9(c, 160, ps)
+	small, err := RunFig9(32, ps, mpi.CPlantModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := RunFig9(64, ps, mpi.CPlantModel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	effAt := func(pts []Fig9Point, p int) float64 {
 		for _, pt := range pts {
 			if pt.P == p {
@@ -86,6 +68,7 @@ func TestStrongScalingShape(t *testing.T) {
 		t.Errorf("P=1 efficiency = %v", e)
 	}
 	eSmall, eLarge := effAt(small, 16), effAt(large, 16)
+	t.Logf("P=16 efficiency: 32x32 %.3f, 64x64 %.3f", eSmall, eLarge)
 	if eSmall >= eLarge {
 		t.Errorf("small problem (eff %v) should scale worse than large (eff %v)", eSmall, eLarge)
 	}
@@ -97,15 +80,24 @@ func TestStrongScalingShape(t *testing.T) {
 	}
 }
 
+// The work-count clock repeats bit for bit: the same run twice gives
+// the same per-rank virtual times.
 func TestScalingDeterminism(t *testing.T) {
-	c := CellCosts{ColdChem: 1e-5, HotChem: 1e-4, DiffStage: 1e-6, DMax: 1e-3, HotT: 800}
-	a := RunScaling(ScalingConfig{P: 4, PerProcN: 24, Costs: c})
-	b := RunScaling(ScalingConfig{P: 4, PerProcN: 24, Costs: c})
-	if a.Time != b.Time {
-		t.Errorf("virtual time not deterministic: %v vs %v", a.Time, b.Time)
+	a, err := RunFlame(4, 24, 24, mpi.CPlantModel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Stages != b.Stages || a.CellsPerRank != b.CellsPerRank {
-		t.Errorf("metadata mismatch: %+v vs %+v", a, b)
+	b, err := RunFlame(4, 24, 24, mpi.CPlantModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a, b) {
+		t.Errorf("virtual times not deterministic: %v vs %v", a, b)
+	}
+	for r, v := range a {
+		if v <= 0 {
+			t.Errorf("rank %d: virtual time %v, want > 0", r, v)
+		}
 	}
 }
 

@@ -3,29 +3,22 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"ccahydro/internal/amr"
 	"ccahydro/internal/field"
 	"ccahydro/internal/mpi"
 )
 
-// Communication benchmarks for the asynchronous coalesced halo
-// exchange: a pure ghost-exchange microbenchmark and the Fig 9
-// strong-scaling study rerun in both exchange modes. Everything here
-// runs on the virtual-clock cluster with pinned per-cell rates, so the
-// emitted numbers (BENCH_comm.json) are deterministic across hosts.
+// Communication benchmarks: a pure ghost-exchange microbenchmark
+// with a pinned per-cell compute rate, and small strong and weak
+// scaling series of the real flame assembly on its work-count clock.
+// Everything here runs on the virtual-clock cluster, so the emitted
+// numbers (BENCH_comm.json) are deterministic across hosts.
 
-// ReferenceCosts pins the per-cell compute rates for the deterministic
-// communication report. Magnitudes match a typical Calibrate() run of
-// the real kernels; pinning them decouples BENCH_comm.json from host
-// speed.
-var ReferenceCosts = CellCosts{
-	ColdChem:  2.0e-5,
-	HotChem:   2.5e-4,
-	DiffStage: 8.0e-8,
-	DMax:      3.2e-4,
-	HotT:      800,
-}
+// HaloCellCost is the halo microbenchmark's synthetic compute rate:
+// seconds charged per cell per exchange.
+const HaloCellCost = 8.0e-8
 
 // HaloPoint is one halo-microbenchmark measurement: the same exchange
 // schedule driven blocking (Finish immediately after Start, compute
@@ -132,76 +125,59 @@ func RunHalo(p, n, exchanges int, perCell float64, model mpi.NetworkModel) HaloP
 	return pt
 }
 
-// CommFig9Point compares the strong-scaling virtual time of one machine
-// size in both exchange modes (the full Fig 9 pipeline: chemistry,
-// reductions, RKC stages).
-type CommFig9Point struct {
-	P            int     `json:"p"`
-	BlockingTime float64 `json:"blocking_time_s"`
-	AsyncTime    float64 `json:"async_time_s"`
-	// Improvement is (blocking - async) / blocking.
-	Improvement        float64 `json:"improvement"`
-	MsgsPerExchange    int     `json:"msgs_per_exchange"`
-	RegionsPerExchange int     `json:"regions_per_exchange"`
-	NeighborRankSum    int     `json:"neighbor_rank_sum"`
-	StallSeconds       float64 `json:"stall_seconds"`
-	HiddenSeconds      float64 `json:"hidden_seconds"`
+// FlamePoint is one run of the flame built-in on the work-count
+// clock (RunFlame).
+type FlamePoint struct {
+	P  int `json:"p"`
+	Nx int `json:"nx"`
+	Ny int `json:"ny"`
+	// RankTimes are the per-rank virtual run times.
+	RankTimes []float64 `json:"rank_times_s"`
 }
 
-// RunCommFig9 reruns the constant-global-problem study with blocking
-// and overlapped exchanges.
-func RunCommFig9(costs CellCosts, globalN int, ps []int) []CommFig9Point {
-	var out []CommFig9Point
+// flameSeries runs RunFlame at every P in ps on the mesh that mesh(p)
+// returns.
+func flameSeries(ps []int, mesh func(p int) (int, int)) ([]FlamePoint, error) {
+	var out []FlamePoint
 	for _, p := range ps {
-		base := ScalingConfig{P: p, GlobalNx: globalN, GlobalNy: globalN, Costs: costs}
-		blk := base
-		blk.Blocking = true
-		rb := RunScaling(blk)
-		ra := RunScaling(base)
-		pt := CommFig9Point{
-			P:                  p,
-			BlockingTime:       rb.Time,
-			AsyncTime:          ra.Time,
-			MsgsPerExchange:    ra.MsgsPerExchange,
-			RegionsPerExchange: ra.RegionsPerExchange,
-			NeighborRankSum:    ra.NeighborRankSum,
-			StallSeconds:       ra.CommSeconds,
-			HiddenSeconds:      ra.HiddenSeconds,
+		nx, ny := mesh(p)
+		times, err := RunFlame(p, nx, ny, mpi.CPlantModel)
+		if err != nil {
+			return nil, err
 		}
-		if rb.Time > 0 {
-			pt.Improvement = (rb.Time - ra.Time) / rb.Time
-		}
-		out = append(out, pt)
+		out = append(out, FlamePoint{P: p, Nx: nx, Ny: ny, RankTimes: times})
 	}
-	return out
+	return out, nil
 }
 
 // CommReport is the BENCH_comm.json payload.
 type CommReport struct {
 	// Model names the network cost model (alpha/beta) used throughout.
 	Model string `json:"model"`
-	// Costs are the pinned per-cell rates.
-	Costs CellCosts   `json:"costs"`
-	Halo  []HaloPoint `json:"halo"`
-	// Fig9GlobalN is the strong-scaling mesh edge.
-	Fig9GlobalN int             `json:"fig9_global_n"`
-	Fig9        []CommFig9Point `json:"fig9"`
+	// HaloCellCost is the halo study's pinned per-cell rate.
+	HaloCellCost float64     `json:"halo_cell_s"`
+	Halo         []HaloPoint `json:"halo"`
+	// FlameStrong runs a 48x48 flame and FlameWeak a 16x16 block per
+	// rank, each at P = 1, 2, 4, 8.
+	FlameStrong []FlamePoint `json:"flame_strong"`
+	FlameWeak   []FlamePoint `json:"flame_weak"`
 }
 
-// BuildCommReport runs the full communication study: halo microbench
-// over haloPs at mesh haloN, and the Fig 9 comparison over ps at
-// globalN. Deterministic (virtual clocks, pinned costs).
-func BuildCommReport(costs CellCosts, haloN int, haloPs []int, globalN int, ps []int) CommReport {
-	rep := CommReport{
-		Model:       "CPlant (60us, 132MB/s)",
-		Costs:       costs,
-		Fig9GlobalN: globalN,
-	}
+// BuildCommReport runs the communication study: the halo microbench
+// over haloPs at mesh haloN, and the flame's strong and weak series.
+// Deterministic (virtual clocks, pinned and work-count costs).
+func BuildCommReport(haloN int, haloPs []int) (CommReport, error) {
+	rep := CommReport{Model: "CPlant (60us, 132MB/s)", HaloCellCost: HaloCellCost}
 	for _, p := range haloPs {
-		rep.Halo = append(rep.Halo, RunHalo(p, haloN, 20, costs.DiffStage, mpi.CPlantModel))
+		rep.Halo = append(rep.Halo, RunHalo(p, haloN, 20, HaloCellCost, mpi.CPlantModel))
 	}
-	rep.Fig9 = RunCommFig9(costs, globalN, ps)
-	return rep
+	ps := []int{1, 2, 4, 8}
+	var err error
+	if rep.FlameStrong, err = flameSeries(ps, func(int) (int, int) { return 48, 48 }); err != nil {
+		return rep, err
+	}
+	rep.FlameWeak, err = flameSeries(ps, func(p int) (int, int) { return weakMesh(16, p) })
+	return rep, err
 }
 
 // PrintCommReport renders the study as text.
@@ -214,13 +190,20 @@ func PrintCommReport(w io.Writer, rep CommReport) {
 			h.P, h.N, h.BlockingTime, h.AsyncTime,
 			h.MsgsPerExchange, h.RegionsPerExchange, h.NeighborRankSum, h.HiddenSeconds)
 	}
-	fmt.Fprintf(w, "\nFig 9 strong scaling, %dx%d mesh, blocking vs overlapped exchange\n\n", rep.Fig9GlobalN, rep.Fig9GlobalN)
-	fmt.Fprintf(w, "%4s %12s %12s %10s %8s %8s\n", "P", "blocking(s)", "async(s)", "improve", "msgs", "regions")
-	for _, pt := range rep.Fig9 {
-		fmt.Fprintf(w, "%4d %12.4f %12.4f %9.2f%% %8d %8d\n",
-			pt.P, pt.BlockingTime, pt.AsyncTime, 100*pt.Improvement,
-			pt.MsgsPerExchange, pt.RegionsPerExchange)
-	}
 	fmt.Fprintf(w, "\nExpected shape: async <= blocking everywhere (flight time hides behind interior compute),\n")
 	fmt.Fprintf(w, "and msgs <= nbrs <= regions (coalescing packs every region for a peer into one message).\n")
+	for _, series := range []struct {
+		name string
+		pts  []FlamePoint
+	}{{"strong, 48x48 mesh", rep.FlameStrong}, {"weak, 16x16 per rank", rep.FlameWeak}} {
+		fmt.Fprintf(w, "\nFlame assembly on the work-count clock, %s\n\n", series.name)
+		fmt.Fprintf(w, "%4s %8s %12s %12s\n", "P", "mesh", "max(s)", "min(s)")
+		for _, pt := range series.pts {
+			mn, mx := math.Inf(1), 0.0
+			for _, t := range pt.RankTimes {
+				mn, mx = math.Min(mn, t), math.Max(mx, t)
+			}
+			fmt.Fprintf(w, "%4d %8s %12.6f %12.6f\n", pt.P, fmt.Sprintf("%dx%d", pt.Nx, pt.Ny), mx, mn)
+		}
+	}
 }

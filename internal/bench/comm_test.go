@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
+	"ccahydro/internal/exec"
 	"ccahydro/internal/mpi"
 )
 
@@ -12,7 +15,7 @@ import (
 // obey msgs <= nbrs and msgs <= regions (coalescing merged something).
 func TestHaloAsyncBeatsBlocking(t *testing.T) {
 	for _, p := range []int{2, 4} {
-		pt := RunHalo(p, 64, 10, ReferenceCosts.DiffStage, mpi.CPlantModel)
+		pt := RunHalo(p, 64, 10, HaloCellCost, mpi.CPlantModel)
 		if pt.AsyncTime > pt.BlockingTime {
 			t.Errorf("P=%d: async %.6fs slower than blocking %.6fs", p, pt.AsyncTime, pt.BlockingTime)
 		}
@@ -36,22 +39,26 @@ func TestHaloAsyncBeatsBlocking(t *testing.T) {
 	}
 }
 
-// TestCommFig9AsyncImproves reruns the small Fig 9 pipeline in both
-// modes and checks the overlapped exchange is never slower, and
-// strictly faster wherever receive stalls existed to hide.
-func TestCommFig9AsyncImproves(t *testing.T) {
-	for _, pt := range RunCommFig9(ReferenceCosts, 100, []int{2, 4}) {
-		if pt.AsyncTime > pt.BlockingTime {
-			t.Errorf("P=%d: async %.4fs slower than blocking %.4fs", pt.P, pt.AsyncTime, pt.BlockingTime)
+// TestCommFlameSectionDeterministic: the flame series of the comm
+// report are the same at pool widths 1 and 2 and across two runs, so
+// BENCH_comm.json regenerates byte for byte on any host.
+func TestCommFlameSectionDeterministic(t *testing.T) {
+	defer exec.SetDefaultWidth(runtime.GOMAXPROCS(0))
+	var reps []CommReport
+	for _, width := range []int{1, 2, 2} {
+		exec.SetDefaultWidth(width)
+		rep, err := BuildCommReport(64, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pt.Improvement <= 0 {
-			t.Errorf("P=%d: improvement %.4f%%, want > 0", pt.P, 100*pt.Improvement)
-		}
-		if pt.MsgsPerExchange > pt.NeighborRankSum {
-			t.Errorf("P=%d: %d msgs/exchange > %d neighbor-rank sum", pt.P, pt.MsgsPerExchange, pt.NeighborRankSum)
-		}
-		if pt.HiddenSeconds <= 0 {
-			t.Errorf("P=%d: overlap hid no flight time", pt.P)
+		reps = append(reps, rep)
+	}
+	if len(reps[0].FlameStrong) != 4 || len(reps[0].FlameWeak) != 4 {
+		t.Fatalf("flame series sizes %d, %d, want 4 each", len(reps[0].FlameStrong), len(reps[0].FlameWeak))
+	}
+	for i, rep := range reps[1:] {
+		if !reflect.DeepEqual(reps[0], rep) {
+			t.Errorf("run %d differs from the width-1 run:\n%+v\n%+v", i+2, reps[0], rep)
 		}
 	}
 }

@@ -22,6 +22,14 @@ func harness(t *testing.T, setup func(f *cca.Framework)) *cca.Framework {
 	return f
 }
 
+// fillAll sets every cell of every component of pd to v.
+func fillAll(pd *field.PatchData, v float64) {
+	data := pd.RawData()
+	for i := range data {
+		data[i] = v
+	}
+}
+
 func mustDo(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -188,7 +196,7 @@ func TestGrACERegridRemapsFields(t *testing.T) {
 	gc := graceFixture(t, [2]string{"nx", "32"}, [2]string{"ny", "32"}, [2]string{"maxLevels", "2"})
 	d := gc.Declare("phi", 1, 2)
 	for _, pd := range d.LocalPatches(0) {
-		pd.FillAll(7)
+		fillAll(pd, 7)
 	}
 	flags := amr.NewFlagField(gc.Hierarchy().LevelDomain(0))
 	flags.SetBox(amr.NewBox(10, 10, 19, 19))
@@ -301,7 +309,7 @@ func TestErrorEstAndRegridFlagsGradients(t *testing.T) {
 	}
 	// Uniform field: regrid drops refinement.
 	for _, pd := range gc.Field("phi").LocalPatches(0) {
-		pd.FillAll(5)
+		fillAll(pd, 5)
 	}
 	rComp.(*ErrorEstAndRegrid).EstimateAndRegrid(gc, "phi")
 	if gc.Hierarchy().NumLevels() != 1 {
@@ -569,7 +577,7 @@ func TestCvodeComponentIntegrates(t *testing.T) {
 func TestGrACEAdoptRestoredField(t *testing.T) {
 	gc := graceFixture(t, [2]string{"nx", "16"}, [2]string{"ny", "16"})
 	d := gc.Declare("U", 2, 1)
-	d.LocalPatches(0)[0].FillAll(9)
+	fillAll(d.LocalPatches(0)[0], 9)
 	// Rebuild the field the way a checkpoint restore does: hierarchy from
 	// its snapshot, patch storage from the saved raw arrays.
 	h, err := amr.FromSnapshot(d.Hierarchy().Snapshot())
@@ -615,10 +623,10 @@ func TestProlongRestrictComponent(t *testing.T) {
 
 	d := gc.Field("u")
 	for _, pd := range d.LocalPatches(0) {
-		pd.FillAll(3)
+		fillAll(pd, 3)
 	}
 	for _, pd := range d.LocalPatches(1) {
-		pd.FillAll(0)
+		fillAll(pd, 0)
 	}
 	prComp, _ := f.Lookup("pr")
 	pr := prComp.(*ProlongRestrict)
@@ -631,7 +639,7 @@ func TestProlongRestrictComponent(t *testing.T) {
 	}
 	// Overwrite fine with 7; restriction pushes it down.
 	for _, pd := range d.LocalPatches(1) {
-		pd.FillAll(7)
+		fillAll(pd, 7)
 	}
 	pr.Restrict(gc, "u", 1)
 	foot := gc.Hierarchy().Level(1).Patches[0].Box.Coarsen(2)

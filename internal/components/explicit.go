@@ -178,7 +178,7 @@ func (ei *ExplicitIntegrator) AdvanceLevel(mesh MeshPort, name string, level int
 		pool.ForEach(len(patches), func(_, i int) {
 			lv.scatterPatch(i, lc.offs[i], y)
 		})
-		evalLevelOverlapped(gf, patches, lc.rhsData, dx, dy, pool, rhsPort, &lc.strips)
+		evalLevelOverlapped(gf, patches, lc.rhsData, dx, dy, pool, rhsPort, &lc.strips, comm)
 		pool.ForEach(len(patches), func(_, i int) {
 			lv.gatherFrom(i, lc.offs[i], lc.rhsData[i], ydot)
 		})

@@ -29,7 +29,25 @@ type ImplicitIntegrator struct {
 	// cells is the reusable flattened work list (one driver advance at
 	// a time drives this port, so reuse is race-free).
 	cells []cellRef
+	// rhsEvals and jacBuilds are the per-worker-slot CVODE work counts
+	// of one advance, charged to the rank's clock after the fan-out.
+	rhsEvals, jacBuilds []int
 }
+
+// The virtual-clock cost table: seconds charged per unit of counted
+// work (mpi.Comm.Charge). The values were read from a traced flame_w1
+// benchmark run on a 2-CPU x86-64 host. Counts are integers and each
+// phase multiplies them by this table once, so a rank's clock does not
+// depend on pool width or on the order workers finish.
+const (
+	// chem.rhs_ns: one constant-pressure chemistry RHS evaluation.
+	chemRHSCost = 860e-9
+	// chem.jac_ns: one analytic chemistry Jacobian build.
+	chemJacCost = 2.42e-6
+	// rkc.phase_s over its stage cells (0.596 s / 83 568): one RKC
+	// stage evaluation of the diffusion RHS at one cell.
+	rkcCellCost = 7.13e-6
+)
 
 var implicitIntegratorSpec = &Spec{
 	Class: "ImplicitIntegrator", New: func() cca.Component { return &ImplicitIntegrator{} },
@@ -158,6 +176,12 @@ func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, dt fl
 		ints[w] = integ.WorkerIntegrator(w, width)
 	}
 
+	if len(ii.rhsEvals) < width {
+		ii.rhsEvals, ii.jacBuilds = make([]int, width), make([]int, width)
+	}
+	clear(ii.rhsEvals)
+	clear(ii.jacBuilds)
+
 	ys := make([][]float64, len(ints))
 	var failed int32
 	var failMu sync.Mutex
@@ -177,7 +201,10 @@ func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, dt fl
 			y[1+k] = c.pd.At(1+k, c.i, c.j)
 		}
 		chem.NormalizeY(y[1 : 1+nsp])
-		if _, err := ints[w].IntegrateTo(0, dt, y); err != nil {
+		st, err := ints[w].IntegrateTo(0, dt, y)
+		ii.rhsEvals[w] += st.RHSEvals
+		ii.jacBuilds[w] += st.JacEvals
+		if err != nil {
 			atomic.StoreInt32(&failed, 1)
 			failMu.Lock()
 			if failIdx < 0 || idx < failIdx {
@@ -193,6 +220,14 @@ func (ii *ImplicitIntegrator) AdvanceChemistry(mesh MeshPort, name string, dt fl
 		}
 	}
 	pool.ForEach(len(cells), body)
+	if comm := ii.svc.Comm(); comm != nil {
+		var rhs, jac int
+		for w := range ii.rhsEvals {
+			rhs += ii.rhsEvals[w]
+			jac += ii.jacBuilds[w]
+		}
+		comm.Charge(float64(rhs)*chemRHSCost + float64(jac)*chemJacCost)
+	}
 	if failErr != nil {
 		return failIdx, failErr
 	}

@@ -212,15 +212,16 @@ func TestInterceptorTracedFlame(t *testing.T) {
 	}
 }
 
-// regionTally sits on the patch-RHS wire between the integrator and
-// InviscidFlux and forwards every region, summing the rows plus
-// columns the inviscid sweeps cross over the non-empty ones.
+// regionTally sits on a patch-RHS wire between an integrator and its
+// physics and forwards every region, summing the rows plus columns the
+// sweeps cross over the non-empty ones, and the cells evaluated.
 type regionTally struct {
 	svc   cca.Services
 	once  sync.Once
 	inner components.PatchRHSPort
 	mu    sync.Mutex
 	lines int
+	cells int
 }
 
 func (rt *regionTally) SetServices(svc cca.Services) error {
@@ -244,6 +245,7 @@ func (rt *regionTally) EvalRegion(pd, out *field.PatchData, region amr.Box, dx, 
 		nx, ny := region.Size()
 		rt.mu.Lock()
 		rt.lines += nx + ny
+		rt.cells += region.NumCells()
 		rt.mu.Unlock()
 	}
 	rt.inner.EvalRegion(pd, out, region, dx, dy)

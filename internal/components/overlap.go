@@ -4,6 +4,7 @@ import (
 	"ccahydro/internal/amr"
 	"ccahydro/internal/exec"
 	"ccahydro/internal/field"
+	"ccahydro/internal/mpi"
 )
 
 // stripItem is one boundary strip of one patch in the interleaved
@@ -39,6 +40,10 @@ type stripPlan struct {
 	ghost   int
 	items   []stripItem
 	inner   []amr.Box // Interior().Grow(-ghost) per patch, for the interior pass
+
+	// innerCells and stripCells count the cells of the two passes, the
+	// work counts a charged evaluation puts on the virtual clock.
+	innerCells, stripCells int
 
 	// The stage being evaluated, set by evalLevelOverlapped.
 	rhs              PatchRHSPort
@@ -79,9 +84,12 @@ func (sp *stripPlan) ensure(patches []*field.PatchData, ghost int) {
 	}
 	sp.items = sp.items[:0]
 	sp.inner = sp.inner[:0]
+	sp.innerCells, sp.stripCells = 0, 0
 	for i, pd := range patches {
 		inner := pd.Interior().Grow(-ghost)
 		sp.inner = append(sp.inner, inner)
+		sp.innerCells += inner.NumCells()
+		sp.stripCells += pd.Interior().NumCells() - inner.NumCells()
 		for _, s := range pd.Interior().Subtract(inner) {
 			for _, seg := range amr.SplitLargeBoxes([]amr.Box{s}, stripSegMaxCells) {
 				sp.items = append(sp.items, stripItem{pi: i, box: seg})
@@ -141,12 +149,22 @@ func (g ghostFill) fill() { g.finish(g.start()) }
 // so every configuration exercises identical arithmetic; PatchRHSPort
 // providers guarantee disjoint regions reproduce a whole-interior
 // evaluation bit for bit.
+//
+// A non-nil clock is charged rkcCellCost per evaluated cell: the inner
+// cells between start and finish, so message flight hides behind them,
+// and the strip cells after finish.
 func evalLevelOverlapped(gf ghostFill, patches, out []*field.PatchData,
-	dx, dy float64, pool *exec.Pool, rhs PatchRHSPort, sp *stripPlan) {
+	dx, dy float64, pool *exec.Pool, rhs PatchRHSPort, sp *stripPlan, clock *mpi.Comm) {
 	sp.ensure(patches, gf.d.Ghost)
 	sp.rhs, sp.out, sp.dx, sp.dy = rhs, out, dx, dy
 	ex := gf.start()
 	pool.ForEach(len(patches), sp.innerFn)
+	if clock != nil {
+		clock.Charge(float64(sp.innerCells) * rkcCellCost)
+	}
 	gf.finish(ex)
 	pool.ForEach(len(sp.items), sp.stripFn)
+	if clock != nil {
+		clock.Charge(float64(sp.stripCells) * rkcCellCost)
+	}
 }

@@ -119,15 +119,16 @@ func (rk *ExplicitIntegratorRK2) AdvanceLevel(mesh MeshPort, name string, level 
 
 	// The flux evaluation of each stage overlaps the seam exchange with
 	// interior compute (evalLevelOverlapped), with the problem's BC
-	// component (not GrACE's default) in the ghost protocol.
+	// component (not GrACE's default) in the ghost protocol. No clock
+	// is charged: nothing reads a shock's virtual time yet.
 	gf := ghostFill{d: d, bc: bc, name: name, level: level}
 
 	// Stage 1: U1 = U + dt L(U).
-	evalLevelOverlapped(gf, patches, lc.rhs, dx, dy, pool, rhsPort, &lc.strips)
+	evalLevelOverlapped(gf, patches, lc.rhs, dx, dy, pool, rhsPort, &lc.strips, nil)
 	pool.ForEach(len(patches), lc.upd1)
 
 	// Stage 2: U^{n+1} = (U + U1 + dt L(U1)) / 2.
-	evalLevelOverlapped(gf, patches, lc.rhs, dx, dy, pool, rhsPort, &lc.strips)
+	evalLevelOverlapped(gf, patches, lc.rhs, dx, dy, pool, rhsPort, &lc.strips, nil)
 	pool.ForEach(len(patches), lc.upd2)
 	gf.fill()
 	return nil

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"ccahydro/internal/amr"
 	"ccahydro/internal/cca"
 	"ccahydro/internal/components"
 	"ccahydro/internal/euler"
@@ -147,7 +149,7 @@ func TestReactionDiffusionEndToEnd(t *testing.T) {
 	if h.NumLevels() < 2 {
 		t.Errorf("levels = %d, want refinement around hot spots", h.NumLevels())
 	}
-	if err := h.CheckProperNesting(); err != nil {
+	if err := checkProperNesting(h); err != nil {
 		t.Errorf("hierarchy invariants violated: %v", err)
 	}
 	if len(dr.StepSeconds) != 2 {
@@ -273,7 +275,7 @@ func TestShockInterfaceEndToEnd(t *testing.T) {
 	if h.NumLevels() < 2 {
 		t.Errorf("levels = %d, want refinement at discontinuities", h.NumLevels())
 	}
-	if err := h.CheckProperNesting(); err != nil {
+	if err := checkProperNesting(h); err != nil {
 		t.Errorf("hierarchy invariants violated: %v", err)
 	}
 	// Density stays within physical bounds (1..post-shock*ratio-ish).
@@ -411,4 +413,40 @@ func TestHLLCFluxSwap(t *testing.T) {
 			t.Fatal("NaN circulation with HLLC")
 		}
 	}
+}
+
+// checkProperNesting verifies the hierarchy invariants: every fine
+// patch lies inside the domain, inside the union of the next coarser
+// level's patches, and no two same-level patches overlap. It returns
+// the first violation found, or nil.
+func checkProperNesting(h *amr.Hierarchy) error {
+	for l := 0; l < h.NumLevels(); l++ {
+		domain := h.LevelDomain(l)
+		patches := h.Level(l).Patches
+		for i, p := range patches {
+			if !domain.ContainsBox(p.Box) {
+				return fmt.Errorf("level %d patch %v escapes domain %v", l, p.Box, domain)
+			}
+			for _, q := range patches[i+1:] {
+				if p.Box.Intersects(q.Box) {
+					return fmt.Errorf("level %d patches %v and %v overlap", l, p.Box, q.Box)
+				}
+			}
+			if l == 0 {
+				continue
+			}
+			remaining := []amr.Box{p.Box.Coarsen(h.Ratio)}
+			for _, cp := range h.Level(l - 1).Patches {
+				var next []amr.Box
+				for _, r := range remaining {
+					next = append(next, r.Subtract(cp.Box)...)
+				}
+				remaining = next
+			}
+			if len(remaining) != 0 {
+				return fmt.Errorf("level %d patch %v not nested in level %d (uncovered: %v)", l, p.Box, l-1, remaining)
+			}
+		}
+	}
+	return nil
 }

@@ -239,7 +239,7 @@ func heunStep(s *Solver, d *field.DataObject, dt, dx, dy float64) {
 	tmp := field.NewPatchData(pd.Patch, NumComp, 2)
 
 	d.ApplyPhysicalBCs(0, outflowBC)
-	s.RHSPatch(pd, rhs, dx, dy)
+	s.RHSRegion(pd, rhs, pd.Interior(), dx, dy)
 	b := pd.Interior()
 	for k := 0; k < NumComp; k++ {
 		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
@@ -259,7 +259,7 @@ func heunStep(s *Solver, d *field.DataObject, dt, dx, dy float64) {
 	save.CopyRegion(pd, pd.GrownBox())
 	pd.CopyRegion(tmp, b)
 	d.ApplyPhysicalBCs(0, outflowBC)
-	s.RHSPatch(pd, rhs, dx, dy)
+	s.RHSRegion(pd, rhs, pd.Interior(), dx, dy)
 	for k := 0; k < NumComp; k++ {
 		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
 			for i := b.Lo[0]; i <= b.Hi[0]; i++ {
@@ -370,7 +370,7 @@ func TestUniformFlowIsSteady(t *testing.T) {
 	}
 	s := NewSolver(1.4, GodunovFlux)
 	rhs := field.NewPatchData(pd.Patch, NumComp, 2)
-	s.RHSPatch(pd, rhs, 0.01, 0.01)
+	s.RHSRegion(pd, rhs, pd.Interior(), 0.01, 0.01)
 	b := pd.Interior()
 	for k := 0; k < NumComp; k++ {
 		for j := b.Lo[1]; j <= b.Hi[1]; j++ {

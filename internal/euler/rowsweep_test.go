@@ -247,12 +247,12 @@ func TestRHSPatchNestedPoolMatchesSerial(t *testing.T) {
 	pooled.Pool.ForEachChunk(patches, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			got[p] = field.NewPatchData(pds[p].Patch, NumComp, 2)
-			pooled.RHSPatch(pds[p], got[p], 0.1, 0.2)
+			pooled.RHSRegion(pds[p], got[p], pds[p].Interior(), 0.1, 0.2)
 		}
 	})
 	for p, pd := range pds {
 		want := field.NewPatchData(pd.Patch, NumComp, 2)
-		serial.RHSPatch(pd, want, 0.1, 0.2)
+		serial.RHSRegion(pd, want, pd.Interior(), 0.1, 0.2)
 		ib := pd.Interior()
 		for k := 0; k < NumComp; k++ {
 			for j := ib.Lo[1]; j <= ib.Hi[1]; j++ {

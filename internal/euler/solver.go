@@ -71,7 +71,7 @@ func RowFlux(flux FluxFunc) FluxRow {
 // Solver advances the 2D Euler system on AMR patches. A Solver value
 // with a nil or width-1 Pool is strictly serial; all methods are
 // read-only on the Solver itself, so one Solver may serve concurrent
-// RHSPatch calls on different patches.
+// RHSRegion calls on different patches.
 type Solver struct {
 	Gas  Gas
 	Flux FluxRow
@@ -81,7 +81,7 @@ type Solver struct {
 	Limiter Limiter
 	// CFL is the Courant number (default 0.45 when zero).
 	CFL float64
-	// Pool, when non-nil, fans the row/column sweeps of RHSPatch out
+	// Pool, when non-nil, fans the row/column sweeps of RHSRegion out
 	// across workers whenever it would not run them inline. Rows (and
 	// columns) write disjoint cells of out, and the sweep decomposition
 	// is independent of worker count, so results are bit-for-bit
@@ -188,7 +188,7 @@ func (s *Solver) primAt(pd *field.PatchData, i, j int) Primitive {
 	return s.Gas.ToPrimitive(u)
 }
 
-// serialPool backs RHSPatch when the Solver has no Pool: width 1, so
+// serialPool backs RHSRegion when the Solver has no Pool: width 1, so
 // every sweep runs inline.
 var serialPool = exec.NewPool(1)
 
@@ -199,7 +199,7 @@ type sweep struct {
 	f    []Conserved
 }
 
-// sweepPool recycles sweep scratch across RHSPatch calls. A sync.Pool
+// sweepPool recycles sweep scratch across RHSRegion calls. A sync.Pool
 // (rather than solver-held scratch) keeps Solver values copyable and
 // the kernel safe under nested parallelism, where one shared Solver
 // serves several concurrent patch evaluations.
@@ -215,24 +215,19 @@ func getSweep(n int) *sweep {
 	return sw
 }
 
-// RHSPatch writes dU/dt = -dF/dx - dG/dy into out over the interior of
-// pd. The patch's ghost cells (2 layers) must be filled beforehand.
-// It is RHSRegion over the whole interior.
-func (s *Solver) RHSPatch(pd, out *field.PatchData, dx, dy float64) {
-	s.RHSRegion(pd, out, pd.Interior(), dx, dy)
-}
-
 // smallRegionCells bounds the regions RHSRegion always sweeps on the
 // calling goroutine, whatever the Pool: a few rows are not worth an
 // epoch, and a boundary-strip segment (at most 8 cells) must never
 // start one when it finds the pool idle.
 const smallRegionCells = 64
 
-// RHSRegion is RHSPatch restricted to a sub-box of the interior. Each
-// face flux is a pure function of the four stencil cells behind it, so
-// fluxes on a region boundary are recomputed identically to a
-// full-patch sweep and any disjoint partition of the interior
-// reproduces RHSPatch bit for bit. Cells of region must stay at least
+// RHSRegion writes dU/dt = -dF/dx - dG/dy into out over region, a
+// sub-box of pd's interior; the patch's ghost cells (2 layers) must be
+// filled beforehand. Each face flux is a pure function of the four
+// stencil cells behind it, so fluxes on a region boundary are
+// recomputed identically to a full-patch sweep and any disjoint
+// partition of the interior reproduces the whole-interior sweep bit
+// for bit. Cells of region must stay at least
 // two cells from data the caller considers unfilled (the MUSCL stencil
 // reads ±2 in the sweep direction).
 //

@@ -189,10 +189,7 @@ func TestForEachPatchDisjointWrites(t *testing.T) {
 	d := field.New("u", h, 3, 2, nil)
 	// Split level 0 into many patches by regridding is unnecessary:
 	// build patch data over disjoint boxes directly.
-	var patches []*field.PatchData
-	for _, p := range h.Level(0).Patches {
-		patches = append(patches, d.Local(p.ID))
-	}
+	patches := append([]*field.PatchData(nil), d.LocalPatches(0)...)
 	if len(patches) == 0 {
 		t.Fatal("no patches")
 	}

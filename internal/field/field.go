@@ -75,21 +75,6 @@ func (pd *PatchData) Offset(i, j int) int {
 	return (j-pd.gbox.Lo[1])*pd.nx + (i - pd.gbox.Lo[0])
 }
 
-// Fill sets every cell (including ghosts) of component c to v.
-func (pd *PatchData) Fill(c int, v float64) {
-	plane := pd.Comp(c)
-	for i := range plane {
-		plane[i] = v
-	}
-}
-
-// FillAll sets every cell of every component to v.
-func (pd *PatchData) FillAll(v float64) {
-	for i := range pd.data {
-		pd.data[i] = v
-	}
-}
-
 // CopyRegion copies all components of region (cell coordinates shared
 // by both patches' level) from src into pd.
 func (pd *PatchData) CopyRegion(src *PatchData, region amr.Box) {
@@ -216,9 +201,6 @@ func (d *DataObject) allocate() {
 
 // Hierarchy returns the mesh this object is declared on.
 func (d *DataObject) Hierarchy() *amr.Hierarchy { return d.h }
-
-// Local returns the owned PatchData for a patch ID, or nil.
-func (d *DataObject) Local(id int) *PatchData { return d.local[id] }
 
 // LocalPatches returns owned patch data on a level, in patch order.
 // The list is built once and shared by every caller, so callers must

@@ -11,6 +11,22 @@ import (
 	"ccahydro/internal/mpi"
 )
 
+// fill sets every cell (ghosts included) of component c to v.
+func fill(pd *PatchData, c int, v float64) {
+	plane := pd.Comp(c)
+	for i := range plane {
+		plane[i] = v
+	}
+}
+
+// fillAll sets every cell of every component to v.
+func fillAll(pd *PatchData, v float64) {
+	data := pd.RawData()
+	for i := range data {
+		data[i] = v
+	}
+}
+
 func TestPatchDataBasics(t *testing.T) {
 	p := &amr.Patch{ID: 0, Box: amr.NewBox(2, 3, 5, 7)}
 	pd := NewPatchData(p, 3, 2)
@@ -25,13 +41,13 @@ func TestPatchDataBasics(t *testing.T) {
 	if pd.At(1, 4, 5) != 4 {
 		t.Error("Add failed")
 	}
-	pd.Fill(0, 7)
+	fill(pd, 0, 7)
 	if pd.At(0, 0, 1) != 7 || pd.At(0, 7, 9) != 7 {
-		t.Error("Fill failed")
+		t.Error("fill failed")
 	}
-	pd.FillAll(1)
+	fillAll(pd, 1)
 	if pd.At(2, 3, 3) != 1 {
-		t.Error("FillAll failed")
+		t.Error("fillAll failed")
 	}
 	// Comp plane addressing matches At.
 	plane := pd.Comp(1)
@@ -75,7 +91,7 @@ func TestCopyRegion(t *testing.T) {
 	pb := &amr.Patch{ID: 1, Box: amr.NewBox(5, 0, 9, 4)}
 	a := NewPatchData(pa, 1, 1)
 	b := NewPatchData(pb, 1, 1)
-	a.Fill(0, 2)
+	fill(a, 0, 2)
 	// Copy a's rightmost column into b's left ghost column.
 	b.CopyRegion(a, amr.NewBox(4, 0, 4, 4))
 	if b.At(0, 4, 2) != 2 {
@@ -97,7 +113,7 @@ func TestExchangeGhostsSerial(t *testing.T) {
 	d := New("u", h, 1, 2, nil)
 	// Paint each patch with its owner-patch id + 1.
 	for i, pd := range d.LocalPatches(0) {
-		pd.Fill(0, 0)
+		fill(pd, 0, 0)
 		b := pd.Interior()
 		for j := b.Lo[1]; j <= b.Hi[1]; j++ {
 			for ii := b.Lo[0]; ii <= b.Hi[0]; ii++ {
@@ -204,6 +220,34 @@ func TestProlongLinearReproducesAffine(t *testing.T) {
 	}
 }
 
+// TestCentralSlopeIsLimited is the limiter oracle. On a non-uniform
+// monotone profile (0, 1, 3 and its mirror images) the slope is no
+// steeper than either one-sided difference and keeps their sign; at an
+// extremum it is 0. A maxmod limiter, which takes the steeper side,
+// overshoots on the first profile.
+func TestCentralSlopeIsLimited(t *testing.T) {
+	sh := NewPatchData(&amr.Patch{Box: amr.NewBox(1, 1, 1, 1)}, 1, 1) // grown box (0,0)-(2,2)
+	for _, vals := range [][3]float64{{0, 1, 3}, {3, 1, 0}, {0, 2, 3}, {-1, 0, 4}, {0, 1, 0}, {2, -1, 5}} {
+		for _, dir := range [][2]int{{1, 0}, {0, 1}} {
+			di, dj := dir[0], dir[1]
+			sh.Set(0, 1-di, 1-dj, vals[0])
+			sh.Set(0, 1, 1, vals[1])
+			sh.Set(0, 1+di, 1+dj, vals[2])
+			got := centralSlope(sh, 0, 1, 1, di, dj)
+			bwd, fwd := vals[1]-vals[0], vals[2]-vals[1]
+			switch {
+			case fwd*bwd <= 0:
+				if got != 0 {
+					t.Errorf("profile %v along (%d,%d): slope %v at an extremum, want 0", vals, di, dj, got)
+				}
+			case math.Abs(got) > math.Min(math.Abs(fwd), math.Abs(bwd)) || got*fwd <= 0:
+				t.Errorf("profile %v along (%d,%d): slope %v, want the sign of and no steeper than %v and %v",
+					vals, di, dj, got, bwd, fwd)
+			}
+		}
+	}
+}
+
 func TestProlongInjectionIsPiecewiseConstant(t *testing.T) {
 	h := refinedHierarchy()
 	d := New("u", h, 1, 2, nil)
@@ -284,7 +328,7 @@ func TestFillCoarseFineGhosts(t *testing.T) {
 	fillAffine(d, 0, 0, 1, 0) // u = x on coarse
 	// Zero the fine level; fill its ghosts from coarse.
 	for _, pd := range d.LocalPatches(1) {
-		pd.FillAll(0)
+		fillAll(pd, 0)
 	}
 	d.FillCoarseFineGhosts(1, ProlongLinear)
 	pd := d.LocalPatches(1)[0]
@@ -367,7 +411,7 @@ func TestExchangeLeavesInteriorProperty(t *testing.T) {
 		})
 		d.ExchangeGhosts(0)
 		for _, cl := range cells {
-			if d.Local(cl.id).At(cl.c, cl.i, cl.j) != cl.v {
+			if d.local[cl.id].At(cl.c, cl.i, cl.j) != cl.v {
 				return false
 			}
 		}
@@ -477,7 +521,7 @@ func TestBCOnlyAppliesAtDomainEdge(t *testing.T) {
 	h := twoPatchHierarchy(2)
 	d := New("u", h, 1, 1, nil)
 	for _, pd := range d.LocalPatches(0) {
-		pd.FillAll(3)
+		fillAll(pd, 3)
 	}
 	d.ApplyPhysicalBCs(0, UniformBC(BCSpec{Kind: BCDirichlet, Value: -1}))
 	left := d.LocalPatches(0)[0]
@@ -512,7 +556,7 @@ func TestLocalAccessors(t *testing.T) {
 	if n != want {
 		t.Errorf("ForEachLocal visited %d, want %d", n, want)
 	}
-	if d.Local(-1) != nil {
-		t.Error("Local(-1) should be nil")
+	if d.local[-1] != nil {
+		t.Error("patch ID -1 should own no data")
 	}
 }

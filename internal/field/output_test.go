@@ -13,10 +13,10 @@ func TestCompositeSampleUsesFinestData(t *testing.T) {
 	// Coarse = 1 everywhere, fine = 5 everywhere: composite must show 5
 	// where fine data exists, 1 elsewhere.
 	for _, pd := range d.LocalPatches(0) {
-		pd.FillAll(1)
+		fillAll(pd, 1)
 	}
 	for _, pd := range d.LocalPatches(1) {
-		pd.FillAll(5)
+		fillAll(pd, 5)
 	}
 	data, domain := d.CompositeSample(0)
 	nx, _ := domain.Size()
@@ -56,7 +56,7 @@ func TestCompositeSampleAverages(t *testing.T) {
 func TestWriteCSVShape(t *testing.T) {
 	h := amr.NewHierarchy(amr.NewBox(0, 0, 3, 2), 2, 1, 1)
 	d := New("u", h, 1, 1, nil)
-	d.LocalPatches(0)[0].FillAll(2.5)
+	fillAll(d.LocalPatches(0)[0], 2.5)
 	var b strings.Builder
 	if err := d.WriteCSV(&b, 0, "test"); err != nil {
 		t.Fatal(err)

@@ -224,16 +224,6 @@ func (d *DataObject) scheduleFor(ph phase, level int) *schedule {
 	return s
 }
 
-// ScheduleBuilds counts ghost-schedule constructions (cache misses);
-// tests assert the cache only invalidates across regrids.
-func (d *DataObject) ScheduleBuilds() int { return d.builds[phaseGhost] }
-
-// XferScheduleBuilds counts coarse–fine (shadow and restrict) schedule
-// constructions, the same way ScheduleBuilds counts the ghost phase.
-func (d *DataObject) XferScheduleBuilds() int {
-	return d.builds[phaseShadow] + d.builds[phaseRestrict]
-}
-
 // buildGhostTransfers enumerates the same-level neighbor → ghost moves
 // of one level.
 func (d *DataObject) buildGhostTransfers(level int) []transfer {

@@ -65,6 +65,13 @@ func TestCoalescedMessageCountAtMostNeighborRanks(t *testing.T) {
 	})
 }
 
+// ghostBuilds counts ghost-schedule constructions (cache misses).
+func ghostBuilds(d *DataObject) int { return d.builds[phaseGhost] }
+
+// xferBuilds counts coarse–fine (shadow and restrict) schedule
+// constructions, the way ghostBuilds counts the ghost phase.
+func xferBuilds(d *DataObject) int { return d.builds[phaseShadow] + d.builds[phaseRestrict] }
+
 // TestScheduleCacheInvalidatesOnRegrid asserts the schedule is built
 // once per (level, hierarchy): repeated exchanges reuse it, and a
 // regrid, which remaps onto the successor hierarchy, builds afresh.
@@ -74,7 +81,7 @@ func TestScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.ExchangeGhosts(0)
 	}
-	if got := d.ScheduleBuilds(); got != 1 {
+	if got := ghostBuilds(d); got != 1 {
 		t.Fatalf("5 exchanges built %d schedules, want 1 (cache miss per call)", got)
 	}
 	f := amr.NewFlagField(h.LevelDomain(0))
@@ -85,7 +92,7 @@ func TestScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	d.ExchangeGhosts(1)
 	d.ExchangeGhosts(0)
 	d.ExchangeGhosts(1)
-	if got := d.ScheduleBuilds(); got != 2 {
+	if got := ghostBuilds(d); got != 2 {
 		t.Fatalf("2 levels exchanged twice built %d schedules, want 2", got)
 	}
 	// A regrid leaves its receiver, and data on it keeps its cache;
@@ -94,12 +101,12 @@ func TestScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	f2.SetBox(amr.NewBox(4, 4, 19, 19))
 	nd := d.Remap(h.Regrid([]*amr.FlagField{f2}, amr.DefaultRegridOptions), ProlongLinear)
 	d.ExchangeGhosts(0)
-	if got := d.ScheduleBuilds(); got != 2 {
+	if got := ghostBuilds(d); got != 2 {
 		t.Fatalf("exchange on the receiver's data after a regrid built %d schedules total, want 2", got)
 	}
 	nd.ExchangeGhosts(0)
 	nd.ExchangeGhosts(0)
-	if got := nd.ScheduleBuilds(); got != 1 {
+	if got := ghostBuilds(nd); got != 1 {
 		t.Fatalf("remapped data built %d schedules, want 1", got)
 	}
 }

@@ -31,17 +31,17 @@ func TestXferScheduleCachedPerPhaseAndLevel(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.FillCoarseFineGhosts(1, ProlongLinear)
 	}
-	if got := d.XferScheduleBuilds(); got != 1 {
+	if got := xferBuilds(d); got != 1 {
 		t.Fatalf("3 coarse-fine fills built %d schedules, want 1", got)
 	}
 	d.ProlongLevel(1, ProlongLinear) // same phaseShadow schedule
-	if got := d.XferScheduleBuilds(); got != 1 {
+	if got := xferBuilds(d); got != 1 {
 		t.Fatalf("prolong after fills built %d schedules, want 1 (shadow schedule not shared)", got)
 	}
 	for i := 0; i < 3; i++ {
 		d.RestrictLevel(1)
 	}
-	if got := d.XferScheduleBuilds(); got != 2 {
+	if got := xferBuilds(d); got != 2 {
 		t.Fatalf("3 restrictions built %d schedules total, want 2", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestXferScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	h, d := twoLevel(t)
 	d.FillCoarseFineGhosts(1, ProlongLinear)
 	d.RestrictLevel(1)
-	if got := d.XferScheduleBuilds(); got != 2 {
+	if got := xferBuilds(d); got != 2 {
 		t.Fatalf("warm-up built %d schedules, want 2", got)
 	}
 	gen0 := h.Generation()
@@ -68,19 +68,19 @@ func TestXferScheduleCacheInvalidatesOnRegrid(t *testing.T) {
 	}
 	d.FillCoarseFineGhosts(1, ProlongLinear)
 	d.RestrictLevel(1)
-	if got := d.XferScheduleBuilds(); got != 2 {
+	if got := xferBuilds(d); got != 2 {
 		t.Fatalf("receiver's data rebuilt schedules after a regrid: %d total, want 2", got)
 	}
 	nd := d.Remap(h2, ProlongLinear)
 	nd.FillCoarseFineGhosts(1, ProlongLinear)
 	nd.RestrictLevel(1)
-	if got := nd.XferScheduleBuilds(); got != 2 {
+	if got := xferBuilds(nd); got != 2 {
 		t.Fatalf("post-regrid fill+restrict built %d schedules, want 2", got)
 	}
 	// And the rebuilt schedules are cached again.
 	nd.FillCoarseFineGhosts(1, ProlongLinear)
 	nd.RestrictLevel(1)
-	if got := nd.XferScheduleBuilds(); got != 2 {
+	if got := xferBuilds(nd); got != 2 {
 		t.Fatalf("steady state after regrid built %d schedules total, want 2", got)
 	}
 }
@@ -173,7 +173,7 @@ func xferRegridSequence(comm *mpi.Comm, p int, blocks []amr.Box, owners []int) (
 		nd.ExchangeGhosts(1)
 		nd.RestrictLevel(1)
 	}
-	return nd, d.XferScheduleBuilds(), nd.XferScheduleBuilds()
+	return nd, xferBuilds(d), xferBuilds(nd)
 }
 
 // TestXferScheduleMidRunRegridParallelMatchesSerial runs the mid-run

@@ -300,7 +300,8 @@ func (c *Comm) Size() int { return c.world.size }
 func (c *Comm) VirtualTime() float64 { return c.world.clocks[c.rank].now() }
 
 // Charge adds modeled compute time to this rank's virtual clock. The
-// scaling harness charges per-cell costs through this hook.
+// flame's integrator components charge their counted work through it,
+// and the halo microbenchmark a pinned per-cell rate.
 func (c *Comm) Charge(seconds float64) {
 	if seconds < 0 {
 		panic("mpi: negative compute charge")

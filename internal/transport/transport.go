@@ -174,28 +174,20 @@ func (t *Model) BinaryDiffusion(j, k int, T, P float64) float64 {
 	return num / den
 }
 
-// Viscosity returns the pure-species dynamic viscosity in Pa s:
+// viscosity returns the pure-species dynamic viscosity in Pa s, given
+// om22 = Omega22(T/eps_k):
 //
 //	mu_k = 5/16 * sqrt(pi m_k kB T) / (pi sigma_k^2 Omega22)
-func (t *Model) Viscosity(k int, T float64) float64 {
-	return t.viscosity(k, T, omega22(T/t.lj[k].EpsOverK))
-}
-
-// viscosity is Viscosity's formula given om22 = Omega22(T/eps_k).
 func (t *Model) viscosity(k int, T, om22 float64) float64 {
 	s := t.lj[k].Sigma
 	return 5.0 / 16.0 * math.Sqrt(math.Pi*t.mass[k]*kB*T) / (math.Pi * s * s * om22)
 }
 
-// Conductivity returns the pure-species thermal conductivity in
-// W/(m K) using the modified Eucken correction:
+// conductivity returns the pure-species thermal conductivity in
+// W/(m K), given om22 = Omega22(T/eps_k), using the modified Eucken
+// correction:
 //
 //	lambda_k = mu_k (cp_k + 5/4 R/W_k)
-func (t *Model) Conductivity(k int, T float64) float64 {
-	return t.conductivity(k, T, omega22(T/t.lj[k].EpsOverK))
-}
-
-// conductivity is Conductivity's formula given om22 = Omega22(T/eps_k).
 func (t *Model) conductivity(k int, T, om22 float64) float64 {
 	sp := &t.mech.Species[k]
 	return t.viscosity(k, T, om22) * (sp.CpMass(T) + 1.25*chem.R/sp.W)

@@ -499,3 +499,13 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 var sinkLambda float64
+
+// Viscosity is the pure-species dynamic viscosity in Pa s.
+func (t *Model) Viscosity(k int, T float64) float64 {
+	return t.viscosity(k, T, omega22(T/t.lj[k].EpsOverK))
+}
+
+// Conductivity is the pure-species thermal conductivity in W/(m K).
+func (t *Model) Conductivity(k int, T float64) float64 {
+	return t.conductivity(k, T, omega22(T/t.lj[k].EpsOverK))
+}

@@ -2,8 +2,10 @@
 # Regenerate BENCH_comm.json: the halo-exchange study comparing the
 # blocking baseline against the asynchronous coalesced exchange
 # (virtual times, message counts before/after coalescing, hidden flight
-# time). Deterministic at any GOMAXPROCS — virtual clocks and pinned
-# per-cell rates, no wall-clock calibration. The committed artifact is
+# time), and the per-rank virtual times of the flame built-in on 1-8
+# ranks (strong 48x48, weak 16x16 per rank). Deterministic at any
+# GOMAXPROCS — virtual clocks charged from a pinned per-cell rate and
+# from work counts, no wall-clock calibration. The committed artifact is
 # the full sweep, and scripts/check.sh fails if it differs from what
 # the code produces. Run from the repo root:
 #

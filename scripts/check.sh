@@ -56,8 +56,13 @@
 # field.Exchange handle), the patch family links (linkFamilies: no
 # reader ever used Parents/Children), the second patch identity of
 # checkpoint dirty tracking (patchKey, hierarchyKey: the patch ID alone
-# names a patch for the whole run), and the ring collective only its
-# own test reached (Allgather with the Sendrecv it called). Split,
+# names a patch for the whole run), the ring collective only its
+# own test reached (Allgather with the Sendrecv it called), the scaling
+# proxy that Table 5 and Figs 8/9 no longer use (Calibrate, diffKernel,
+# RunScaling, RunCommFig9, CommFig9Point: the scaling studies run the
+# flame built-in on its work-count clock), and the wrappers and oracles
+# only tests reached (RHSPatch, ScheduleBuilds, XferScheduleBuilds,
+# FillAll; CheckProperNesting lives in the amr tests). Split,
 # Dup, Shift, Reset and Instant are left out of the pattern because
 # strings.Split and other code would match.
 # After the test suite the three remaining examples (instrumented,
@@ -117,10 +122,10 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
-echo "== deleted names stay deleted (one contract per port; no second ghost protocol, per-face states seam, second restore path, second transfer engine, second patch identity or test-only surface)"
-probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates|AnySource|AnyTag|Alltoall|Scatter|Isend|Irecv|Waitall|recvAny|matchAny|splitSeq|EnableBuilderService|BuilderServiceType|RunScriptSCMD|MixtureViscosity|RunTable4|KernelNames|UMass|restoreExact|restoreElastic|PatchByID|StoichiometricMoistCOAir|SetBCSet|MaxMach|ForEachPatch|ghostScheduleFor|xferScheduleFor|startTransfers|executeTransfers|planXfer|GhostExchange|TransferExchange|linkFamilies|patchKey|hierarchyKey|Allgather|Sendrecv' -- '*.go' ':!*_test.go' || true)
+echo "== deleted names stay deleted (one contract per port; no second ghost protocol, per-face states seam, second restore path, second transfer engine, second patch identity, scaling proxy or test-only surface)"
+probes=$(git grep -nwE 'RegionRHSPort|MultiLevelChemistryPort|SupportsRegion|SupportsMultiLevel|JacobianRHSPort|WorkerIntegratorPort|CounterSource|DataPort|DataPortType|FillAllGhosts|StatesFunc|MUSCLStates|AnySource|AnyTag|Alltoall|Scatter|Isend|Irecv|Waitall|recvAny|matchAny|splitSeq|EnableBuilderService|BuilderServiceType|RunScriptSCMD|MixtureViscosity|RunTable4|KernelNames|UMass|restoreExact|restoreElastic|PatchByID|StoichiometricMoistCOAir|SetBCSet|MaxMach|ForEachPatch|ghostScheduleFor|xferScheduleFor|startTransfers|executeTransfers|planXfer|GhostExchange|TransferExchange|linkFamilies|patchKey|hierarchyKey|Allgather|Sendrecv|Calibrate|diffKernel|RunScaling|RunCommFig9|CommFig9Point|RHSPatch|ScheduleBuilds|XferScheduleBuilds|FillAll|CheckProperNesting' -- '*.go' ':!*_test.go' || true)
 if [ -n "$probes" ]; then
-	echo "deleted names are back; add the method to the port itself (or use ghostFill, StatesRow, IsendBuffered/IrecvInto, CheckpointComponent.Restore, field.Exchange, or the benchmark's ignition_cells) instead:" >&2
+	echo "deleted names are back; add the method to the port itself (or use ghostFill, StatesRow, IsendBuffered/IrecvInto, CheckpointComponent.Restore, field.Exchange, bench.RunFlame, or the benchmark's ignition_cells) instead:" >&2
 	echo "$probes" >&2
 	exit 1
 fi
