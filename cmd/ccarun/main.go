@@ -11,11 +11,10 @@
 //	ccarun -arena scenarios/ignition0d.scn       # print the assembly without running "go"
 //	ccarun -np 4 -trace out.json file.scn        # Perfetto trace of the run
 //	ccarun -obs file.scn                         # port-call summary table
-//	ccarun -metrics :8080 file.scn               # /metrics, /debug/vars, /debug/pprof
 //	ccarun -np 4 -ckpt-every 5 -ckpt-dir ck file.scn    # checkpoint every 5 steps
 //	ccarun -np 4 -restore ck file.scn                   # resume from the latest checkpoint
 //	ccarun -np 4 -ckpt-every 2 -fault kill:1@3 file.scn # kill rank 1 at step 3; auto-recover
-//	ccarun -np 4 -serve :8080 file.scn           # live /metrics /healthz /series /trace
+//	ccarun -np 4 -serve :8080 file.scn           # live /metrics /healthz /series /trace /debug/pprof /debug/vars
 //	ccarun -np 4 -events run.jsonl file.scn      # structured JSONL event log
 //
 // Command script grammar (one command per line, # comments):
@@ -33,15 +32,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-
-	_ "expvar"         // /debug/vars on the metrics server
-	_ "net/http/pprof" // /debug/pprof on the metrics server
 
 	"ccahydro/internal/cca"
 	"ccahydro/internal/ckpt"
@@ -61,7 +55,6 @@ func main() {
 	network := flag.String("network", "cplant", "virtual network model: cplant, fastethernet, zero")
 	tracePath := flag.String("trace", "", "write a merged Chrome/Perfetto trace of the run to this file")
 	obsTable := flag.Bool("obs", false, "print the port-call summary table after the run")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the run executes")
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in driver steps (0 = off)")
 	ckptDir := flag.String("ckpt-dir", "checkpoints", "checkpoint directory")
 	restorePath := flag.String("restore", "", "manifest path or checkpoint directory to resume from")
@@ -70,7 +63,7 @@ func main() {
 	ckptCompress := flag.Bool("ckpt-compress", false, "gzip checkpoint shard payloads")
 	ckptKeep := flag.Int("ckpt-keep", 0, "retention: keep only the newest K checkpoints (0 = keep all)")
 	ckptKeepEvery := flag.Int("ckpt-keep-every", 0, "retention: additionally keep every N-th step")
-	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /series, /trace) on this address while the run executes")
+	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /healthz, /series, /trace, /debug/pprof, /debug/vars) on this address while the run executes")
 	eventsPath := flag.String("events", "", "append structured run events (steps, regrids, checkpoints, faults, retries) to this JSONL file")
 	flightDir := flag.String("flightdir", "flightrec", "directory for crash flight-recorder dumps (written on panic, rank failure, and supervisor retries)")
 	faultSpec := flag.String("fault", "", "inject a rank fault (np>1): kill:RANK@STEP or stall:RANK@STEP:SECONDS")
@@ -157,7 +150,7 @@ func main() {
 	// exactly as without this build. -serve joins the consumers: its
 	// /metrics and /trace endpoints read the live group.
 	var group *obs.Group
-	if *tracePath != "" || *obsTable || *metricsAddr != "" || *serveAddr != "" {
+	if *tracePath != "" || *obsTable || *serveAddr != "" {
 		group = obs.NewGroup(*np)
 		if *obsSample > 1 || *obsFloor > 0 {
 			for r := 0; r < group.Size(); r++ {
@@ -172,22 +165,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-
-	if *metricsAddr != "" {
-		// expvar and pprof self-register on the default mux; /metrics
-		// serves the live merged registry in Prometheus text format.
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			group.MergedSnapshot().WritePrometheus(w)
-		})
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics on http://%s/metrics (also /debug/vars, /debug/pprof)\n", ln.Addr())
-		go http.Serve(ln, nil) //nolint:errcheck // dies with the process
 	}
 
 	var fault *mpi.Fault
@@ -223,7 +200,7 @@ func main() {
 			os.Exit(1)
 		}
 		telSrv = s
-		fmt.Printf("telemetry on http://%s (/metrics, /healthz, /series, /trace)\n", telSrv.Addr())
+		fmt.Printf("telemetry on http://%s (/metrics, /healthz, /series, /trace, /debug/pprof, /debug/vars)\n", telSrv.Addr())
 	}
 
 	// With checkpointing requested, the script runs in two phases: the
@@ -243,7 +220,7 @@ func main() {
 		assemble := func(f *cca.Framework, comm *mpi.Comm) (err error) {
 			// Crash flight recorder: a genuine panic (not the substrate's
 			// own world-abort unwind, which the rank runner contains)
-			// dumps the rings before the process dies.
+			// dumps the recent events before the process dies.
 			defer func() {
 				if rec := recover(); rec != nil {
 					if hub != nil && !mpi.IsAbortPanic(rec) {
@@ -279,15 +256,7 @@ func main() {
 					return err
 				}
 			}
-			if hub != nil {
-				rk := hub.Rank(r)
-				core.AttachTelemetry(f, rk, comm)
-				if group != nil {
-					// Tee tracer spans into the flight ring so dumps show
-					// the spans leading up to a failure.
-					group.Rank(r).Tracer().SetSink(rk)
-				}
-			}
+			core.AttachTelemetry(f, hub.Rank(r), comm)
 			return goPhase.Execute(f)
 		}
 		if *np == 1 {

@@ -92,7 +92,6 @@ func main() {
 			core.Param{Instance: "driver", Key: "steps", Value: "2"},
 			core.Param{Instance: "driver", Key: "dt", Value: "1e-7"},
 			core.Param{Instance: "driver", Key: "regridEvery", Value: "0"},
-			core.Param{Instance: "driver", Key: "skipChem", Value: "true"},
 		)
 		stats[comm.Rank()] = comm.Stats()
 		return err

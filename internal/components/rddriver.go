@@ -36,8 +36,7 @@ var rdDriverSpec = &Spec{
 		// lie: chemistry then diffusion; strang: half chemistry,
 		// diffusion, half chemistry.
 		"splitting": eparam("lie", "lie", "strang"),
-		"field":     sparam("phi"),   // data object name
-		"skipChem":  bparam("false"), // diffusion-only runs for scaling studies
+		"field":     sparam("phi"), // data object name
 	},
 	Uses: []PortDecl{
 		use("cellChemistry", CellChemistryPortType), use("checkpoint", CheckpointPortType),
@@ -62,7 +61,6 @@ func (dr *RDDriver) run() error {
 	regridEvery := rdDriverSpec.Int(params, "regridEvery")
 	splitting := rdDriverSpec.Str(params, "splitting")
 	name := rdDriverSpec.Str(params, "field")
-	skipChem := rdDriverSpec.Bool(params, "skipChem")
 
 	mesh := rdDriverSpec.port(dr.svc, "mesh").(MeshPort)
 	icPort := rdDriverSpec.port(dr.svc, "ic").(ICFieldPort)
@@ -119,7 +117,7 @@ func (dr *RDDriver) run() error {
 	}
 
 	chemStep := func(frac float64) error {
-		if skipChem || cellChem == nil {
+		if cellChem == nil {
 			return nil
 		}
 		_, err := cellChem.AdvanceChemistry(mesh, name, dt*frac)

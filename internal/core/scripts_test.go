@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"ccahydro/internal/cca"
+	"ccahydro/internal/components"
+)
 
 // TestStrangSplitting runs the flame with Strang splitting and checks
 // it stays physical and close to the Lie-split result over a short
@@ -29,19 +34,30 @@ func TestStrangSplitting(t *testing.T) {
 	}
 }
 
-// TestDiffusionOnlyScalingDriver exercises the skipChem path used by
-// the scaling studies.
+// TestDiffusionOnlyScalingDriver runs the flame assembly with the
+// driver's cellChemistry port left unwired: the driver then integrates
+// diffusion only.
 func TestDiffusionOnlyScalingDriver(t *testing.T) {
-	dr, _, err := RunReactionDiffusion(nil,
-		Param{"grace", "nx", "16"}, Param{"grace", "ny", "16"},
-		Param{"grace", "maxLevels", "1"},
-		Param{"driver", "steps", "3"}, Param{"driver", "dt", "1e-7"},
-		Param{"driver", "regridEvery", "0"},
-		Param{"driver", "skipChem", "true"},
-	)
+	f := cca.NewFramework(Repo(), nil)
+	if err := AssembleRequest(f, RunRequest{Problem: "flame", Params: []Param{
+		{"grace", "nx", "16"}, {"grace", "ny", "16"},
+		{"grace", "maxLevels", "1"},
+		{"driver", "steps", "3"}, {"driver", "dt", "1e-7"},
+		{"driver", "regridEvery", "0"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Disconnect("driver", "cellChemistry"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Go("driver", "go"); err != nil {
+		t.Fatal(err)
+	}
+	comp, err := f.Lookup("driver")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dr := comp.(*components.RDDriver)
 	// Pure diffusion cannot raise the maximum temperature.
 	if dr.TMax > 1801 {
 		t.Errorf("diffusion-only Tmax rose to %v", dr.TMax)

@@ -42,8 +42,8 @@ func telGet(t *testing.T, url string) (int, string) {
 }
 
 // runFlameSCMDTel is runFlameSCMD with the telemetry plane attached:
-// per-rank handles, virtual clock, substrate events, and the tracer
-// tee when an obs group rides along.
+// per-rank handles, virtual clock, substrate events, and the obs
+// interceptor and tracer when a group rides along.
 func runFlameSCMDTel(world *mpi.World, hub *telemetry.Hub, group *obs.Group, dir, restore string, every int, params []Param) ([][]float64, error) {
 	var mu sync.Mutex
 	ranks := make([][]float64, world.Size())
@@ -58,11 +58,7 @@ func runFlameSCMDTel(world *mpi.World, hub *telemetry.Hub, group *obs.Group, dir
 		if err := WireCheckpointOpts(f, CheckpointOptions{Dir: dir, Restore: restore, Every: every}); err != nil {
 			return err
 		}
-		rk := hub.Rank(r)
-		AttachTelemetry(f, rk, comm)
-		if group != nil {
-			group.Rank(r).Tracer().SetSink(rk)
-		}
+		AttachTelemetry(f, hub.Rank(r), comm)
 		if err := f.Go("driver", "go"); err != nil {
 			return err
 		}

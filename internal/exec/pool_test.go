@@ -472,9 +472,10 @@ func TestRunsInline(t *testing.T) {
 // measured body, exactly what an instrumented driver step does around
 // its ForEachChunk calls. The epoch handoff itself has no telemetry
 // emit sites, and the per-step structured event rides the in-place
-// flight ring — the combined loop must still be 0 allocs/op.
+// flight buffer — the combined loop must still be 0 allocs/op.
 func TestEpochHandoffZeroAllocTelemetryAttached(t *testing.T) {
 	hub := telemetry.NewHub(1, nil)
+	hub.SetFlightDir(t.TempDir())
 	rk := hub.Rank(0)
 	rk.SetClock(func() float64 { return 1.0 })
 	p := NewPool(4)

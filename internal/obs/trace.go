@@ -53,14 +53,6 @@ type traceShard struct {
 	evs []Event
 }
 
-// EventSink receives a copy of every event a Tracer records. The live
-// telemetry plane's flight recorder implements it to keep the most
-// recent spans available for post-mortem dumps. Implementations must
-// be cheap and non-blocking — they run inline on every Emit.
-type EventSink interface {
-	TraceEvent(Event)
-}
-
 // Tracer is one rank's event sink. The zero value is not usable;
 // tracers are created by NewGroup. A nil *Tracer is safe to call —
 // every method is a no-op — so instrumentation sites need no guards
@@ -69,9 +61,6 @@ type Tracer struct {
 	g    *Group
 	rank int
 	sh   [traceShards]traceShard
-
-	// sink, when set, is teed a copy of every event (see EventSink).
-	sink atomic.Pointer[EventSink]
 
 	// Spill streaming (see StreamTo): when spillCap > 0, any shard
 	// reaching that many buffered events is flushed to the spill file as
@@ -105,9 +94,6 @@ func (t *Tracer) Emit(ev Event) {
 	if ev.Pid < 0 {
 		ev.Pid = t.rank
 	}
-	if sp := t.sink.Load(); sp != nil {
-		(*sp).TraceEvent(ev)
-	}
 	s := &t.sh[uint(ev.Tid)%traceShards]
 	var flush []Event
 	s.mu.Lock()
@@ -120,21 +106,6 @@ func (t *Tracer) Emit(ev Event) {
 	if flush != nil {
 		t.spillOut(flush)
 	}
-}
-
-// SetSink installs (or, with nil, removes) the tee that receives a
-// copy of every emitted event. Install before instrumented code runs;
-// the swap itself is atomic but events emitted concurrently with the
-// swap may go to either sink.
-func (t *Tracer) SetSink(sink EventSink) {
-	if t == nil {
-		return
-	}
-	if sink == nil {
-		t.sink.Store(nil)
-		return
-	}
-	t.sink.Store(&sink)
 }
 
 // spillOut appends a batch of events to the spill file.

@@ -106,7 +106,7 @@ func TestValidationDiagnostics(t *testing.T) {
 				"component i GrACEComponent { lx = wide }\n" +
 				"component j GrACEComponent { maxLevels = 99 }\n" +
 				"component k ThermoChemistry { mech = argon }\n" +
-				"component l RDDriver { skipChem = perhaps }\n" +
+				"component l CheckpointComponent { compress = perhaps }\n" +
 				"component m GrACEComponent { color = red }\n" +
 				"run g\n",
 			want: []string{
@@ -115,11 +115,8 @@ func TestValidationDiagnostics(t *testing.T) {
 				`t.scn:4:30: parameter i.lx: cannot parse "wide" as float`,
 				"t.scn:5:30: parameter j.maxLevels: value 99 out of range [1, 8]",
 				`t.scn:6:31: parameter k.mech: invalid value "argon" (want one of co-h2-air, co-h2-air-12sp-28rx, h2air, h2air-9sp-19rx, h2air-lite, h2air-lite-8sp-5rx)`,
-				`t.scn:7:1: component "l" (RDDriver): required uses port "chemistry" (chem.SourceTermPort) is not connected`,
-				`t.scn:7:1: component "l" (RDDriver): required uses port "explicit" (samr.ExplicitIntegratorPort) is not connected`,
-				`t.scn:7:1: component "l" (RDDriver): required uses port "ic" (samr.InitialConditionPort) is not connected`,
-				`t.scn:7:1: component "l" (RDDriver): required uses port "mesh" (samr.MeshPort) is not connected`,
-				`t.scn:7:24: parameter l.skipChem: cannot parse "perhaps" as bool`,
+				`t.scn:7:1: component "l" (CheckpointComponent): required uses port "mesh" (samr.MeshPort) is not connected`,
+				`t.scn:7:35: parameter l.compress: cannot parse "perhaps" as bool`,
 				`t.scn:8:30: component "m" (GrACEComponent) has no parameter "color"`,
 				`t.scn:9:1: run target "g" (GrACEComponent) does not provide a go port`,
 			},

@@ -3,8 +3,10 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"expvar"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"time"
 )
@@ -29,7 +31,7 @@ type SeriesPoint struct {
 //	          (503 when the run failed or a rank is down)
 //	/series   NDJSON stream of StatisticsComponent samples as steps
 //	          complete; ?follow=0 for a non-blocking drain
-//	/trace    Chrome-trace snapshot of the live tracer rings
+//	/trace    Chrome-trace snapshot of the live tracer shards
 type Endpoints struct {
 	hub *Hub
 	// done, when non-nil, ends streaming handlers early: a graceful
@@ -60,7 +62,9 @@ func (e *Endpoints) Handler() http.Handler {
 const ReadHeaderTimeout = 10 * time.Second
 
 // Server is the standalone telemetry server: one Hub's Endpoints bound
-// to its own listener.
+// to its own listener, plus the process-wide /debug/pprof/ and
+// /debug/vars. Those two describe the whole process, so they are not
+// part of Endpoints, which a multi-tenant server mounts once per job.
 type Server struct {
 	*Endpoints
 	ln   net.Listener
@@ -78,7 +82,15 @@ func Serve(addr string, hub *Hub) (*Server, error) {
 	}
 	stop := make(chan struct{})
 	s := &Server{Endpoints: NewEndpoints(hub, stop), ln: ln, stop: stop}
-	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: ReadHeaderTimeout}
+	mux := http.NewServeMux()
+	mux.Handle("/", s.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}
 	go s.srv.Serve(ln)
 	return s, nil
 }

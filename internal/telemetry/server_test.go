@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +133,19 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("/trace has no events")
+	}
+
+	// The standalone server also answers the process-wide debug
+	// endpoints; the per-job endpoint set does not mount them.
+	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
+		if code, body := get(t, base+path); code != http.StatusOK {
+			t.Fatalf("%s: code=%d body=%.200q", path, code, body)
+		}
+		rec := httptest.NewRecorder()
+		NewEndpoints(h, nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("per-job endpoints answer %s with %d, want 404", path, rec.Code)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package telemetry is the live serving plane over the passive obs
-// layer: while internal/obs records (metrics registries, trace rings)
+// layer: while internal/obs records (metrics registries, trace shards)
 // and only writes files at exit, telemetry answers questions about a
 // run *while it is running* and preserves the recent past when it
 // dies.
@@ -14,11 +14,13 @@
 //     correlate.
 //   - An optional JSONL event log (Hub.LogTo): every structured event
 //     appended to disk as it happens.
-//   - A crash flight recorder: each Rank owns a fixed-size lock-free
-//     ring of the most recent events and tracer spans. Hub.DumpAll
-//     writes the merged rings to a post-mortem file; callers invoke it
-//     on panic, on ErrRankFailed, and on every ckpt.Supervise retry
-//     (the Hub itself implements ckpt.RetryNotifier).
+//   - A crash flight recorder: once a flight directory is set, the hub
+//     keeps the most recent structured events in one fixed-size buffer.
+//     Hub.DumpAll writes it to a post-mortem file, beside the obs
+//     group's merged trace when one is attached (spans live only in
+//     the tracer); callers invoke it on panic, on ErrRankFailed, and on
+//     every ckpt.Supervise retry (the Hub itself implements
+//     ckpt.RetryNotifier).
 //
 // The HTTP server over the Hub lives in server.go. The whole package
 // is stdlib-only and nil-safe: a nil *Rank or nil *Hub accepts every
@@ -30,10 +32,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -53,25 +55,19 @@ const (
 	EvRankFailed      = "rank.failed"      // rank goroutine died with ErrRankFailed
 	EvSupervisorRetry = "supervisor.retry" // ckpt.Supervise restarting after rank failure
 	EvPhase           = "phase"            // run phase transition (detail: phase name)
-	EvSpan            = "span"             // tracer span teed into the flight ring
 )
 
 // Event is one structured telemetry record. Seq is a hub-global
-// monotone sequence number: merging all ranks' rings sorted by Seq
-// reconstructs the interleaved timeline.
+// monotone sequence number, assigned in the order events reach the
+// hub, so sorting by Seq reconstructs the interleaved timeline.
 type Event struct {
-	Seq  uint64  `json:"seq"`
-	Rank int     `json:"rank"` // -1 for hub-level (supervisor) events
-	Step int     `json:"step"`
-	VT   float64 `json:"vt"` // virtual clock seconds (0 when no comm attached)
-	Gen  int     `json:"gen"`
-	Kind string  `json:"kind"`
-	// Cat is set on teed tracer events (span/mark) only: the tracer
-	// category, kept separate from Detail so the tee copies string
-	// headers instead of concatenating (the tee is on the span hot path
-	// and must not allocate).
-	Cat    string `json:"cat,omitempty"`
-	Detail string `json:"detail,omitempty"`
+	Seq    uint64  `json:"seq"`
+	Rank   int     `json:"rank"` // -1 for hub-level (supervisor) events
+	Step   int     `json:"step"`
+	VT     float64 `json:"vt"` // virtual clock seconds (0 when no comm attached)
+	Gen    int     `json:"gen"`
+	Kind   string  `json:"kind"`
+	Detail string  `json:"detail,omitempty"`
 }
 
 // SeriesSource is the incremental view of a time-series store that the
@@ -107,27 +103,33 @@ type Health struct {
 	Ranks              []RankHealth `json:"ranks"`
 }
 
+// flightDepth is the flight recorder's history per rank: the hub's
+// event buffer holds the last flightDepth × ranks structured events.
+const flightDepth = 1024
+
 // Hub is the per-run telemetry root: rank handles, phase, the event
 // log, and the flight recorder. All methods are safe on a nil
 // receiver and safe for concurrent use.
 type Hub struct {
 	group *obs.Group
 	ranks []*Rank
-	seq   atomic.Uint64
 
 	phase    atomic.Value // string
 	attempt  atomic.Int64
 	lastCkpt atomic.Int64
 	version  atomic.Uint64 // bumps on every structured event
 
-	countMu sync.Mutex
-	counts  map[string]uint64
-
-	logMu sync.Mutex
-	logF  *os.File
-	logW  *bufio.Writer
-
-	flightMu  sync.Mutex
+	// mu guards the sequence counter, the counts, the JSONL log and the
+	// flight buffer, so all four see every event in the same order.
+	mu     sync.Mutex
+	seq    uint64
+	counts map[string]uint64
+	logF   *os.File
+	logW   *bufio.Writer
+	// flight is the recorder's ring of the most recent events, nil until
+	// SetFlightDir; flightN counts the events ever put into it.
+	flight    []Event
+	flightN   uint64
 	flightDir string
 	dumpSeq   int
 
@@ -149,7 +151,6 @@ func NewHub(n int, group *obs.Group) *Hub {
 	for r := range h.ranks {
 		rk := &Rank{hub: h, rank: r}
 		rk.alive.Store(true)
-		rk.ring.init()
 		h.ranks[r] = rk
 	}
 	return h
@@ -223,32 +224,13 @@ func (h *Hub) Emit(kind, detail string) {
 	if h == nil {
 		return
 	}
-	ev := Event{Seq: h.seq.Add(1), Rank: -1, Step: -1, Kind: kind, Detail: detail}
-	if len(h.ranks) > 0 {
-		h.ranks[0].ring.put(ev) // hub events ride in rank 0's flight ring
-	}
-	h.note(ev)
+	h.put(Event{Rank: -1, Step: -1, Kind: kind, Detail: detail})
 }
 
-// record stamps and routes one rank-attributed event.
-func (h *Hub) record(rk *Rank, kind string, step int, detail string) {
-	vt, gen := rk.stamp()
-	h.put(rk, Event{Rank: rk.rank, Step: step, VT: vt, Gen: gen, Kind: kind, Detail: detail})
-}
-
-// put sequences an already-stamped event, rings it on rk, and fans it
-// out. The substrate sink uses it directly with cached stamps.
-func (h *Hub) put(rk *Rank, ev Event) {
-	ev.Seq = h.seq.Add(1)
-	rk.ring.put(ev)
-	h.note(ev)
-}
-
-// note fans one structured event out to the health rollup, the counts
-// table, the JSONL log, and any watchers. Tracer spans teed into the
-// flight ring bypass note — they would flood the log and the counters
-// duplicate obs.Group.EventCounts.
-func (h *Hub) note(ev Event) {
+// put sequences an already-stamped event and fans it out to the
+// health rollup, the counts table, the flight buffer, the JSONL log,
+// and any watchers.
+func (h *Hub) put(ev Event) {
 	switch ev.Kind {
 	case EvCkptSave:
 		h.lastCkpt.Store(int64(ev.Step))
@@ -258,18 +240,21 @@ func (h *Hub) note(ev Event) {
 		}
 	}
 
-	h.countMu.Lock()
+	h.mu.Lock()
+	h.seq++
+	ev.Seq = h.seq
 	h.counts[ev.Kind]++
-	h.countMu.Unlock()
-
-	h.logMu.Lock()
+	if n := uint64(len(h.flight)); n > 0 {
+		h.flight[h.flightN%n] = ev
+		h.flightN++
+	}
 	if h.logW != nil {
 		if b, err := json.Marshal(ev); err == nil {
 			h.logW.Write(b)
 			h.logW.WriteByte('\n')
 		}
 	}
-	h.logMu.Unlock()
+	h.mu.Unlock()
 
 	h.version.Add(1)
 	if h.nwatch.Load() > 0 {
@@ -289,8 +274,8 @@ func (h *Hub) EventCounts() map[string]uint64 {
 	if h == nil {
 		return nil
 	}
-	h.countMu.Lock()
-	defer h.countMu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	out := make(map[string]uint64, len(h.counts))
 	for k, v := range h.counts {
 		out[k] = v
@@ -344,11 +329,9 @@ func (h *Hub) Health() Health {
 		LastCheckpointStep: int(h.lastCkpt.Load()),
 		Ranks:              make([]RankHealth, len(h.ranks)),
 	}
-	h.countMu.Lock()
-	for _, v := range h.counts {
-		doc.Events += v
-	}
-	h.countMu.Unlock()
+	h.mu.Lock()
+	doc.Events = h.seq
+	h.mu.Unlock()
 	for r, rk := range h.ranks {
 		vt, gen := rk.stamp()
 		doc.Ranks[r] = RankHealth{
@@ -384,13 +367,13 @@ func (h *Hub) LogTo(path string) error {
 	if err != nil {
 		return err
 	}
-	h.logMu.Lock()
+	h.mu.Lock()
 	if h.logF != nil {
 		h.logW.Flush()
 		h.logF.Close()
 	}
 	h.logF, h.logW = f, bufio.NewWriter(f)
-	h.logMu.Unlock()
+	h.mu.Unlock()
 	return nil
 }
 
@@ -399,8 +382,8 @@ func (h *Hub) CloseLog() error {
 	if h == nil {
 		return nil
 	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.logF == nil {
 		return nil
 	}
@@ -412,15 +395,20 @@ func (h *Hub) CloseLog() error {
 	return err
 }
 
-// SetFlightDir names the directory flight-recorder dumps land in.
-// Without one, DumpAll is a no-op.
+// SetFlightDir names the directory flight-recorder dumps land in and
+// allocates the event buffer they are written from, since a dump is
+// its only reader: a hub without a flight directory keeps no history,
+// and its DumpAll is a no-op.
 func (h *Hub) SetFlightDir(dir string) {
 	if h == nil {
 		return
 	}
-	h.flightMu.Lock()
+	h.mu.Lock()
 	h.flightDir = dir
-	h.flightMu.Unlock()
+	if dir != "" && h.flight == nil {
+		h.flight = make([]Event, flightDepth*len(h.ranks))
+	}
+	h.mu.Unlock()
 }
 
 // flightHeader is the first line of a flight-recorder dump.
@@ -431,63 +419,80 @@ type flightHeader struct {
 	Events  int    `json:"events"`
 }
 
-// DumpAll snapshots every rank's flight ring, merges by sequence
-// number, and writes one JSONL post-mortem file
+// DumpAll writes the flight buffer to one JSONL post-mortem file
 // (flight-NNN-<reason>.jsonl: a {"flight":...} header line, then the
-// events oldest first). Returns the path written, or "" when no
-// flight directory is configured. Callers must only dump at points
-// where the rank goroutines have quiesced (after RunOn returns, or
-// from a panic handler) — the rings are lock-free and a dump races an
-// active writer only in the benign drop-a-slot sense.
+// events oldest first) and, when the hub has an obs group, the group's
+// merged Chrome trace beside it (flight-NNN-<reason>.trace.json), which
+// holds the spans leading up to the failure. Returns the JSONL path, or
+// "" when no flight directory is configured. Safe while ranks still
+// emit: the buffer is copied under the hub lock.
 func (h *Hub) DumpAll(reason string, cause error) (string, error) {
 	if h == nil {
 		return "", nil
 	}
-	h.flightMu.Lock()
+	h.mu.Lock()
 	dir := h.flightDir
 	h.dumpSeq++
 	n := h.dumpSeq
-	h.flightMu.Unlock()
+	size := uint64(len(h.flight))
+	evs := make([]Event, 0, min(h.flightN, size))
+	for i := h.flightN - uint64(cap(evs)); i < h.flightN; i++ {
+		evs = append(evs, h.flight[i%size])
+	}
+	h.mu.Unlock()
 	if dir == "" {
 		return "", nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	var evs []Event
-	for _, rk := range h.ranks {
-		evs = append(evs, rk.ring.snapshot()...)
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 
-	path := filepath.Join(dir, fmt.Sprintf("flight-%03d-%s.jsonl", n, reason))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	w := bufio.NewWriter(f)
+	base := filepath.Join(dir, fmt.Sprintf("flight-%03d-%s", n, reason))
 	hdr := flightHeader{Reason: reason, Attempt: int(h.attempt.Load()), Events: len(evs)}
 	if cause != nil {
 		hdr.Cause = cause.Error()
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(struct {
-		Flight flightHeader `json:"flight"`
-	}{hdr}); err != nil {
-		f.Close()
+	err := writeFile(base+".jsonl", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(struct {
+			Flight flightHeader `json:"flight"`
+		}{hdr}); err != nil {
+			return err
+		}
+		for _, ev := range evs {
+			if err := enc.Encode(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return "", err
 	}
-	for _, ev := range evs {
-		if err := enc.Encode(ev); err != nil {
-			f.Close()
+	if h.group != nil {
+		if err := writeFile(base+".trace.json", h.group.WriteTrace); err != nil {
 			return "", err
 		}
 	}
+	return base + ".jsonl", nil
+}
+
+// writeFile creates path and fills it through a buffered writer.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := write(w); err != nil {
+		f.Close()
+		return err
+	}
 	if err := w.Flush(); err != nil {
 		f.Close()
-		return "", err
+		return err
 	}
-	return path, f.Close()
+	return f.Close()
 }
 
 // OnRankFailure implements ckpt.RetryNotifier: it records the
@@ -509,7 +514,6 @@ func (h *Hub) OnRankFailure(attempt int, err error) {
 type Rank struct {
 	hub  *Hub
 	rank int
-	ring ring
 
 	step  atomic.Int64
 	alive atomic.Bool
@@ -519,12 +523,11 @@ type Rank struct {
 	gen    func() int
 	series SeriesSource
 
-	// Last sampled clock/generation, refreshed by stamp. The trace tee
-	// and the substrate sink read these instead of calling the samplers:
-	// both can fire while the emitter holds component locks (a span
-	// inside Regrid, a fault tripped by a send during a remap), and the
-	// generation sampler reaches back into the mesh component — calling
-	// it there would self-deadlock.
+	// Last sampled clock/generation, refreshed by stamp. The substrate
+	// sink reads these instead of calling the samplers: it can fire while
+	// the emitter holds component locks (a fault tripped by a send during
+	// a remap), and the generation sampler reaches back into the mesh
+	// component — calling it there would self-deadlock.
 	lastVT  atomic.Uint64 // math.Float64bits
 	lastGen atomic.Int64
 }
@@ -571,7 +574,7 @@ func (rk *Rank) Series() SeriesSource {
 }
 
 // stamp samples the virtual clock and hierarchy generation and caches
-// the result for the lock-free paths. The samplers are invoked outside
+// the result for the substrate sink. The samplers are invoked outside
 // rk.mu (they may block on component or communicator state) — only the
 // function values are read under the lock.
 func (rk *Rank) stamp() (vt float64, gen int) {
@@ -616,31 +619,8 @@ func (rk *Rank) Emit(kind string, step int, detail string) {
 	if step < 0 {
 		step = int(rk.step.Load())
 	}
-	rk.hub.record(rk, kind, step, detail)
-}
-
-// TraceEvent implements obs.EventSink: tracer spans tee into the flight
-// ring (only — not the event log or counters, which would drown in
-// them), so a post-mortem dump shows the spans leading up to the
-// failure interleaved with the structured events.
-func (rk *Rank) TraceEvent(ev obs.Event) {
-	if rk == nil {
-		return
-	}
-	if ev.Ph != 'X' { // flow arrows are pure trace plumbing
-		return
-	}
-	vt, gen := rk.cachedStamp()
-	rk.ring.put(Event{
-		Seq:    rk.hub.seq.Add(1),
-		Rank:   rk.rank,
-		Step:   int(rk.step.Load()),
-		VT:     vt,
-		Gen:    gen,
-		Kind:   EvSpan,
-		Cat:    ev.Cat,
-		Detail: ev.Name,
-	})
+	vt, gen := rk.stamp()
+	rk.hub.put(Event{Rank: rk.rank, Step: step, VT: vt, Gen: gen, Kind: kind, Detail: detail})
 }
 
 // Substrate returns the sink the MPI layer should emit through
@@ -667,22 +647,5 @@ func (s SubstrateSink) Emit(kind string, step int, detail string) {
 		step = int(rk.step.Load())
 	}
 	vt, gen := rk.cachedStamp()
-	rk.hub.put(rk, Event{
-		Rank:   rk.rank,
-		Step:   step,
-		VT:     vt,
-		Gen:    gen,
-		Kind:   kind,
-		Detail: detail,
-	})
-}
-
-// FlightEvents returns a snapshot of this rank's flight ring, oldest
-// first. Meant for tests and post-run inspection; see the DumpAll
-// quiescence caveat.
-func (rk *Rank) FlightEvents() []Event {
-	if rk == nil {
-		return nil
-	}
-	return rk.ring.snapshot()
+	rk.hub.put(Event{Rank: rk.rank, Step: step, VT: vt, Gen: gen, Kind: kind, Detail: detail})
 }
